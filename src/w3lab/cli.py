@@ -4,9 +4,13 @@ vacuum-spectrum.
 All payloads are JSON or RFC-4180 CSV on stdout; structured errors go to
 stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
 3 level too large, 4 Kac-comparison deviation, 5 residual/positivity failure,
-6 cutoff exceeded.  Symbolic Gram matrices are cached per level under
-$W3LAB_CACHE_DIR (they are parameter-free polynomial objects); evaluation is
-cheap and never cached.
+6 cutoff exceeded; bad arguments exit 1 with error "BadArguments".
+
+Only the symbolic output of ``gram`` (``--symbolic``, or no point given)
+reads and writes the Gram cache under $W3LAB_CACHE_DIR, one file per level.
+A cache file that does not parse or does not hold that level's Gram is
+rebuilt and overwritten.  ``kac-verify`` and ``gram --c/--h/--w`` build the
+Gram matrix directly over Q at each point and never touch the cache.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ DEFAULT_TOLERANCES = {
 class RunConfig:
     """Resolved run settings shared by the subcommands."""
 
-    cache_dir: Path | None
     output_format: str = "json"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -98,20 +101,41 @@ def _atomic_write(path: Path, text: str) -> None:
 def _config(**overrides) -> RunConfig:
     tol = dict(DEFAULT_TOLERANCES)
     tol.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(cache_dir=_cache_dir(), tolerances=tol)
+    return RunConfig(tolerances=tol)
 
 
-def _gram_cached(level: int, level_cap: int,
-                 cfg: RunConfig | None = None) -> verma.GramMatrix:
-    cache = cfg.cache_dir if cfg is not None else _cache_dir()
+def _cache_path(cache: Path, level: int) -> Path:
     key = hashlib.sha256(f"{FORMAT_VERSION}:{level}".encode()).hexdigest()[:16]
-    if cache is not None:
-        f = cache / f"gram-{level}-{key}.json"
-        if f.exists():
-            return verma.GramMatrix.from_json(f.read_text())
-    g = verma.gram_matrix(level, level_cap=level_cap)
-    if cache is not None:
-        _atomic_write(cache / f"gram-{level}-{key}.json", g.to_json())
+    return cache / f"gram-{level}-{key}.json"
+
+
+def _read_cached(path: Path, level: int) -> verma.GramMatrix | None:
+    """The Gram stored at ``path``, or None when the file is missing, does
+    not parse, or does not hold the level-``level`` Gram over its basis."""
+    try:
+        g = verma.GramMatrix.from_json(path.read_text())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            IndexError):
+        return None
+    d = len(g.basis)
+    if (g.level != level or g.basis != verma.enumerate_basis(level)
+            or len(g.entries) != d or any(len(row) != d for row in g.entries)):
+        return None
+    return g
+
+
+def _gram_cached(level: int, level_cap: int) -> verma.GramMatrix:
+    """The symbolic Gram at ``level``, from the cache when a valid file is
+    there; otherwise built under ``level_cap`` and written atomically."""
+    verma.check_level(level, level_cap)
+    cache = _cache_dir()
+    if cache is None:
+        return verma.gram_matrix(level, level_cap)
+    path = _cache_path(cache, level)
+    g = _read_cached(path, level)
+    if g is None:
+        g = verma.gram_matrix(level, level_cap)
+        _atomic_write(path, g.to_json())
     return g
 
 
@@ -147,12 +171,19 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "pretty"]),
               default="json")
 def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
-    """Level-N Gram matrix of the canonical invariant form."""
-    try:
-        g = _gram_cached(level, level_cap)
-    except verma.LevelTooLarge as e:
-        _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
+    """Level-N Gram matrix of the canonical invariant form.
+
+    With --c/--h/--w the matrix and its determinant are computed exactly
+    over Q at that point; otherwise the symbolic matrix is printed.
+    """
+    if level < 0:
+        _fail(1, "BadArguments", "--level must be nonnegative")
+    point = (c_val, h_val, w_val)
     if symbolic or c_val is None:
+        try:
+            g = _gram_cached(level, level_cap)
+        except verma.LevelTooLarge as e:
+            _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
         if fmt == "json":
             click.echo(g.to_json())
         else:
@@ -160,18 +191,22 @@ def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
                 click.echo(f"{word.label():16s} "
                            + "  ".join(str(e) for e in row))
         return
-    if any(v is None for v in (c_val, h_val, w_val)):
+    if any(v is None for v in point):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
     try:
-        m = g.evaluate(c_val, h_val, w_val)
+        # the level cap is reported before a pole, as on the symbolic path
+        verma.check_level(level, level_cap)
+        g = verma.gram_matrix(level, level_cap, verma.point_ring(*point))
+    except verma.LevelTooLarge as e:
+        _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
     except PoleAtForbiddenCentralCharge as e:
         _fail(EXIT_POLE, "PoleAtForbiddenCentralCharge", str(e))
     payload = {
         "level": level,
         "point": {"c": str(c_val), "h": str(h_val), "w": str(w_val)},
         "basis": [wd.label() for wd in g.basis],
-        "entries": [[str(x) for x in row] for row in m],
-        "determinant": str(verma.determinant_at(g, c_val, h_val, w_val)),
+        "entries": [[str(x) for x in row] for row in g.entries],
+        "determinant": str(verma.rational_determinant(g.entries)),
         "determinantMethod": "evaluated",
     }
     click.echo(json.dumps(payload, indent=2))
@@ -198,6 +233,18 @@ def _random_region_points(k: int, seed: int):
     return pts
 
 
+def _read_samples(path: Path) -> list:
+    """[c, h, w] rows of rationals from a JSON file."""
+    try:
+        rows = json.loads(path.read_text())
+        pts = [tuple(parse_rational(str(x)) for x in row) for row in rows]
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        _fail(1, "BadArguments", f"unreadable samples file: {e}")
+    if any(len(p) != 3 for p in pts):
+        _fail(1, "BadArguments", "each sample must be [c, h, w]")
+    return pts
+
+
 @main.command("kac-verify")
 @click.option("--level", type=int, required=True)
 @click.option("--samples", type=click.Path(exists=True), default=None,
@@ -207,21 +254,27 @@ def _random_region_points(k: int, seed: int):
 @click.option("--tol", type=float, default=None)
 @click.option("--level-cap", type=int, default=verma.DEFAULT_LEVEL_CAP)
 def cmd_kac_verify(level, samples, n_random, seed, tol, level_cap):
-    """Compare det(Gram_N) with the closed-form product at sample points."""
+    """Compare det(Gram_N) with the closed-form product at sample points.
+
+    At each point the Gram matrix is built and its determinant taken
+    exactly over Q.
+    """
     try:
         tol = _config(kacRatio=tol).tolerances["kacRatio"]
     except ValueError as e:
         _fail(1, "BadArguments", str(e))
+    if level < 0:
+        _fail(1, "BadArguments", "--level must be nonnegative")
     if samples:
-        raw = json.loads(Path(samples).read_text())
-        pts = [tuple(parse_rational(str(x)) for x in row) for row in raw]
+        pts = _read_samples(Path(samples))
     elif n_random:
         pts = _random_region_points(n_random, seed)
     else:
         _fail(1, "BadArguments", "give --samples FILE or --random K")
+    if len(pts) < 2:
+        _fail(1, "BadArguments", "need at least 2 sample points")
     try:
-        g = _gram_cached(level, level_cap)
-        rep = kac.compare_with_gram(level, pts, tol=tol, gram=g)
+        rep = kac.compare_with_gram(level, pts, tol=tol, level_cap=level_cap)
     except verma.LevelTooLarge as e:
         _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
     except kac.DegenerateSample as e:
@@ -243,8 +296,13 @@ def _parse_real(text: str) -> Fraction:
     try:
         val = parse_rational(text)
     except ValueError:
-        val = Fraction(float(text))
         floaty = True
+        try:
+            val = Fraction(float(text))
+        except (ValueError, OverflowError):
+            _fail(1, "BadArguments", f"{text!r} is not a finite real number")
+    except ZeroDivisionError:
+        _fail(1, "BadArguments", f"{text!r} divides by zero")
     if floaty:
         click.echo("warning: decimal input converted to the exact rational "
                    f"{val}; boundary verdicts reflect that value", err=True)
@@ -304,6 +362,9 @@ def cmd_region(c_val, h_min, h_max, w_min, w_max, res):
               help="imaginary part of eta for the automorphism check")
 def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
     """Aggregate residual report for the chosen realization."""
+    if max_mode < 0 or max_level < 0:
+        _fail(1, "BadArguments",
+              "--max-mode and --max-level must be nonnegative")
     if max_level + 2 * max_mode > cutoff:
         _fail(EXIT_CUTOFF, "CutoffExceeded",
               "need max_level + 2*max_mode <= cutoff")
@@ -367,9 +428,16 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
 @click.option("--kappa", type=float, required=True)
 @click.option("--level", type=int, required=True)
 @click.option("--cutoff", type=int, default=8)
-@click.option("--psd-tol", type=float, default=None)
+@click.option("--psd-tol", type=float, default=None,
+              help="exit 5 when the smallest eigenvalue is below "
+                   "-PSD_TOL * max(1, largest eigenvalue); default 1e-8")
 def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
-    """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified)."""
+    """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
+
+    The spectrum counts as positive semidefinite down to a tolerance
+    relative to its largest eigenvalue, because float roundoff in the
+    eigensolver scales with it.
+    """
     try:
         psd_tol = _config(psd=psd_tol).tolerances["psd"]
     except ValueError as e:
@@ -391,7 +459,7 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
         "minEigenvalue": eigs[0],
     }
     click.echo(json.dumps(payload, indent=2))
-    if eigs[0] < -psd_tol:
+    if eigs[0] < -psd_tol * max(1.0, eigs[-1]):
         sys.exit(EXIT_RESIDUAL)
 
 

@@ -327,25 +327,38 @@ class ComparisonReport:
 def compare_with_gram(level: int,
                       sample_points: Sequence[Tuple],
                       tol: float = 1e-8,
-                      gram: "verma.GramMatrix | None" = None) -> ComparisonReport:
+                      gram: "verma.GramMatrix | None" = None,
+                      level_cap: int = verma.DEFAULT_LEVEL_CAP
+                      ) -> ComparisonReport:
     """Ratio det(Gram_N at point) / closed_form(N at point) across points.
 
-    Both sides are exact rationals, so the constancy check is exact; the
-    reported deviation is 0.0 whenever the formula holds.
+    With a symbolic ``gram`` the determinant is taken of its value at each
+    point.  Without one, the Gram matrix is built directly over Q at each
+    point by the point engine, under ``level_cap``.  Both sides are exact
+    rationals, so the constancy check is exact; the reported deviation is
+    0.0 whenever the formula holds.
     """
     pts = [tuple(Fraction(x) for x in p) for p in sample_points]
     if len(pts) < 2:
         raise ValueError("need at least 2 sample points")
     if gram is None:
-        gram = verma.gram_matrix(level)
-    ratios: List[Fraction] = []
+        verma.check_level(level, level_cap)
+    closed_forms: List[Fraction] = []
     for (cv, hv, wv) in pts:
         if 22 + 5 * cv == 0:
             raise PoleAtForbiddenCentralCharge("sample point at c = -22/5")
         cf = kac_closed_form_exact(level, cv, hv, wv)
         if cf == 0:
             raise DegenerateSample(f"closed form vanishes at {(cv, hv, wv)}")
-        det = verma.determinant_at(gram, cv, hv, wv)
+        closed_forms.append(cf)
+    ratios: List[Fraction] = []
+    for pt, cf in zip(pts, closed_forms):
+        if gram is None:
+            rows = verma.gram_matrix(level, level_cap,
+                                     verma.point_ring(*pt)).entries
+            det = verma.rational_determinant(rows)
+        else:
+            det = verma.determinant_at(gram, *pt)
         ratios.append(det / cf)
     base = ratios[0]
     if base == 0:

@@ -18,8 +18,12 @@ The L-coefficient in [W, W] is 1/30: that value is forced by the field-form
 relations (expand the delta-function commutator into modes) and is the one the
 free-field realization satisfies.
 
-All coefficients produced by the reduction are ExactScalars, i.e. polynomials
-in c, 1/(22+5c), h, w.  Termination of the rewriting recurses on the grade
+The rewriting Engine is parametric in its coefficient Ring.  Over SYMBOLIC
+the coefficients are ExactScalars, i.e. polynomials in c, 1/(22+5c), h, w;
+over point_ring(c, h, w) they are the Fractions those take at one rational
+point, which builds the Gram matrix at that point without the symbolic one.
+Each engine owns its memo, so results over different rings never mix.
+Termination of the rewriting recurses on the grade
 g = 2*(number of L) + 3*(number of W), which strictly drops on every
 commutator byproduct, plus the number of out-of-order adjacent pairs, which
 drops on every swap.
@@ -28,12 +32,14 @@ drops on every swap.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Tuple
 
-from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, parse_scalar,
-                    scalar)
+from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO,
+                    PoleAtForbiddenCentralCharge, parse_scalar, scalar)
 
 
 class LevelTooLarge(ValueError):
@@ -51,7 +57,7 @@ class Mode(NamedTuple):
         return 2 if self.gen == "L" else 3
 
 
-# Soft guard: P2(level)^2 exact reductions must stay desk-sized.
+# Soft guard: P2(level)^2 exact reductions must stay desk-sized, in any ring.
 DEFAULT_LEVEL_CAP = 6
 
 
@@ -102,26 +108,59 @@ class ModeWord:
 
 OMEGA = ModeWord()
 
-# A vector in the module: finite map word -> coefficient.
-VermaVector = Dict[ModeWord, ExactScalar]
+# A vector in the module: finite map word -> coefficient in the engine's ring.
+VermaVector = Dict[ModeWord, Any]
 
 _L_COEFF_WW = Fraction(1, 30)
 
 
-def _add_into(acc: VermaVector, word: ModeWord, coef: ExactScalar) -> None:
-    cur = acc.get(word)
-    new = coef if cur is None else cur + coef
-    if new:
-        acc[word] = new
-    elif cur is not None:
-        del acc[word]
+class Ring(NamedTuple):
+    """The coefficients a rewriting engine works over.
+
+    ``c``, ``h``, ``w`` and ``b2`` = 16/(22+5c) are the ring's values of the
+    central charge, the two lowest weights and the [W, W] composite
+    coefficient; ``lift`` maps an int or Fraction into the ring.
+    """
+
+    one: Any
+    zero: Any
+    c: Any
+    h: Any
+    w: Any
+    b2: Any
+    lift: Callable[[Any], Any]
 
 
-def _combine(acc: VermaVector, vec: VermaVector, scale: ExactScalar) -> None:
+# Polynomials in (c, h, w) over powers of (22+5c): the symbolic Gram.
+SYMBOLIC = Ring(ONE, ZERO, C, H, W, B_SQUARED, scalar)
+
+
+def point_ring(c_val, h_val, w_val) -> Ring:
+    """Q at a fixed rational point (c, h, w).
+
+    Raises PoleAtForbiddenCentralCharge at c = -22/5, where b^2 has its pole.
+    """
+    c_val, h_val, w_val = Fraction(c_val), Fraction(h_val), Fraction(w_val)
+    den = 22 + 5 * c_val
+    if den == 0:
+        raise PoleAtForbiddenCentralCharge(
+            "b^2 = 16/(22+5c) has its pole at c = -22/5")
+    return Ring(Fraction(1), Fraction(0), c_val, h_val, w_val,
+                Fraction(16) / den, Fraction)
+
+
+def _combine(acc: VermaVector, vec: VermaVector, scale) -> None:
+    """acc += scale * vec, dropping coefficients that cancel to zero."""
     if not scale:
         return
+    get = acc.get
     for word, coef in vec.items():
-        _add_into(acc, word, coef * scale)
+        cur = get(word)
+        new = coef * scale if cur is None else cur + coef * scale
+        if new:
+            acc[word] = new
+        elif cur is not None:
+            del acc[word]
 
 
 def _may_prepend(gen: str, idx: int, word: ModeWord) -> bool:
@@ -148,101 +187,145 @@ def _leading(word: ModeWord) -> Tuple[str, int, ModeWord]:
     return "W", -word.wpart[0], ModeWord((), word.wpart[1:])
 
 
-_apply_cache: Dict[Tuple[str, int, ModeWord], VermaVector] = {}
+class Engine:
+    """The rewriting engine over one coefficient ring, with its own memo.
+
+    The memo maps (gen, n, word) to the reduced vector of that mode applied
+    to that word.  It is valid only for this engine's ring, which is why it
+    lives here and not at module level.
+    """
+
+    def __init__(self, ring: Ring = SYMBOLIC):
+        self.ring = ring
+        self._memo: Dict[Tuple[str, int, ModeWord], VermaVector] = {}
+
+    def _apply_word(self, gen: str, n: int, word: ModeWord) -> VermaVector:
+        """Action of the generator mode (gen, n) on a basis word."""
+        key = (gen, n, word)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+
+        ring = self.ring
+        out: VermaVector = {}
+        if not word.lpart and not word.wpart:
+            if n < 0:
+                out = {_prepended(gen, n, word): ring.one}
+            elif n == 0:
+                weight = ring.h if gen == "L" else ring.w
+                if weight:
+                    out = {OMEGA: weight}
+            # positive modes annihilate Omega
+        elif n < 0 and _may_prepend(gen, n, word):
+            out = {_prepended(gen, n, word): ring.one}
+        else:
+            g1, i1, rest = _leading(word)
+            # K_nu K_mu rest = K_mu (K_nu rest) + [K_nu, K_mu] rest
+            apply_word = self._apply_word
+            for w2, coef in apply_word(gen, n, rest).items():
+                _combine(out, apply_word(g1, i1, w2), coef)
+            for coef, vec in self._commutator_action(gen, n, g1, i1, rest):
+                _combine(out, vec, coef)
+
+        self._memo[key] = out
+        return out
+
+    def _commutator_action(self, g1: str, m: int, g2: str, n: int,
+                           word: ModeWord) -> Iterable[Tuple[Any, VermaVector]]:
+        """Yield (coefficient, vector) pairs for [K_{g1,m}, K_{g2,n}] word."""
+        ring = self.ring
+        lift = ring.lift
+        base = {word: ring.one}
+        if g1 == "L" and g2 == "L":
+            if m != n:
+                yield lift(m - n), self._apply_word("L", m + n, word)
+            if m + n == 0:
+                yield ring.c * lift(Fraction(m * (m * m - 1), 12)), base
+        elif g1 == "L" and g2 == "W":
+            if 2 * m != n:
+                yield lift(2 * m - n), self._apply_word("W", m + n, word)
+        elif g1 == "W" and g2 == "L":
+            # [W_m, L_n] = -[L_n, W_m]
+            if 2 * n != m:
+                yield lift(m - 2 * n), self._apply_word("W", m + n, word)
+        else:
+            s = m + n
+            if s == 0:
+                yield (ring.c * lift(Fraction(m * (m * m - 1) * (m * m - 4),
+                                              360)), base)
+            if m != n:
+                yield ring.b2 * lift(m - n), self.apply_lambda(s, base)
+                lc = (Fraction(m - n) * (2 * m * m - m * n + 2 * n * n - 8)
+                      * _L_COEFF_WW)
+                if lc:
+                    yield lift(lc), self._apply_word("L", s, word)
+
+    def apply_mode(self, gen: str, n: int, vec: VermaVector) -> VermaVector:
+        """Exact action of L_n or W_n on a vector, in the ordered basis."""
+        if gen not in ("L", "W"):
+            raise ValueError(f"unknown generator {gen!r}")
+        out: VermaVector = {}
+        for word, coef in vec.items():
+            _combine(out, self._apply_word(gen, n, word), coef)
+        return out
+
+    def apply_lambda(self, s: int, vec: VermaVector) -> VermaVector:
+        """Action of Lambda_s; the infinite sums collapse to finite ranges.
+
+        On a vector of maximal level l, L_k kills everything for k > l, so
+        the first sum runs over k in [-1, l] and the second over k in
+        [s-l, -2].
+        """
+        apply_mode = self.apply_mode
+        lam = self.ring.lift(Fraction(-3 * (s + 2) * (s + 3), 10))
+        out: VermaVector = {}
+        for word, coef in vec.items():
+            lev = word.level
+            base = {word: self.ring.one}
+            for k in range(-1, lev + 1):
+                step = apply_mode("L", k, base)
+                _combine(out, apply_mode("L", s - k, step), coef)
+            for k in range(s - lev, -1):
+                if k > -2:
+                    break
+                step = apply_mode("L", s - k, base)
+                _combine(out, apply_mode("L", k, step), coef)
+            if lam:
+                _combine(out, apply_mode("L", s, base), coef * lam)
+        return out
+
+    def inner_product(self, u: ModeWord, v: ModeWord):
+        """<u Omega, v Omega> for the canonical form with <Omega, Omega> = 1.
+
+        The left word is adjoined onto the right: its modes act with
+        reversed order and negated indices, and the Omega-coefficient of the
+        fully reduced vector is the value of the form.
+        """
+        zero = self.ring.zero
+        vec: VermaVector = {v: self.ring.one}
+        for m in u.lpart:
+            vec = self.apply_mode("L", m, vec)
+            if not vec:
+                return zero
+        for n in u.wpart:
+            vec = self.apply_mode("W", n, vec)
+            if not vec:
+                return zero
+        return vec.get(OMEGA, zero)
 
 
-def _apply_word(gen: str, n: int, word: ModeWord) -> VermaVector:
-    """Action of the generator mode (gen, n) on a basis word."""
-    key = (gen, n, word)
-    hit = _apply_cache.get(key)
-    if hit is not None:
-        return hit
+# ---------------------------------------------------------------------------
+# the symbolic engine through module functions
+# ---------------------------------------------------------------------------
 
-    out: VermaVector = {}
-    if word is OMEGA or (not word.lpart and not word.wpart):
-        if n < 0:
-            out = {_prepended(gen, n, word): ONE}
-        elif n == 0:
-            out = {OMEGA: H if gen == "L" else W}
-        # positive modes annihilate Omega
-    elif n < 0 and _may_prepend(gen, n, word):
-        out = {_prepended(gen, n, word): ONE}
-    else:
-        g1, i1, rest = _leading(word)
-        # K_nu K_mu rest = K_mu (K_nu rest) + [K_nu, K_mu] rest
-        inner = _apply_word(gen, n, rest)
-        for w2, coef in inner.items():
-            _combine(out, _apply_word(g1, i1, w2), coef)
-        for coef, vec in _commutator_action(gen, n, g1, i1, rest):
-            _combine(out, vec, coef)
-
-    _apply_cache[key] = out
-    return out
-
-
-def _commutator_action(g1: str, m: int, g2: str, n: int,
-                       word: ModeWord) -> Iterable[Tuple[ExactScalar, VermaVector]]:
-    """Yield (coefficient, vector) pairs for [K_{g1,m}, K_{g2,n}] word."""
-    base = {word: ONE}
-    if g1 == "L" and g2 == "L":
-        if m != n:
-            yield scalar(m - n), _apply_word("L", m + n, word)
-        if m + n == 0:
-            cc = C * scalar(Fraction(m * (m * m - 1), 12))
-            if cc:
-                yield cc, base
-    elif g1 == "L" and g2 == "W":
-        if 2 * m != n:
-            yield scalar(2 * m - n), _apply_word("W", m + n, word)
-    elif g1 == "W" and g2 == "L":
-        # [W_m, L_n] = -[L_n, W_m]
-        if 2 * n != m:
-            yield scalar(m - 2 * n), _apply_word("W", m + n, word)
-    else:
-        s = m + n
-        if s == 0:
-            cc = C * scalar(Fraction(m * (m * m - 1) * (m * m - 4), 360))
-            if cc:
-                yield cc, base
-        if m != n:
-            yield B_SQUARED * scalar(m - n), apply_lambda(s, base)
-            lc = Fraction(m - n) * (2 * m * m - m * n + 2 * n * n - 8) * _L_COEFF_WW
-            if lc:
-                yield scalar(lc), _apply_word("L", s, word)
+def apply_mode(gen: str, n: int, vec: VermaVector) -> VermaVector:
+    """Exact action of L_n or W_n on a symbolic vector, in the ordered basis."""
+    return Engine().apply_mode(gen, n, vec)
 
 
 def apply_lambda(s: int, vec: VermaVector) -> VermaVector:
-    """Action of Lambda_s; the infinite sums collapse to finite ranges.
-
-    On a vector of maximal level l, L_k kills everything for k > l, so the
-    first sum runs over k in [-1, l] and the second over k in [s-l, -2].
-    """
-    out: VermaVector = {}
-    for word, coef in vec.items():
-        lev = word.level
-        base = {word: ONE}
-        for k in range(-1, lev + 1):
-            step = apply_mode("L", k, base)
-            _combine(out, apply_mode("L", s - k, step), coef)
-        for k in range(s - lev, -1):
-            if k > -2:
-                break
-            step = apply_mode("L", s - k, base)
-            _combine(out, apply_mode("L", k, step), coef)
-        lam = scalar(Fraction(-3 * (s + 2) * (s + 3), 10))
-        if lam:
-            _combine(out, apply_mode("L", s, base), coef * lam)
-    return out
-
-
-def apply_mode(gen: str, n: int, vec: VermaVector) -> VermaVector:
-    """Exact action of L_n or W_n on a vector, in the ordered basis."""
-    if gen not in ("L", "W"):
-        raise ValueError(f"unknown generator {gen!r}")
-    out: VermaVector = {}
-    for word, coef in vec.items():
-        _combine(out, _apply_word(gen, n, word), coef)
-    return out
+    """Action of Lambda_s on a symbolic vector."""
+    return Engine().apply_lambda(s, vec)
 
 
 def apply(mode: Mode, vec: VermaVector) -> VermaVector:
@@ -250,32 +333,24 @@ def apply(mode: Mode, vec: VermaVector) -> VermaVector:
     return apply_mode(mode.gen, mode.n, vec)
 
 
-def clear_cache() -> None:
-    _apply_cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# canonical invariant form
-# ---------------------------------------------------------------------------
-
 def inner_product(u: ModeWord, v: ModeWord) -> ExactScalar:
-    """<u Omega, v Omega> for the canonical form with <Omega, Omega> = 1.
+    """Symbolic <u Omega, v Omega>; see Engine.inner_product."""
+    return Engine().inner_product(u, v)
 
-    The left word is adjoined onto the right: its modes act with reversed
-    order and negated indices, and the Omega-coefficient of the fully reduced
-    vector is the value of the form.
+
+def clear_cache() -> None:
+    """Reset the rewriting memo.
+
+    Every call of the module functions above, and every Gram build, runs on
+    a fresh Engine whose memo lives only as long as that call, so there is
+    no shared memo left to clear.  Kept for callers that reset it between
+    runs.
     """
-    vec: VermaVector = {v: ONE}
-    for m in u.lpart:
-        vec = apply_mode("L", m, vec)
-        if not vec:
-            return ZERO
-    for n in u.wpart:
-        vec = apply_mode("W", n, vec)
-        if not vec:
-            return ZERO
-    return vec.get(OMEGA, ZERO)
 
+
+# ---------------------------------------------------------------------------
+# canonical basis
+# ---------------------------------------------------------------------------
 
 def enumerate_basis(level: int) -> List[ModeWord]:
     """All ordered words of the given level, in a fixed deterministic order.
@@ -312,9 +387,11 @@ def _partitions(n: int) -> List[Tuple[int, ...]]:
 
 @dataclass
 class GramMatrix:
+    """A Gram matrix over its basis; entries lie in the ring it was built in."""
+
     level: int
     basis: List[ModeWord]
-    entries: List[List[ExactScalar]]
+    entries: List[List[Any]]
 
     @property
     def dimension(self) -> int:
@@ -347,24 +424,32 @@ class GramMatrix:
         )
 
 
-def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP) -> GramMatrix:
-    """Symbolic Gram matrix of the canonical form at the given level.
-
-    Entries are computed for j <= i and mirrored; the reduction memo makes
-    repeated subwords cheap.
-    """
+def check_level(level: int, level_cap: int = DEFAULT_LEVEL_CAP) -> None:
+    """Raise LevelTooLarge when a Gram build above the cap is requested."""
     if level > level_cap:
         raise LevelTooLarge(
             f"level {level} exceeds cap {level_cap}; raise level_cap if the "
-            f"P2(level)^2 symbolic reductions are genuinely wanted")
+            f"P2(level)^2 exact reductions are genuinely wanted")
+
+
+def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
+                ring: Ring = SYMBOLIC) -> GramMatrix:
+    """Gram matrix of the canonical form at the given level, over ``ring``.
+
+    Over SYMBOLIC the entries are ExactScalars in (c, h, w); over
+    ``point_ring(c, h, w)`` they are the Fractions those take at the point.
+    Entries are computed for j <= i and mirrored; the engine's memo makes
+    repeated subwords cheap.
+    """
+    check_level(level, level_cap)
     basis = enumerate_basis(level)
+    engine = Engine(ring)
     d = len(basis)
-    entries = [[ZERO] * d for _ in range(d)]
+    entries = [[ring.zero] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1):
-            val = inner_product(basis[i], basis[j])
-            entries[i][j] = val
-            entries[j][i] = val
+            entries[i][j] = entries[j][i] = engine.inner_product(basis[i],
+                                                                 basis[j])
     return GramMatrix(level, basis, entries)
 
 
@@ -372,55 +457,59 @@ def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP) -> GramMatrix:
 # determinants
 # ---------------------------------------------------------------------------
 
-def determinant(gram: GramMatrix) -> ExactScalar:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = gram.dimension
-    m = [row[:] for row in gram.entries]
+def _bareiss(m: List[List[Any]], exact_div: Callable[[Any, Any], Any], one):
+    """Determinant of a nonempty square matrix by fraction-free elimination.
+
+    ``m`` is overwritten.  ``exact_div(a, b)`` returns a / b for the b that
+    Bareiss' identity guarantees divides a; ``one`` is the ring's unit.
+    """
+    n = len(m)
     sign = 1
-    prev = ONE
+    prev = one
     for k in range(n - 1):
-        if not m[k][k]:
+        rowk = m[k]
+        if not rowk[k]:
             for r in range(k + 1, n):
                 if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
+                    m[k], m[r] = m[r], rowk
                     sign = -sign
                     break
             else:
-                return ZERO
+                return rowk[k]  # a zero column: the ring's zero
+            rowk = m[k]
+        pivot = rowk[k]
         for i in range(k + 1, n):
+            rowi = m[i]
+            a = rowi[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1] if n else ONE
+                rowi[j] = exact_div(rowi[j] * pivot - a * rowk[j], prev)
+        prev = pivot
+    det = m[n - 1][n - 1]
     return det if sign > 0 else -det
 
 
-def determinant_at(gram: GramMatrix, c_val, h_val, w_val) -> Fraction:
-    """Exact rational determinant of the Gram matrix evaluated at a point.
+def determinant(gram: GramMatrix) -> ExactScalar:
+    """Exact symbolic determinant by Bareiss elimination."""
+    return _bareiss([row[:] for row in gram.entries], ExactScalar.exact_div,
+                   ONE)
 
-    This is the evaluation mode for levels where the full symbolic
-    determinant would blow up.
+
+def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
+    """Exact determinant of a rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, Bareiss
+    runs over Z with exact integer division, and the result is divided by
+    the product of the scales.
     """
-    n = gram.dimension
-    m = gram.evaluate(c_val, h_val, w_val)
-    det = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    det = -det
-                    break
-            else:
-                return Fraction(0)
-        piv = m[k][k]
-        det *= piv
-        for i in range(k + 1, n):
-            f = m[i][k] / piv
-            if f == 0:
-                continue
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
+    ints = []
+    scale = 1
+    for row in rows:
+        s = math.lcm(*(q.denominator for q in row))
+        ints.append([q.numerator * (s // q.denominator) for q in row])
+        scale *= s
+    return Fraction(_bareiss(ints, operator.floordiv, 1), scale)
+
+
+def determinant_at(gram: GramMatrix, c_val, h_val, w_val) -> Fraction:
+    """Exact rational determinant of a symbolic Gram evaluated at a point."""
+    return rational_determinant(gram.evaluate(c_val, h_val, w_val))

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from w3lab import cli
 from w3lab.cli import main
 
 
@@ -67,6 +68,74 @@ def test_gram_pole_exit(runner):
     res = runner.invoke(main, ["gram", "--level", "1", "--c", "-22/5",
                                "--h", "0", "--w", "0"])
     assert res.exit_code == 2
+    # the point engine needs b^2 = 16/(22+5c) at every level, even level 0
+    res = runner.invoke(main, ["gram", "--level", "0", "--c", "-22/5",
+                               "--h", "0", "--w", "0"])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"] == "PoleAtForbiddenCentralCharge"
+
+
+def test_gram_cache_truncated_file_is_rebuilt(runner, tmp_path):
+    args = ["gram", "--level", "2", "--symbolic"]
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0
+    path = cli._cache_path(tmp_path / "cache", 2)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    second = runner.invoke(main, args)
+    assert second.exit_code == 0
+    assert second.output == first.output
+    assert path.read_text() == text
+
+
+def test_gram_cache_wrong_level_is_rebuilt(runner, tmp_path):
+    first = runner.invoke(main, ["gram", "--level", "1", "--symbolic"])
+    cache = tmp_path / "cache"
+    cli._cache_path(cache, 2).write_text(
+        cli._cache_path(cache, 1).read_text())
+    res = runner.invoke(main, ["gram", "--level", "2", "--symbolic"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["level"] == 2
+    assert res.output != first.output
+
+
+def test_gram_cached_level_above_cap_is_refused(runner, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cli._cache_path(cache, 7).write_text(
+        json.dumps({"level": 7, "basis": [], "entries": []}))
+    res = runner.invoke(main, ["gram", "--level", "7"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "LevelTooLarge"
+
+
+def test_point_commands_leave_the_cache_alone(runner, tmp_path):
+    res = runner.invoke(main, ["gram", "--level", "2", "--c", "3",
+                               "--h", "1/24", "--w", "0"])
+    assert res.exit_code == 0
+    res = runner.invoke(main, ["kac-verify", "--level", "2", "--random", "2"])
+    assert res.exit_code == 0
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["gram", "--level", "-1"],
+    ["kac-verify", "--level", "-1", "--random", "3"],
+    ["kac-verify", "--level", "1", "--random", "1"],
+    ["classify", "--c", "nan", "--h", "0", "--w", "0"],
+    ["classify", "--c", "inf", "--h", "0", "--w", "0"],
+    ["classify", "--c", "1/0", "--h", "0", "--w", "0"],
+    ["region", "--c", "nan", "--h-max", "1", "--w-max", "1", "--res", "3"],
+    ["region", "--c", "inf", "--h-max", "1", "--w-max", "1", "--res", "3"],
+    ["region", "--c", "1/0", "--h-max", "1", "--w-max", "1", "--res", "3"],
+    ["fz-check", "--max-mode", "-1"],
+    ["fz-check", "--max-level", "-1"],
+])
+def test_bad_arguments(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
 def test_kac_verify_random(runner):
@@ -98,6 +167,34 @@ def test_kac_verify_degenerate_sample_exit(runner, tmp_path):
                                "--samples", str(f)])
     assert res.exit_code == 4
     assert json.loads(res.stderr)["error"] == "DegenerateSample"
+
+
+# det(Gram_N) / closed form at levels 4 and 5, as exact integers
+KAC_CONSTANTS = {
+    4: 1638617745884520252808573732018364350464,
+    5: int("8918470532715275297701100762927283198006664855046553264116970666"
+           "86631262519516200960000"),
+}
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_kac_verify_constants_levels_4_and_5(runner, tmp_path, level):
+    constant = KAC_CONSTANTS[level]
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([["10", "2", "1/7"], ["150", "5", "-1/3"]]))
+    res = runner.invoke(main, ["kac-verify", "--level", str(level),
+                               "--samples", str(f)])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["verdict"] == "ok"
+    assert payload["ratios"] == [str(constant)] * 2
+    assert payload["constant"] == str(constant)
+
+
+def test_kac_verify_level_cap(runner):
+    res = runner.invoke(main, ["kac-verify", "--level", "7", "--random", "2"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "LevelTooLarge"
 
 
 def test_kac_verify_rejects_nonpositive_tolerance(runner):
@@ -200,6 +297,15 @@ def test_vacuum_spectrum_psd_failure_exit(runner):
                                "--level", "4", "--cutoff", "7",
                                "--psd-tol", "1e-16"])
     assert res.exit_code == 5
+
+
+def test_vacuum_spectrum_tolerance_scales_with_largest_eigenvalue(runner):
+    # eigenvalues reach ~3e10 here; the smallest is -5e-6 from roundoff
+    res = runner.invoke(main, ["vacuum-spectrum", "--kappa", "1",
+                               "--level", "8", "--cutoff", "10"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["minEigenvalue"] < -1e-8
 
 
 def test_vacuum_spectrum_rejects_nonpositive_tolerance(runner):

@@ -363,7 +363,7 @@ def test_cyclic_gram_needs_margin():
         cyclic_gram("vacuumModified", params(cutoff=4), 3)
 
 
-def test_cross_oracle_agreement_single_point(grams):
+def test_cross_oracle_agreement_single_point(engine):
     kap, q1, q2 = 1.0, 0.0, 1.0
     p = params(kappa=kap, q1=q1, q2=q2, cutoff=7)
     cg = cyclic_gram("unitaryFamily", p, 3)
@@ -372,13 +372,13 @@ def test_cross_oracle_agreement_single_point(grams):
     c = p.central_charge
     for i, wi in enumerate(cg.words):
         for j, wj in enumerate(cg.words):
-            exact = verma.inner_product(wi, wj).evaluate_float(
+            exact = engine.inner_product(wi, wj).evaluate_float(
                 c, h.real, w.real)
             got = cg.gram[i, j]
             assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
 
 
-def test_vacuum_cyclic_gram_is_the_canonical_form():
+def test_vacuum_cyclic_gram_is_the_canonical_form(engine):
     """At q = 0 the twisted realization's form on the cyclic subspace is
     invariant, so by universality its Gram must equal the canonical one at
     (c, 0, 0) -- even though the twisted fields are not symmetric on the
@@ -389,11 +389,11 @@ def test_vacuum_cyclic_gram_is_the_canonical_form():
         c = p.central_charge
         for i, wi in enumerate(cg.words):
             for j, wj in enumerate(cg.words):
-                exact = verma.inner_product(wi, wj).evaluate_float(c, 0.0, 0.0)
+                exact = engine.inner_product(wi, wj).evaluate_float(c, 0.0, 0.0)
                 assert abs(cg.gram[i, j] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
-def test_nonvacuum_twisted_form_is_not_the_canonical_one():
+def test_nonvacuum_twisted_form_is_not_the_canonical_one(engine):
     """At q != 0 the ambient Fock form is still positive definite, so the
     cyclic Gram is PSD -- but it no longer coincides with the canonical
     invariant form, whose level-1 block is indefinite at these weights.
@@ -411,20 +411,20 @@ def test_nonvacuum_twisted_form_is_not_the_canonical_one():
     mismatch = 0.0
     for i, wi in enumerate(cg.words):
         for j, wj in enumerate(cg.words):
-            exact = verma.inner_product(wi, wj).evaluate_float(c, h.real,
+            exact = engine.inner_product(wi, wj).evaluate_float(c, h.real,
                                                                w.real)
             mismatch = max(mismatch, abs(cg.gram[i, j] - exact))
     assert mismatch > 1e-2
 
 
-def test_cross_oracle_agreement_level4():
+def test_cross_oracle_agreement_level4(engine):
     p = params(kappa=0.6, q1=0.3, q2=-0.9, cutoff=7)
     cg = cyclic_gram("unitaryFamily", p, 4)
     h, w = p.lowest_weights("unitaryFamily")
     c = p.central_charge
     for i, wi in enumerate(cg.words):
         for j, wj in enumerate(cg.words):
-            exact = verma.inner_product(wi, wj).evaluate_float(
+            exact = engine.inner_product(wi, wj).evaluate_float(
                 c, h.real, w.real)
             got = cg.gram[i, j]
             assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))

@@ -5,10 +5,11 @@ import pytest
 
 from w3lab import kac
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
+from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.verma import (GramMatrix, LevelTooLarge, Mode, ModeWord, OMEGA,
                          apply, apply_lambda, apply_mode, determinant,
                          determinant_at, enumerate_basis, gram_matrix,
-                         inner_product)
+                         inner_product, point_ring, rational_determinant)
 
 L1 = ModeWord((1,), ())
 L2 = ModeWord((2,), ())
@@ -129,22 +130,22 @@ def test_level2_hand_checked_entries():
     assert inner_product(L1W1, W2) == expect
 
 
-def test_orthogonality_across_levels():
+def test_orthogonality_across_levels(engine):
     words = [w for lev in range(5) for w in enumerate_basis(lev)]
     rng = random.Random(5)
     pairs = [(u, v) for u in words for v in words if u.level != v.level]
     for u, v in rng.sample(pairs, 60):
-        assert inner_product(u, v) == ZERO
+        assert engine.inner_product(u, v) == ZERO
 
 
-def test_w_parity_vanishes_at_w_zero():
+def test_w_parity_vanishes_at_w_zero(engine):
     rng = random.Random(17)
     words = [w for lev in range(5) for w in enumerate_basis(lev)]
     checked = 0
     for u in words:
         for v in words:
             if (len(u.wpart) + len(v.wpart)) % 2 == 1 and u.level == v.level:
-                val = inner_product(u, v)
+                val = engine.inner_product(u, v)
                 for _ in range(3):
                     cv = Fraction(rng.randint(3, 50))
                     hv = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
@@ -153,14 +154,15 @@ def test_w_parity_vanishes_at_w_zero():
     assert checked >= 10
 
 
-def test_hermitian_symmetry():
+def test_hermitian_symmetry(engine):
     words = [w for lev in range(4) for w in enumerate_basis(lev)]
     for u in words:
         for v in words:
-            assert inner_product(u, v) == inner_product(v, u)
+            assert (engine.inner_product(u, v)
+                    == engine.inner_product(v, u))
 
 
-def _commutator_rhs(g1, m, g2, n, vec):
+def _commutator_rhs(engine, g1, m, g2, n, vec):
     """RHS of the algebra relations applied to vec."""
     out = {}
     def acc(v, s):
@@ -171,18 +173,18 @@ def _commutator_rhs(g1, m, g2, n, vec):
             elif word in out:
                 del out[word]
     if g1 == "L" and g2 == "L":
-        acc(apply_mode("L", m + n, vec), scalar(m - n))
+        acc(engine.apply_mode("L", m + n, vec), scalar(m - n))
         if m + n == 0:
             acc(vec, C * scalar(Fraction(m * (m * m - 1), 12)))
     elif g1 == "L" and g2 == "W":
-        acc(apply_mode("W", m + n, vec), scalar(2 * m - n))
+        acc(engine.apply_mode("W", m + n, vec), scalar(2 * m - n))
     elif g1 == "W" and g2 == "L":
-        acc(apply_mode("W", m + n, vec), scalar(m - 2 * n))
+        acc(engine.apply_mode("W", m + n, vec), scalar(m - 2 * n))
     else:
         if m + n == 0:
             acc(vec, C * scalar(Fraction(m * (m * m - 1) * (m * m - 4), 360)))
-        acc(apply_lambda(m + n, vec), B_SQUARED * scalar(m - n))
-        acc(apply_mode("L", m + n, vec),
+        acc(engine.apply_lambda(m + n, vec), B_SQUARED * scalar(m - n))
+        acc(engine.apply_mode("L", m + n, vec),
             scalar(Fraction((m - n) * (2 * m * m - m * n + 2 * n * n - 8), 30)))
     return out
 
@@ -212,9 +214,10 @@ def test_lambda_finite_ranges_are_complete():
             assert tight == wide
 
 
-def test_jacobi_style_commutator_consistency():
+def test_jacobi_style_commutator_consistency(engine):
     """[X_m, Y_n] computed by double application equals the algebra RHS."""
     words = [w for lev in range(4) for w in enumerate_basis(lev)]
+    apply = engine.apply_mode
     gens = ["L", "W"]
     for g1 in gens:
         for g2 in gens:
@@ -225,22 +228,22 @@ def test_jacobi_style_commutator_consistency():
                     for word in words:
                         vec = as_vec(word)
                         lhs = {}
-                        for w2, c2 in apply_mode(g2, n, vec).items():
-                            for w3, c3 in apply_mode(g1, m, {w2: ONE}).items():
+                        for w2, c2 in apply(g2, n, vec).items():
+                            for w3, c3 in apply(g1, m, {w2: ONE}).items():
                                 cur = lhs.get(w3, ZERO) + c2 * c3
                                 if cur:
                                     lhs[w3] = cur
                                 elif w3 in lhs:
                                     del lhs[w3]
-                        for w2, c2 in apply_mode(g1, m, vec).items():
-                            for w3, c3 in apply_mode(g2, n, {w2: ONE}).items():
+                        for w2, c2 in apply(g1, m, vec).items():
+                            for w3, c3 in apply(g2, n, {w2: ONE}).items():
                                 cur = lhs.get(w3, ZERO) - c2 * c3
                                 if cur:
                                     lhs[w3] = cur
                                 elif w3 in lhs:
                                     del lhs[w3]
-                        assert lhs == _commutator_rhs(g1, m, g2, n, vec), \
-                            (g1, m, g2, n, word.label())
+                        rhs = _commutator_rhs(engine, g1, m, g2, n, vec)
+                        assert lhs == rhs, (g1, m, g2, n, word.label())
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +295,70 @@ def test_determinant_evaluation_matches_symbolic(grams):
             assert determinant_at(grams[n], *pt) == sym.evaluate(*pt)
 
 
+# w = 0, 2 < c < 98; c > 98; c < 2 with negative w
+POINTS = [(Fraction(3), Fraction(1, 24), Fraction(0)),
+          (Fraction(150), Fraction(5), Fraction(1, 3)),
+          (Fraction(1, 2), Fraction(3, 4), Fraction(-2, 5))]
+
+
+def test_point_engine_matches_symbolic_evaluation(grams):
+    symbolic = dict(grams)
+    symbolic.update({n: gram_matrix(n) for n in (4, 5)})
+    for n, g in symbolic.items():
+        for pt in POINTS:
+            at = gram_matrix(n, ring=point_ring(*pt))
+            assert at.basis == g.basis
+            assert at.entries == g.evaluate(*pt), (n, pt)
+
+
+def test_engine_memos_do_not_mix(grams):
+    """Point, point, symbolic, point in a row: each is still right."""
+    a, b = POINTS[0], POINTS[1]
+    assert gram_matrix(3, ring=point_ring(*a)).entries == \
+        grams[3].evaluate(*a)
+    assert gram_matrix(3, ring=point_ring(*b)).entries == \
+        grams[3].evaluate(*b)
+    assert gram_matrix(3).entries == grams[3].entries
+    assert gram_matrix(3, ring=point_ring(*a)).entries == \
+        grams[3].evaluate(*a)
+
+
+def test_point_ring_rejects_pole():
+    with pytest.raises(PoleAtForbiddenCentralCharge):
+        point_ring(Fraction(-22, 5), 0, 0)
+
+
+def _cofactor_det(m):
+    """Reference determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_rational_determinant_against_cofactor_expansion():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+              if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+             for _ in range(n)]
+        assert rational_determinant([row[:] for row in m]) == _cofactor_det(m)
+    # zero leading pivot forces a row swap; a zero column gives 0
+    assert rational_determinant([[Fraction(0), Fraction(1, 2)],
+                                 [Fraction(3), Fraction(1)]]) == Fraction(-3, 2)
+    assert rational_determinant([[Fraction(0), Fraction(1)],
+                                 [Fraction(0), Fraction(2)]]) == 0
+
+
 def test_level_guard():
     with pytest.raises(LevelTooLarge):
         gram_matrix(7)
     with pytest.raises(LevelTooLarge):
         gram_matrix(9, level_cap=8)
+    with pytest.raises(LevelTooLarge):
+        gram_matrix(7, ring=point_ring(10, 2, 0))
 
 
 def test_gram_json_round_trip(grams):
