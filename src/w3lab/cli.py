@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -59,8 +60,8 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("all tolerances must be positive")
+        if not all(0 < v < math.inf for v in self.tolerances.values()):
+            raise ValueError("all tolerances must be positive and finite")
         if self.output_format not in ("json", "csv", "pretty"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -69,6 +70,19 @@ def _fail(code: int, kind: str, message: str):
     json.dump({"error": kind, "message": message}, sys.stderr)
     sys.stderr.write("\n")
     sys.exit(code)
+
+
+def _require_finite(**values: float) -> None:
+    """BadArguments unless every named float option is finite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            _fail(1, "BadArguments",
+                  f"--{name.replace('_', '-')} must be finite, got {v}")
+
+
+def _within(tol: float, *values: float) -> bool:
+    """Every value is <= tol; a NaN never is."""
+    return all(v <= tol for v in values)
 
 
 def _cache_dir() -> Path | None:
@@ -362,6 +376,7 @@ def cmd_region(c_val, h_min, h_max, w_min, w_max, res):
               help="imaginary part of eta for the automorphism check")
 def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
     """Aggregate residual report for the chosen realization."""
+    _require_finite(kappa=kappa, q1=q1, q2=q2, eta_im=eta_im)
     if max_mode < 0 or max_level < 0:
         _fail(1, "BadArguments",
               "--max-mode and --max-level must be nonnegative")
@@ -389,11 +404,12 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
                                           for v in ode.values())},
         }
         failures = []
-        if relations["maxResidual"] > tol["relationResidual"]:
+        if not _within(tol["relationResidual"], relations["maxResidual"]):
             failures.append("relations")
-        if relations["centralCharge"]["error"] > tol["relationResidual"]:
+        if not _within(tol["relationResidual"],
+                       relations["centralCharge"]["error"]):
             failures.append("centralCharge")
-        if auto["maxResidual"] > tol["automorphismResidual"]:
+        if not _within(tol["automorphismResidual"], auto["maxResidual"]):
             failures.append("automorphismIdentity")
         if any(v != 0 for v in ode.values()):
             failures.append("rhoOde")
@@ -404,13 +420,13 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
                 "maxTripleDefect": weak["maxTripleDefect"],
                 "unpairedControlDefect": weak["unpairedControlDefect"],
             }
-            if max(weak["maxPairDefect"],
-                   weak["maxTripleDefect"]) > tol["weakSymmetry"]:
+            if not _within(tol["weakSymmetry"], weak["maxPairDefect"],
+                           weak["maxTripleDefect"]):
                 failures.append("weakSymmetry")
             if q1 == 0 and q2 == 0:
                 zv = fock.zero_vector_norms(params)
                 report["zeroVectors"] = zv
-                if max(zv.values()) > tol["zeroVector"]:
+                if not _within(tol["zeroVector"], *zv.values()):
                     failures.append("zeroVectors")
         report["failures"] = failures
     except fock.CutoffExceeded as e:
@@ -438,6 +454,7 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
     relative to its largest eigenvalue, because float roundoff in the
     eigensolver scales with it.
     """
+    _require_finite(kappa=kappa)
     try:
         psd_tol = _config(psd=psd_tol).tolerances["psd"]
     except ValueError as e:
@@ -459,7 +476,9 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
         "minEigenvalue": eigs[0],
     }
     click.echo(json.dumps(payload, indent=2))
-    if eigs[0] < -psd_tol * max(1.0, eigs[-1]):
+    # numpy's min/max propagate a NaN eigenvalue, which then fails
+    lo, hi = float(cg.eigenvalues.min()), float(cg.eigenvalues.max())
+    if not _within(psd_tol * max(1.0, hi), -lo):
         sys.exit(EXIT_RESIDUAL)
 
 

@@ -2,11 +2,7 @@
 
 Everything here is numeric (complex doubles): b and sqrt(2) are irrational,
 so exactness lives on the symbolic side and agreement between the two sides
-is the correctness argument.  The computations themselves are still exact in
-structure: mode sums collapse to finite ranges because annihilation above the
-level kills a state and the twist coefficients vanish for positive indices,
-so no operator ever silently truncates.  The configured cutoff is a contract
-guard: applying a mode whose image would exceed it raises CutoffExceeded.
+is the correctness argument.
 
 Conventions: shifted fields everywhere, i.e. mode n of a field multiplies
 z^{-n}; the circle derivative carries -i*n per mode; the two currents commute
@@ -16,18 +12,37 @@ The twist function rho(z) = -i(z-1)/(z+1), expanded around z = 0, has modes
 rho_0 = i, rho_n = 2i(-1)^n for n < 0 and 0 for n > 0, and satisfies
 rho^2/2 + 1/2 - rho' = 0; that identity is what makes the twisted stress
 tensor close the Virasoro relations with c shifted upward.
+
+Block engine.  The space V_l of total level l is the sum over splits
+l = l1 + l2 of P(l1) (x) P(l2), P(n) the partitions of n, sector-1-major as
+in ``basis_keys``.  A mode-n operator is stored per source level s as a block
+(lo, hi, M): M maps V_s into levels lo..hi stacked, hi = s - n (the rho twist
+and the automorphism shift land below s - n).  Each current builds its mode
+families (a, J', J'', :J^2:, :J^3:, rho, rho', T1k) as small matrices on its
+own levels; ``field_table`` writes L and W as rows (coefficient, sector-1
+family, sector-2 family) whose mode n is sum_k F1_k (x) F2_{n-k}, one
+Kronecker product per term.  Blocks are built lazily and cached per (field,
+mode, source level).  Mode sums are finite and exact: annihilation above a
+level kills it and the twist coefficients vanish for positive indices.
+
+The cutoff is a contract guard, not a truncation: ``ModeOperator`` raises
+CutoffExceeded when an image would lie above it, and ``check_w3_relations``
+and ``cyclic_gram`` refuse sweeps that would need levels above it.  The dict
+``State`` functions are a thin adapter over the blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .verma import ModeWord, enumerate_basis
+from .verma import ModeWord, enumerate_basis, partitions
 
 PRUNE_TOL = 1e-14
 
@@ -35,6 +50,9 @@ VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
 BiKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 State = Dict[BiKey, complex]
+# (lowest target level, highest target level, stacked matrix); the matrix is
+# a numpy array or, for assembled two-current blocks, a _Sparse
+Block = Tuple[int, int, "np.ndarray | _Sparse"]
 
 VACUUM_KEY: BiKey = ((), ())
 
@@ -86,11 +104,45 @@ def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# states
+# bases and states
 # ---------------------------------------------------------------------------
 
-def key_levels(key: BiKey) -> Tuple[int, int]:
-    return sum(key[0]), sum(key[1])
+@lru_cache(maxsize=None)
+def level_keys(level: int) -> Tuple[BiKey, ...]:
+    """The bicolored-partition keys of one total level, sector-1-major."""
+    return tuple((p1, p2) for l1 in range(level + 1)
+                 for p1 in partitions(l1) for p2 in partitions(level - l1))
+
+
+@lru_cache(maxsize=None)
+def _level_index(level: int) -> Dict[BiKey, int]:
+    return {k: i for i, k in enumerate(level_keys(level))}
+
+
+@lru_cache(maxsize=None)
+def _sector_index(level: int) -> Dict[Tuple[int, ...], int]:
+    return {p: i for i, p in enumerate(partitions(level))}
+
+
+@lru_cache(maxsize=None)
+def _split_offsets(level: int) -> Tuple[int, ...]:
+    """Row offset of the split (l1, level - l1) inside V_level, for each l1."""
+    return tuple(itertools.accumulate(
+        (len(partitions(l1)) * len(partitions(level - l1))
+         for l1 in range(level + 1)), initial=0))
+
+
+@lru_cache(maxsize=None)
+def level_norms(level: int) -> np.ndarray:
+    """Fock norms squared of the basis vectors of V_level (read-only)."""
+    out = np.array([key_norm_sq(k) for k in level_keys(level)])
+    out.setflags(write=False)
+    return out
+
+
+def basis_keys(max_level: int) -> List[BiKey]:
+    """All bicolored-partition keys of level <= max_level, ordered."""
+    return [k for lev in range(max_level + 1) for k in level_keys(lev)]
 
 
 def key_level(key: BiKey) -> int:
@@ -104,14 +156,9 @@ def key_norm_sq(key: BiKey) -> float:
     """
     out = 1.0
     for part in key:
-        i = 0
-        while i < len(part):
-            j = i
-            while j < len(part) and part[j] == part[i]:
-                j += 1
-            mult = j - i
-            out *= float(part[i]) ** mult * math.factorial(mult)
-            i = j
+        for p, group in itertools.groupby(part):
+            mult = len(list(group))
+            out *= float(p) ** mult * math.factorial(mult)
     return out
 
 
@@ -126,7 +173,8 @@ def state_norm(u: State) -> float:
 
 
 def state_prune(u: State) -> State:
-    return {k: c for k, c in u.items() if abs(c) >= PRUNE_TOL}
+    """Drop entries below PRUNE_TOL; non-finite entries are kept."""
+    return {k: c for k, c in u.items() if not abs(c) < PRUNE_TOL}
 
 
 def max_state_level(u: State) -> int:
@@ -137,29 +185,178 @@ def vacuum_state() -> State:
     return {VACUUM_KEY: 1.0 + 0j}
 
 
-def basis_keys(max_level: int) -> List[BiKey]:
-    """All bicolored-partition keys of level <= max_level, ordered."""
-    def partitions_desc(n: int) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-        def rec(prefix, largest, remaining):
-            if remaining == 0:
-                out.append(prefix)
-                return
-            for p in range(min(largest, remaining), 0, -1):
-                rec(prefix + (p,), p, remaining - p)
-        rec((), n, n)
+# ---------------------------------------------------------------------------
+# graded blocks
+# ---------------------------------------------------------------------------
+
+class _Sparse:
+    """An assembled two-current block as (row, column, value) triples: those
+    are Kronecker products with identities, and 1-5% nonzero."""
+
+    def __init__(self, dense: np.ndarray):
+        self.shape = dense.shape
+        self.rows, self.cols = np.nonzero(dense)
+        self.vals = dense[self.rows, self.cols]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.shape[0], x.shape[1]), dtype=complex)
+        np.add.at(out, self.rows, self.vals[:, None] * x[self.cols])
         return out
-    keys: List[BiKey] = []
-    for lev in range(max_level + 1):
-        for l1 in range(lev + 1):
-            for p1 in partitions_desc(l1):
-                for p2 in partitions_desc(lev - l1):
-                    keys.append((p1, p2))
-    return keys
+
+
+def _dense(m: "np.ndarray | _Sparse") -> np.ndarray:
+    if isinstance(m, _Sparse):
+        out = np.zeros(m.shape, dtype=complex)
+        out[m.rows, m.cols] = m.vals
+        return out
+    return m
+
+
+class _Graded:
+    """A level-graded space given by the dimension of each level."""
+
+    def __init__(self, dim: Callable[[int], int]):
+        self.dim = dim
+        self._cum = [0]
+
+    def cum(self, level: int) -> int:
+        """Total dimension of the levels below ``level``."""
+        while len(self._cum) <= level:
+            self._cum.append(self._cum[-1] + self.dim(len(self._cum) - 1))
+        return self._cum[level]
+
+    def combine(self, terms: Iterable[Tuple[complex, Optional[Block]]]
+                ) -> Optional[Block]:
+        """sum c * block over blocks with the same columns; None is zero."""
+        terms = [(c, b) for c, b in terms if b is not None and c != 0]
+        if not terms:
+            return None
+        lo = min(b[0] for _, b in terms)
+        hi = max(b[1] for _, b in terms)
+        base = self.cum(lo)
+        out = np.zeros((self.cum(hi + 1) - base, terms[0][1][2].shape[1]),
+                       dtype=complex)
+        for c, (blo, bhi, m) in terms:
+            m = _dense(m)
+            out[self.cum(blo) - base:self.cum(bhi + 1) - base] += (
+                m if c == 1 else c * m)
+        return lo, hi, out
+
+    def compose(self, op: Callable[[int], Optional[Block]],
+                blk: Optional[Block]) -> Optional[Block]:
+        """The operator with blocks op(level) applied to the columns of blk."""
+        if blk is None:
+            return None
+        lo, hi, m = blk
+        m = _dense(m)
+        base = self.cum(lo)
+        parts = []
+        for u in range(lo, hi + 1):
+            rows = m[self.cum(u) - base:self.cum(u + 1) - base]
+            ob = op(u) if rows.any() else None
+            if ob is not None:
+                parts.append((1, (ob[0], ob[1], ob[2] @ rows)))
+        return self.combine(parts)
+
+    def rows_upto(self, blk: Block, top: int) -> Tuple[slice, np.ndarray]:
+        """Where blk's rows of levels <= top sit in V_0 + ... + V_top."""
+        lo, hi, m = blk
+        hi = max(min(hi, top), lo - 1)
+        base = self.cum(lo)
+        return slice(base, self.cum(hi + 1)), _dense(m)[:self.cum(hi + 1) - base]
+
+
+_SECTOR = _Graded(lambda level: len(partitions(level)))
+_FOCK = _Graded(lambda level: len(level_keys(level)))
+
+
+def _max_abs(blk: Optional[Block]) -> float:
+    """Largest entry magnitude; NaN if any entry is NaN."""
+    if blk is None or blk[2].size == 0:
+        return 0.0
+    return float(np.max(np.abs(blk[2])))
+
+
+def _severity(res: float) -> float:
+    """Order key for residuals in which a NaN is the worst of all."""
+    return math.inf if math.isnan(res) else res
+
+
+class _Current:
+    """Mode families of one Heisenberg current, as blocks on its levels.
+
+    ``shift`` adds scalar mode shifts a_n -> a_n + shift(n); it must vanish
+    for positive n.  Blocks are cached per (family, mode, source level).
+    """
+
+    def __init__(self, q: float, kappa: float = 0.0,
+                 shift: Optional[Callable[[int], complex]] = None):
+        self.q, self.kappa, self._shift = q, kappa, shift
+        self._cache: Dict[Tuple[str, int, int], Optional[Block]] = {}
+        eye = self._eye
+        self._families = {
+            "1": lambda k, s: eye(s) if k == 0 else None,
+            "rho": lambda k, s: eye(s, rho_coefficient(k)) if k <= 0 else None,
+            "rhop": lambda k, s: (eye(s, rho_prime_coefficient(k)) if k < 0
+                                  else None),
+            "a": self._a,
+            "jp": lambda k, s: _SECTOR.combine([(-1j * k, self.block("a", k, s))]),
+            "jpp": lambda k, s: _SECTOR.combine([(-k * k, self.block("a", k, s))]),
+            "j2": lambda k, s: self._normal_product("a", k, s),
+            "j3": lambda k, s: self._normal_product("j2", k, s),
+            "T1k": self._t1k}
+
+    def block(self, fam: str, k: int, s: int) -> Optional[Block]:
+        key = (fam, k, s)
+        if key not in self._cache:
+            self._cache[key] = self._families[fam](k, s)
+        return self._cache[key]
+
+    def _then(self, fam: str, k: int, blk: Optional[Block]) -> Optional[Block]:
+        return _SECTOR.compose(lambda u: self.block(fam, k, u), blk)
+
+    def _eye(self, s: int, c: complex = 1.0) -> Block:
+        return s, s, c * np.eye(_SECTOR.dim(s), dtype=complex)
+
+    def _a(self, k, s):
+        t = s - k
+        if t < 0:
+            return None
+        sh = complex(self._shift(k)) if self._shift is not None else 0j
+        if k == 0:
+            return self._eye(s, self.q + sh)
+        m = np.zeros((_SECTOR.dim(t), _SECTOR.dim(s)), dtype=complex)
+        index = _sector_index(t)
+        for j, part in enumerate(partitions(s)):
+            if k < 0:
+                m[index[tuple(sorted(part + (-k,), reverse=True))], j] = 1.0
+            elif k in part:
+                rest = list(part)
+                rest.remove(k)
+                m[index[tuple(rest)], j] = part.count(k) * k
+        return _SECTOR.combine([(1, (t, t, m)), (sh, self._eye(s))])
+
+    def _normal_product(self, fam: str, n: int, s: int) -> Optional[Block]:
+        """(:J F:)_n = sum_{k<0} a_k F_{n-k} + sum_{k>=0} F_{n-k} a_k for
+        F = J or :J^2:, where F_{n-k} kills level s once n - k > s and a_k
+        once k > s."""
+        terms = [self._then("a", k, self.block(fam, n - k, s))
+                 for k in range(n - s, 0)]
+        terms += [self._then(fam, n - k, self.block("a", k, s))
+                  for k in range(0, s + 1)]
+        return _SECTOR.combine((1, t) for t in terms)
+
+    def _t1k(self, n, s):
+        # T_kappa = :J^2:/2 + kappa J' - kappa (rho J)
+        kap = self.kappa
+        terms = [(0.5, self.block("j2", n, s)), (kap, self.block("jp", n, s))]
+        terms += [(-kap * rho_coefficient(k), self.block("a", n - k, s))
+                  for k in range(n - s, 1)]
+        return _SECTOR.combine(terms)
 
 
 # ---------------------------------------------------------------------------
-# realization parameters
+# realization parameters and the field-assembly table
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -195,6 +392,48 @@ class RealizationParams:
         return h, w
 
 
+Row = Tuple[complex, str, str]
+
+
+def field_table(variant: str, kappa: float, b: float) -> Dict[str, List[Row]]:
+    """L and W of a variant as rows (coefficient, family 1, family 2).
+
+    Families: "1" (identity, mode 0 only), "a", "jp" = J', "jpp" = J'',
+    "j2" = :J^2:, "j3" = :J^3:, "rho" and "rhop" (the scalar series rho and
+    rho'), "T1k" (the twisted stress tensor of current 1).  Mode n of a row
+    is sum_k F1_k F2_{n-k}.
+    """
+    k, s = kappa, b / math.sqrt(2.0)
+    L: List[Row] = [(0.5, "1", "j2")]
+    # b/(3 sqrt2) :J_2^3: + 3 b kappa/(2 sqrt2) (J_1' J_2 - J_1 J_2')
+    W: List[Row] = [(s / 3.0, "1", "j3"),
+                    (1.5 * k * s, "jp", "a"), (-1.5 * k * s, "a", "jp")]
+    # b kappa^2/(2 sqrt2) (2 + n^2) J_2
+    tail = [(k * k * s, "1", "a"), (-0.5 * k * k * s, "1", "jpp")]
+    if variant == "raw":
+        # T_1 = :J_1^2:/2 - i kappa (J_1 + i J_1')
+        L += [(0.5, "j2", "1"), (-1j * k, "a", "1"), (k, "jp", "1")]
+        # -b/sqrt2 (:J_1^2: - 2i kappa (J_1 + i J_1')) J_2
+        W += [(-s, "j2", "a"), (2j * k * s, "a", "a"), (-2.0 * k * s, "jp", "a")]
+        # b kappa^2/(2 sqrt2) (n+1)(n+2) J_2
+        W += [(k * k * s, "1", "a"), (1.5j * k * k * s, "1", "jp"),
+              (-0.5 * k * k * s, "1", "jpp")]
+    elif variant == "vacuumModified":
+        L += [(1.0, "T1k", "1")]
+        # -sqrt2 b T1k J_2, and the twist: J_1' -> J_1' - kappa rho',
+        # J_1 -> J_1 - kappa rho
+        W += [(-2.0 * s, "T1k", "a"), (-1.5 * k * k * s, "rhop", "a"),
+              (1.5 * k * k * s, "rho", "jp")] + tail
+    elif variant == "unitaryFamily":
+        # T_1 = :J_1^2:/2 + kappa J_1' + kappa^2/2
+        L += [(0.5, "j2", "1"), (k, "jp", "1"), (0.5 * k * k, "1", "1")]
+        W += [(-s, "j2", "a"), (-2.0 * k * s, "jp", "a"),
+              (-k * k * s, "1", "a")] + tail
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return {"L": L, "W": W}
+
+
 # ---------------------------------------------------------------------------
 # the realization engine
 # ---------------------------------------------------------------------------
@@ -220,8 +459,6 @@ class ModeOperator:
                 f"mode {self.spec} on level-{top} state exceeds cutoff {cut}")
         return self._real._state_apply(self.spec, state)
 
-    apply = __call__
-
 
 class Realization:
     """One of the two-current field assemblies acting on the Fock module.
@@ -232,6 +469,9 @@ class Realization:
       unitaryFamily  -- the manifestly symmetric family
     shift1 optionally adds scalar mode shifts to current 1 (used to realize
     the current-algebra automorphisms); it must vanish for positive indices.
+
+    Mode specs: ("a" | "j2" | "j3", current, n), ("T1k", n), ("L", n),
+    ("W", n).
     """
 
     def __init__(self, params: RealizationParams, variant: str = "raw",
@@ -240,416 +480,191 @@ class Realization:
             raise ValueError(f"unknown variant {variant!r}")
         self.params = params
         self.variant = variant
-        self._shift1 = shift1
-        self._kcache: Dict[Tuple, State] = {}
+        self._currents = (_Current(params.q1, params.kappa, shift1),
+                          _Current(params.q2, params.kappa))
+        self._fields = field_table(variant, params.kappa, params.b)
+        self._blocks: Dict[Tuple, Optional[Block]] = {}
+        self._families: Dict[Tuple, Optional[Block]] = {}
 
-    # -- public mode factories ------------------------------------------
+    def _block(self, spec: Tuple, level: int) -> Optional[Block]:
+        """The block of a mode on V_level, built on first use."""
+        key = (spec, level)
+        if key not in self._blocks:
+            kind, n = spec[0], spec[-1]
+            if kind in ("a", "j2", "j3"):
+                rows = [(1.0, kind, "1") if spec[1] == 1 else (1.0, "1", kind)]
+            elif kind == "T1k":
+                rows = [(1.0, "T1k", "1")]
+            else:
+                rows = self._fields[kind]
+            self._blocks[key] = self._assemble(n, rows, level)
+        return self._blocks[key]
 
-    def current_mode(self, which: int, n: int) -> ModeOperator:
-        return ModeOperator(self, ("a", which, n), n)
+    def _then(self, spec: Tuple, blk: Optional[Block]) -> Optional[Block]:
+        return _FOCK.compose(lambda u: self._block(spec, u), blk)
 
-    def normal_power_mode(self, which: int, power: int, n: int) -> ModeOperator:
-        if power == 2:
-            return ModeOperator(self, ("j2", which, n), n)
-        if power == 3:
-            return ModeOperator(self, ("j3", which, n), n)
-        raise ValueError("power must be 2 or 3")
+    def _family(self, group: Tuple[Tuple[complex, str], ...], k: int,
+                s1: int) -> Optional[Block]:
+        """sum c * F1_k on sector-1 level s1 over the rows of one group."""
+        key = (group, k, s1)
+        if key not in self._families:
+            cur = self._currents[0]
+            self._families[key] = _SECTOR.combine(
+                (c, cur.block(f1, k, s1)) for c, f1 in group)
+        return self._families[key]
 
-    def L(self, n: int) -> ModeOperator:
-        return ModeOperator(self, ("L", n), n)
+    def _assemble(self, n: int, rows: List[Row], level: int
+                  ) -> Optional[Block]:
+        """Mode n of sum over rows c * F1 F2 on V_level.
 
-    def W(self, n: int) -> ModeOperator:
-        return ModeOperator(self, ("W", n), n)
-
-    # -- internal application (exact, unrestricted) -----------------------
+        Rows sharing a sector-2 family are summed in sector 1 first, so each
+        (split, k) costs one Kronecker product.  Sector-2 families are
+        level-homogeneous; sector-1 blocks may span several levels.
+        """
+        hi = level - n
+        if hi < 0:
+            return None
+        groups: Dict[str, Tuple[Tuple[complex, str], ...]] = {}
+        for c, f1, f2 in rows:
+            if c != 0:
+                groups[f2] = groups.get(f2, ()) + ((c, f1),)
+        out = np.zeros((_FOCK.cum(hi + 1), _FOCK.dim(level)), dtype=complex)
+        cols = _split_offsets(level)
+        cur2 = self._currents[1]
+        for s1 in range(level + 1):
+            s2 = level - s1
+            for f2, group in groups.items():
+                for k in range(n - s2, s1 + 1):
+                    b = cur2.block(f2, n - k, s2)
+                    a = None if b is None else self._family(group, k, s1)
+                    if a is None:
+                        continue
+                    lo1, hi1, ma = a
+                    _, t2, mb = b
+                    kron = (ma[:, None, :, None] * mb[None, :, None, :]
+                            ).reshape(ma.shape[0] * mb.shape[0], -1)
+                    r = 0
+                    for t1 in range(lo1, hi1 + 1):
+                        h = _SECTOR.dim(t1) * mb.shape[0]
+                        row = _FOCK.cum(t1 + t2) + _split_offsets(t1 + t2)[t1]
+                        out[row:row + h, cols[s1]:cols[s1 + 1]] += kron[r:r + h]
+                        r += h
+        lo = next((t for t in range(hi)
+                   if out[_FOCK.cum(t):_FOCK.cum(t + 1)].any()), hi)
+        return lo, hi, _Sparse(out[_FOCK.cum(lo):])
 
     def _state_apply(self, spec: Tuple, state: State) -> State:
-        out: State = {}
+        by_level: Dict[int, State] = {}
         for key, coef in state.items():
-            if abs(coef) < PRUNE_TOL:
-                continue
-            for k2, c2 in self._key_apply(spec, key).items():
-                val = out.get(k2, 0j) + coef * c2
-                out[k2] = val
-        return state_prune(out)
-
-    def _key_apply(self, spec: Tuple, key: BiKey) -> State:
-        hit = self._kcache.get((spec, key))
-        if hit is not None:
-            return hit
-        kind = spec[0]
-        if kind == "a":
-            out = self._a_key(spec[1], spec[2], key)
-        elif kind == "j2":
-            out = self._j2_key(spec[1], spec[2], key)
-        elif kind == "j3":
-            out = self._j3_key(spec[1], spec[2], key)
-        elif kind == "L":
-            out = self._L_key(spec[1], key)
-        elif kind == "W":
-            out = self._W_key(spec[1], key)
-        elif kind == "T1k":
-            out = self._T1k_key(spec[1], key)
-        else:
-            raise ValueError(f"unknown spec {spec!r}")
-        self._kcache[(spec, key)] = out
-        return out
-
-    # current modes ------------------------------------------------------
-
-    def _shift_value(self, which: int, n: int) -> complex:
-        if which == 1 and self._shift1 is not None:
-            return complex(self._shift1(n))
-        return 0j
-
-    def _a_key(self, which: int, n: int, key: BiKey) -> State:
-        part = key[which - 1]
+            by_level.setdefault(key_level(key), {})[key] = coef
         out: State = {}
-        if n < 0:
-            new = tuple(sorted(part + (-n,), reverse=True))
-            out[_with_part(key, which, new)] = 1.0 + 0j
-        elif n == 0:
-            q = self.params.q1 if which == 1 else self.params.q2
-            if q:
-                out[key] = complex(q)
-        else:
-            mult = part.count(n)
-            if mult:
-                lst = list(part)
-                lst.remove(n)
-                out[_with_part(key, which, tuple(lst))] = complex(mult * n)
-        s = self._shift_value(which, n)
-        if s:
-            out[key] = out.get(key, 0j) + s
+        for level, part in by_level.items():
+            index = _level_index(level)
+            x = np.zeros((len(index), 1), dtype=complex)
+            for key, coef in part.items():
+                x[index[key], 0] += coef
+            blk = self._then(spec, (level, level, x))
+            if blk is None:
+                continue
+            keys = [k for t in range(blk[0], blk[1] + 1) for k in level_keys(t)]
+            for i in np.flatnonzero(blk[2][:, 0]):
+                out[keys[i]] = out.get(keys[i], 0j) + complex(blk[2][i, 0])
         return state_prune(out)
 
     def _a_state(self, which: int, n: int, state: State) -> State:
         return self._state_apply(("a", which, n), state)
 
-    # normal powers --------------------------------------------------------
-
-    def _j2_key(self, which: int, N: int, key: BiKey) -> State:
-        lev = key_levels(key)[which - 1]
-        base = {key: 1.0 + 0j}
-        out: State = {}
-        for k in range(N - lev, 0):
-            d = self._a_state(which, N - k, base)
-            d = self._a_state(which, k, d)
-            _acc(out, d, 1.0)
-        for k in range(0, lev + 1):
-            d = self._a_state(which, k, base)
-            d = self._a_state(which, N - k, d)
-            _acc(out, d, 1.0)
-        return state_prune(out)
-
-    def _j3_key(self, which: int, N: int, key: BiKey) -> State:
-        lev = key_levels(key)[which - 1]
-        base = {key: 1.0 + 0j}
-        out: State = {}
-        for k in range(N - lev, 0):
-            d = self._state_apply(("j2", which, N - k), base)
-            d = self._a_state(which, k, d)
-            _acc(out, d, 1.0)
-        for k in range(0, lev + 1):
-            d = self._a_state(which, k, base)
-            d = self._state_apply(("j2", which, N - k), d)
-            _acc(out, d, 1.0)
-        return state_prune(out)
-
-    # scalar-series convolutions ------------------------------------------
-
-    def _rho_conv(self, fam: str, which: int, N: int, state: State,
-                  prime: bool = False) -> State:
-        """(rho * F)_N or (rho' * F)_N with F the current or its derivative."""
-        out: State = {}
-        lev = max((key_levels(k)[which - 1] for k in state), default=0)
-        coeff = rho_prime_coefficient if prime else rho_coefficient
-        for k in range(N - lev, 1):
-            rc = coeff(k)
-            if not rc:
-                continue
-            d = self._fam_apply(fam, which, N - k, state)
-            _acc(out, d, rc)
-        return state_prune(out)
-
-    def _fam_apply(self, fam: str, which: int, k: int, state: State) -> State:
-        if fam == "a":
-            return self._a_state(which, k, state)
-        if fam == "jp":
-            d = self._a_state(which, k, state)
-            return {kk: (-1j * k) * cc for kk, cc in d.items()} if k else {}
-        raise ValueError(fam)
-
-    # twisted single-current stress tensor ---------------------------------
-
-    def _T1k_key(self, n: int, key: BiKey) -> State:
-        kap = self.params.kappa
-        base = {key: 1.0 + 0j}
-        out = dict(self._state_apply(("j2", 1, n), base))
-        out = {k: 0.5 * c for k, c in out.items()}
-        if kap:
-            d = self._fam_apply("jp", 1, n, base)
-            _acc(out, d, kap)
-            d = self._rho_conv("a", 1, n, base)
-            _acc(out, d, -kap)
-        return state_prune(out)
-
-    # sector-1 mode families used in the W assembly -------------------------
-
-    def _w_family_apply(self, fam: str, k: int, state: State) -> State:
-        kap = self.params.kappa
-        if fam == "T1k":
-            return self._state_apply(("T1k", k), state)
-        if fam == "ufT1":
-            # T_1 + kappa*J_1' + kappa^2/2
-            d = self._state_apply(("j2", 1, k), state)
-            out = {kk: 0.5 * cc for kk, cc in d.items()}
-            if kap:
-                _acc(out, self._fam_apply("jp", 1, k, state), kap)
-                if k == 0:
-                    _acc(out, state, 0.5 * kap * kap)
-            return state_prune(out)
-        if fam == "rawT1br":
-            # :J_1^2: - 2i*kappa*(J_1 + i*J_1'), modes (J+iJ')_k = (1+k) a_k
-            out = dict(self._state_apply(("j2", 1, k), state))
-            if kap:
-                d = self._a_state(1, k, state)
-                _acc(out, d, -2j * kap * (1 + k))
-            return state_prune(out)
-        if fam == "jp_m_krhop":
-            # J_1' - kappa*rho'
-            out = dict(self._fam_apply("jp", 1, k, state))
-            rc = rho_prime_coefficient(k)
-            if kap and rc:
-                _acc(out, state, -kap * rc)
-            return state_prune(out)
-        if fam == "a_m_krho":
-            # J_1 - kappa*rho
-            out = dict(self._a_state(1, k, state))
-            rc = rho_coefficient(k)
-            if kap and rc:
-                _acc(out, state, -kap * rc)
-            return state_prune(out)
-        if fam == "jp1":
-            return self._fam_apply("jp", 1, k, state)
-        if fam == "a1":
-            return self._a_state(1, k, state)
-        raise ValueError(fam)
-
-    def _cross_product(self, fam1: str, fam2: str, N: int, key: BiKey) -> State:
-        """Mode N of (sector-1 family) * (sector-2 family); currents commute."""
-        l1, l2 = key_levels(key)
-        base = {key: 1.0 + 0j}
-        out: State = {}
-        for k in range(N - l2, l1 + 1):
-            d = self._fam_apply(fam2, 2, N - k, base)
-            if not d:
-                continue
-            d = self._w_family_apply(fam1, k, d)
-            _acc(out, d, 1.0)
-        return state_prune(out)
-
-    # the realized W3 fields ------------------------------------------------
-
-    def _L_key(self, n: int, key: BiKey) -> State:
-        kap = self.params.kappa
-        base = {key: 1.0 + 0j}
-        if self.variant == "vacuumModified":
-            out = dict(self._state_apply(("T1k", n), base))
-            d = self._state_apply(("j2", 2, n), base)
-            _acc(out, d, 0.5)
-            return state_prune(out)
-        d1 = self._state_apply(("j2", 1, n), base)
-        out = {k: 0.5 * c for k, c in d1.items()}
-        d2 = self._state_apply(("j2", 2, n), base)
-        _acc(out, d2, 0.5)
-        if self.variant == "raw":
-            if kap:
-                d = self._a_state(1, n, base)
-                _acc(out, d, -1j * kap * (1 + n))
-        else:  # unitaryFamily
-            if kap:
-                _acc(out, self._fam_apply("jp", 1, n, base), kap)
-                if n == 0:
-                    _acc(out, base, 0.5 * kap * kap)
-        return state_prune(out)
-
-    def _W_key(self, n: int, key: BiKey) -> State:
-        p = self.params
-        kap, b = p.kappa, p.b
-        sq2 = math.sqrt(2.0)
-        base = {key: 1.0 + 0j}
-        out: State = {}
-        # b/(3 sqrt2) :J_2^3:
-        _acc(out, self._state_apply(("j3", 2, n), base), b / (3.0 * sq2))
-        if self.variant == "raw":
-            _acc(out, self._cross_product("rawT1br", "a", n, key), -b / sq2)
-            if kap:
-                _acc(out, self._cross_product("jp1", "a", n, key),
-                     3.0 * b * kap / (2.0 * sq2))
-                _acc(out, self._cross_product("a1", "jp", n, key),
-                     -3.0 * b * kap / (2.0 * sq2))
-                tail = b * kap * kap / (2.0 * sq2) * (n + 1) * (n + 2)
-                if tail:
-                    _acc(out, self._a_state(2, n, base), tail)
-        elif self.variant == "vacuumModified":
-            _acc(out, self._cross_product("T1k", "a", n, key), -sq2 * b)
-            if kap:
-                _acc(out, self._cross_product("jp_m_krhop", "a", n, key),
-                     3.0 * b * kap / (2.0 * sq2))
-                _acc(out, self._cross_product("a_m_krho", "jp", n, key),
-                     -3.0 * b * kap / (2.0 * sq2))
-                tail = b * kap * kap / (2.0 * sq2) * (2 + n * n)
-                if tail:
-                    _acc(out, self._a_state(2, n, base), tail)
-        else:  # unitaryFamily
-            _acc(out, self._cross_product("ufT1", "a", n, key), -sq2 * b)
-            if kap:
-                _acc(out, self._cross_product("jp1", "a", n, key),
-                     3.0 * b * kap / (2.0 * sq2))
-                _acc(out, self._cross_product("a1", "jp", n, key),
-                     -3.0 * b * kap / (2.0 * sq2))
-                tail = b * kap * kap / (2.0 * sq2) * (2 + n * n)
-                if tail:
-                    _acc(out, self._a_state(2, n, base), tail)
-        return state_prune(out)
-
-    # Lambda from the realized L modes --------------------------------------
-
-    def lambda_state(self, s: int, state: State) -> State:
-        """Lambda_s assembled from the realized Virasoro modes.
-
-        Finite ranges: on a vector of maximal level l the first sum runs over
-        k in [-1, l], the second over k in [s-l, -2].
-        """
-        lev = max_state_level(state)
-        out: State = {}
-        for k in range(-1, lev + 1):
-            d = self._state_apply(("L", k), state)
-            if d:
-                d = self._state_apply(("L", s - k), d)
-                _acc(out, d, 1.0)
-        for k in range(s - lev, -1):
-            if k > -2:
-                break
-            d = self._state_apply(("L", s - k), state)
-            if d:
-                d = self._state_apply(("L", k), d)
-                _acc(out, d, 1.0)
-        coef = -0.3 * (s + 2) * (s + 3)
-        if coef:
-            _acc(out, self._state_apply(("L", s), state), coef)
-        return state_prune(out)
-
-
-def _with_part(key: BiKey, which: int, part: Tuple[int, ...]) -> BiKey:
-    return (part, key[1]) if which == 1 else (key[0], part)
-
-
-def _acc(acc: State, d: State, scale: complex) -> None:
-    if not scale:
-        return
-    for k, c in d.items():
-        acc[k] = acc.get(k, 0j) + scale * c
-
-
-# ---------------------------------------------------------------------------
-# public factories mirroring the operation surface
-# ---------------------------------------------------------------------------
 
 def current_mode(params: RealizationParams, which: int, n: int) -> ModeOperator:
-    return Realization(params, "raw").current_mode(which, n)
+    return ModeOperator(Realization(params), ("a", which, n), n)
 
 
 def normal_power_mode(params: RealizationParams, which: int, power: int,
                       n: int) -> ModeOperator:
-    return Realization(params, "raw").normal_power_mode(which, power, n)
+    if power not in (2, 3):
+        raise ValueError("power must be 2 or 3")
+    return ModeOperator(Realization(params), (f"j{power}", which, n), n)
 
 
 def fz_field_mode(fieldname: str, variant: str, n: int,
                   params: RealizationParams) -> ModeOperator:
     """Mode n of the realized stress tensor ('T') or spin-3 field ('M')."""
-    real = Realization(params, variant)
-    if fieldname in ("T", "L"):
-        return real.L(n)
-    if fieldname in ("M", "W"):
-        return real.W(n)
-    raise ValueError(f"unknown field {fieldname!r}")
+    field = {"T": "L", "L": "L", "M": "W", "W": "W"}.get(fieldname)
+    if field is None:
+        raise ValueError(f"unknown field {fieldname!r}")
+    return ModeOperator(Realization(params, variant), (field, n), n)
 
 
 # ---------------------------------------------------------------------------
 # residual checks
 # ---------------------------------------------------------------------------
 
-def _residual_max(state: State) -> float:
-    return max((abs(c) for c in state.values()), default=0.0)
-
-
 def check_w3_relations(variant: str, params: RealizationParams,
                        max_mode_index: int, max_level: int) -> dict:
     """Commutator residuals of the realized modes against the algebra.
 
-    For all |m|, |n| <= max_mode_index and all basis states of level
-    <= max_level, computes ([X_m, Y_n] - RHS) state and reports the maximal
-    coefficient magnitude.  Also extracts the central charge from the vacuum
-    expectation of [L_2, L_-2].
+    For all |m|, |n| <= max_mode_index and every source level <= max_level,
+    builds the block of ([X_m, Y_n] - RHS) and reports its largest entry
+    magnitude, i.e. the largest coefficient over all basis states.  Also
+    extracts the central charge from the vacuum expectation of [L_2, L_-2].
     """
     if max_level + 2 * max_mode_index > params.cutoff:
         raise CutoffExceeded("max_level + 2*max_mode_index must be <= cutoff")
     real = Realization(params, variant)
-    c_val = params.central_charge
-    b2 = params.b ** 2
-    keys = basis_keys(max_level)
+    c_val, b2 = params.central_charge, params.b ** 2
     worst = {"residual": 0.0, "pair": None, "kind": None}
+    lambdas: Dict[Tuple[int, int], Optional[Block]] = {}
 
-    def track(res: float, kind: str, m: int, n: int):
-        if res > worst["residual"]:
-            worst.update(residual=res, pair=(m, n), kind=kind)
+    def L(n, lev):
+        return real._block(("L", n), lev)
+
+    def bracket(x, m, y, n, lev):
+        return [(1, real._then((x, m), real._block((y, n), lev))),
+                (-1, real._then((y, n), real._block((x, m), lev)))]
+
+    def lam(s, lev):
+        # Lambda_s on level lev: the first sum runs over k in [-1, lev], the
+        # second over k in [s - lev, -2]
+        if (s, lev) not in lambdas:
+            terms = [(1, real._then(("L", s - k), L(k, lev)))
+                     for k in range(-1, lev + 1)]
+            terms += [(1, real._then(("L", k), L(s - k, lev)))
+                      for k in range(s - lev, -1)]
+            terms.append((-0.3 * (s + 2) * (s + 3), L(s, lev)))
+            lambdas[s, lev] = _FOCK.combine(terms)
+        return lambdas[s, lev]
 
     rng = range(-max_mode_index, max_mode_index + 1)
-    for key in keys:
-        v = {key: 1.0 + 0j}
+    for lev in range(max_level + 1):
+        eye = (lev, lev, np.eye(_FOCK.dim(lev), dtype=complex))
         for m in rng:
-            Lm_v = real._state_apply(("L", m), v)
-            Wm_v = real._state_apply(("W", m), v)
             for n in rng:
-                Ln_v = real._state_apply(("L", n), v)
-                Wn_v = real._state_apply(("W", n), v)
-                # [L_m, L_n]
-                r: State = {}
-                _acc(r, real._state_apply(("L", m), Ln_v), 1.0)
-                _acc(r, real._state_apply(("L", n), Lm_v), -1.0)
-                _acc(r, real._state_apply(("L", m + n), v), -(m - n))
-                if m + n == 0:
-                    _acc(r, v, -c_val / 12.0 * m * (m * m - 1))
-                track(_residual_max(r), "LL", m, n)
-                # [L_m, W_n]
-                r = {}
-                _acc(r, real._state_apply(("L", m), Wn_v), 1.0)
-                _acc(r, real._state_apply(("W", n), Lm_v), -1.0)
-                _acc(r, real._state_apply(("W", m + n), v), -(2 * m - n))
-                track(_residual_max(r), "LW", m, n)
-                # [W_m, W_n]
-                if m < n:
-                    continue  # antisymmetric; checking m >= n suffices
-                r = {}
-                _acc(r, real._state_apply(("W", m), Wn_v), 1.0)
-                _acc(r, real._state_apply(("W", n), Wm_v), -1.0)
-                if m + n == 0:
-                    _acc(r, v, -c_val / 360.0 * m * (m * m - 1) * (m * m - 4))
-                if m != n:
-                    _acc(r, real.lambda_state(m + n, v), -b2 * (m - n))
+                delta = m + n == 0
+                checks = {
+                    "LL": bracket("L", m, "L", n, lev) + [
+                        (-(m - n), L(m + n, lev)),
+                        (-c_val / 12.0 * m * (m * m - 1) if delta else 0, eye)],
+                    "LW": bracket("L", m, "W", n, lev) + [
+                        (-(2 * m - n), real._block(("W", m + n), lev))]}
+                if m >= n:  # [W_m, W_n] is antisymmetric
                     lcoef = (m - n) * (2 * m * m - m * n + 2 * n * n - 8) / 30.0
-                    _acc(r, real._state_apply(("L", m + n), v), -lcoef)
-                track(_residual_max(r), "WW", m, n)
+                    checks["WW"] = bracket("W", m, "W", n, lev) + [
+                        (-c_val / 360.0 * m * (m * m - 1) * (m * m - 4)
+                         if delta else 0, eye),
+                        (-b2 * (m - n), lam(m + n, lev) if m != n else None),
+                        (-lcoef, L(m + n, lev))]
+                for kind, terms in checks.items():
+                    res = _max_abs(_FOCK.combine(terms))
+                    if _severity(res) > _severity(worst["residual"]):
+                        worst.update(residual=res, pair=(m, n), kind=kind)
 
     # central charge extraction from <O, [L2, L-2] O> = 4h + c/2
-    om = vacuum_state()
-    comm = {}
-    _acc(comm, real._state_apply(("L", 2), real._state_apply(("L", -2), om)), 1.0)
-    _acc(comm, real._state_apply(("L", -2), real._state_apply(("L", 2), om)), -1.0)
-    h_val = state_inner(om, real._state_apply(("L", 0), om))
-    c_extracted = 2.0 * (state_inner(om, comm) - 4.0 * h_val)
+    comm = _FOCK.combine([(1, real._then(("L", 2), L(-2, 0))),
+                          (-1, real._then(("L", -2), L(2, 0)))])
+    def vev(blk):  # <O, X O> from the block of X on level 0
+        return complex(_dense(blk[2])[0, 0]) if blk and blk[0] == 0 else 0j
+
+    c_extracted = 2.0 * (vev(comm) - 4.0 * vev(L(0, 0)))
 
     return {
         "check": "w3_relations",
@@ -659,9 +674,9 @@ def check_w3_relations(variant: str, params: RealizationParams,
         "maxLevel": max_level,
         "maxResidual": worst["residual"],
         "worstCase": {"pair": worst["pair"], "kind": worst["kind"]},
-        "centralCharge": {"extracted": complex(c_extracted).real,
+        "centralCharge": {"extracted": c_extracted.real,
                           "expected": c_val,
-                          "error": abs(complex(c_extracted) - c_val)},
+                          "error": abs(c_extracted - c_val)},
     }
 
 
@@ -670,35 +685,34 @@ def check_automorphism_identity(kappa: float, eta: complex,
                                 cutoff: int = 12) -> dict:
     """Mode-by-mode check that twisting T_kappa by the shift automorphism
     lands on the plainly shifted stress tensor T_0 + kappa J' + eta J +
-    (kappa^2+eta^2)/2."""
-    params = RealizationParams(kappa=kappa, cutoff=cutoff)
+    (kappa^2+eta^2)/2.
 
+    Both sides act on current 1 only, so the residual over the states of
+    level <= max_level is its largest entry over sector-1 levels <=
+    max_level; the worst key is reported with an empty sector 2.
+    """
     def shift(n: int) -> complex:
-        s = kappa * rho_coefficient(n)
-        if n == 0:
-            s += eta
-        return s
+        return kappa * rho_coefficient(n) + (eta if n == 0 else 0)
 
-    lhs_real = Realization(params, "raw", shift1=shift)
-    rhs_real = Realization(params, "raw")
-    keys = basis_keys(max_level)
+    twisted = _Current(0.0, kappa, shift)
+    plain = _Current(0.0, kappa)
     worst = 0.0
     worst_case = None
     for n in range(-max_mode_index, max_mode_index + 1):
-        for key in keys:
-            v = {key: 1.0 + 0j}
-            lhs = lhs_real._state_apply(("T1k", n), v)
-            r = dict(lhs)
-            d = rhs_real._state_apply(("j2", 1, n), v)
-            _acc(r, d, -0.5)
-            _acc(r, rhs_real._fam_apply("jp", 1, n, v), -kappa)
-            if eta:
-                _acc(r, rhs_real._a_state(1, n, v), -eta)
-            if n == 0:
-                _acc(r, v, -(kappa ** 2 + eta ** 2) / 2.0)
-            res = _residual_max(r)
-            if res > worst:
-                worst, worst_case = res, {"mode": n, "key": repr(key)}
+        for s in range(max_level + 1):
+            r = _SECTOR.combine([
+                (1, twisted.block("T1k", n, s)),
+                (-0.5, plain.block("j2", n, s)),
+                (-kappa, plain.block("jp", n, s)),
+                (-eta, plain.block("a", n, s)),
+                (-(kappa ** 2 + eta ** 2) / 2.0 if n == 0 else 0,
+                 plain.block("1", 0, s))])
+            res = _max_abs(r)
+            if _severity(res) > _severity(worst):
+                col = int(np.argmax(np.max(np.abs(r[2]), axis=0)))
+                worst = res
+                worst_case = {"mode": n,
+                              "key": repr((partitions(s)[col], ()))}
     return {
         "check": "automorphism_identity",
         "params": {"kappa": kappa, "eta": repr(eta)},
@@ -726,78 +740,48 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
                         test_level: int = 2) -> dict:
     """Adjointness of the constrained mode combinations (vacuumModified).
 
-    Pairs (L_n - (-1)^{n-m} L_m) and the W-triples pass within float noise;
-    an unpaired L_n at kappa != 0 is the negative control and must exhibit a
-    visible defect.
+    Each mode becomes its matrix A-hat on the orthonormalized basis of
+    levels <= test_level; the defect of a pair (A, B) is max |B-hat^H -
+    A-hat|.  Pairs (L_n - (-1)^{n-m} L_m) and the W-triples pass within float
+    noise; an unpaired L_n at kappa != 0 is the negative control and must
+    exhibit a visible defect.
     """
     real = Realization(params, "vacuumModified")
-    keys = basis_keys(test_level)
-    vecs = [{k: 1.0 / math.sqrt(key_norm_sq(k))} for k in keys]
+    norm = np.sqrt(np.concatenate([level_norms(lev)
+                                   for lev in range(test_level + 1)]))
+    modes = range(-max_mode_index, max_mode_index + 1)
 
-    def defect(apply_A, apply_B) -> float:
-        a_img = [apply_A(v) for v in vecs]
-        b_img = [apply_B(v) for v in vecs]
-        worst = 0.0
-        for i, u in enumerate(vecs):
-            for j in range(len(vecs)):
-                lhs = state_inner(b_img[i], vecs[j])
-                rhs = state_inner(u, a_img[j])
-                worst = max(worst, abs(lhs - rhs))
-        return worst
+    def hat(spec):
+        out = np.zeros((len(norm), len(norm)), dtype=complex)
+        for lev in range(test_level + 1):
+            blk = real._block(spec, lev)
+            if blk is not None:
+                rows, m = _FOCK.rows_upto(blk, test_level)
+                out[rows, _FOCK.cum(lev):_FOCK.cum(lev + 1)] = m
+        return out * norm[:, None] / norm[None, :]
 
-    def l_comb(ns_coefs):
-        def go(v):
-            out: State = {}
-            for n, cf in ns_coefs:
-                _acc(out, real._state_apply(("L", n), v), cf)
-            return state_prune(out)
-        return go
+    hats = {f: {n: hat((f, n)) for n in modes} for f in ("L", "W")}
 
-    def w_comb(ns_coefs):
-        def go(v):
-            out: State = {}
-            for n, cf in ns_coefs:
-                _acc(out, real._state_apply(("W", n), v), cf)
-            return state_prune(out)
-        return go
+    def defect(field, ns, coefs) -> float:
+        # A = sum c X_n against B = sum c X_{-n}
+        a = sum(c * hats[field][n] for n, c in zip(ns, coefs))
+        b = sum(c * hats[field][-n] for n, c in zip(ns, coefs))
+        return _max_abs((0, 0, b.conj().T - a))
 
-    worst_pair = 0.0
-    pair_cases = []
-    for n1 in range(-max_mode_index, max_mode_index + 1):
-        for n2 in range(-max_mode_index, max_mode_index + 1):
-            if n1 == n2:
-                continue
-            sgn = (-1.0) ** (n1 - n2)
-            A = l_comb([(n1, 1.0), (n2, -sgn)])
-            B = l_comb([(-n1, 1.0), (-n2, -sgn)])
-            d = defect(A, B)
-            pair_cases.append(((n1, n2), d))
-            worst_pair = max(worst_pair, d)
-
-    worst_triple = 0.0
-    triples = [(1, 0, -1), (2, 1, 0), (2, 1, -1), (3, 2, 1), (2, 0, -2),
-               (3, 1, -1), (3, 0, -3), (1, -1, -2)]
-    for (n1, n2, n3) in triples:
-        if max(abs(n1), abs(n2), abs(n3)) > max_mode_index:
-            continue
-        u, d_ = solve_w_triple(n1, n2, n3)
-        A = w_comb([(n1, 1.0), (n2, u), (n3, d_)])
-        B = w_comb([(-n1, 1.0), (-n2, u), (-n3, d_)])
-        worst_triple = max(worst_triple, defect(A, B))
-
+    pairs = [defect("L", (n1, n2), (1.0, -(-1.0) ** (n1 - n2)))
+             for n1 in modes for n2 in modes if n1 != n2]
+    triples = [defect("W", t, (1.0,) + solve_w_triple(*t)) for t in
+               [(1, 0, -1), (2, 1, 0), (2, 1, -1), (3, 2, 1), (2, 0, -2),
+                (3, 1, -1), (3, 0, -3), (1, -1, -2)]
+               if max(map(abs, t)) <= max_mode_index]
     # negative control: a bare L_n is not weakly adjointable once kappa != 0
-    control = 0.0
-    for n in range(1, max_mode_index + 1):
-        A = l_comb([(n, 1.0)])
-        B = l_comb([(-n, 1.0)])
-        control = max(control, defect(A, B))
-
+    control = [defect("L", (n,), (1.0,)) for n in range(1, max_mode_index + 1)]
     return {
         "check": "weak_symmetry",
         "params": {"kappa": params.kappa, "q1": params.q1, "q2": params.q2},
-        "maxPairDefect": worst_pair,
-        "maxTripleDefect": worst_triple,
-        "unpairedControlDefect": control,
+        "maxPairDefect": max(pairs, key=_severity, default=0.0),
+        "maxTripleDefect": max(triples, key=_severity, default=0.0),
+        "unpairedControlDefect": max(control, key=_severity, default=0.0),
     }
 
 
@@ -807,12 +791,8 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
     All three vanish when q1 = q2 = 0.
     """
     real = Realization(params, "vacuumModified")
-    om = vacuum_state()
-    return {
-        "L-1": state_norm(real._state_apply(("L", -1), om)),
-        "W-1": state_norm(real._state_apply(("W", -1), om)),
-        "W-2": state_norm(real._state_apply(("W", -2), om)),
-    }
+    return {f"{f}{n}": state_norm(real._state_apply((f, n), vacuum_state()))
+            for f, n in (("L", -1), ("W", -1), ("W", -2))}
 
 
 # ---------------------------------------------------------------------------
@@ -836,33 +816,51 @@ class CyclicGram:
         return "\n".join(lines) + "\n"
 
 
+def _leftmost(word: ModeWord) -> Tuple[Tuple, ModeWord]:
+    """The leftmost mode of a nonempty word and the word it acts on."""
+    if word.lpart:
+        return ("L", -word.lpart[0]), ModeWord(word.lpart[1:], word.wpart)
+    return ("W", -word.wpart[0]), ModeWord((), word.wpart[1:])
+
+
 def word_state(real: Realization, word: ModeWord) -> State:
     """The realized vector for an ordered mode word (rightmost mode first)."""
-    v = vacuum_state()
-    for n in reversed(word.wpart):
-        v = real._state_apply(("W", -n), v)
-    for m in reversed(word.lpart):
-        v = real._state_apply(("L", -m), v)
-    return v
+    if not word.lpart and not word.wpart:
+        return vacuum_state()
+    spec, rest = _leftmost(word)
+    return real._state_apply(spec, word_state(real, rest))
 
 
 def cyclic_gram(variant: str, params: RealizationParams, level: int,
                 margin: int = 2) -> CyclicGram:
     """Gram matrix of the cyclic subspace words of level <= level.
 
-    Eigenvalues are those of the Hermitian part.
+    The word vectors are the columns of V over the basis of levels <= level,
+    each built from the column of the word its leftmost mode acts on, and
+    the Gram is V^H diag(norm^2) V.  Eigenvalues are those of the Hermitian
+    part.
     """
     if level > params.cutoff - margin:
         raise CutoffExceeded(
             f"cyclic level {level} needs cutoff >= {level + margin}")
     real = Realization(params, variant)
     words = [w for lev in range(level + 1) for w in enumerate_basis(lev)]
-    vecs = [word_state(real, w) for w in words]
-    d = len(words)
-    gram = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            gram[i, j] = state_inner(vecs[i], vecs[j])
-    herm = 0.5 * (gram + gram.conj().T)
+    column = {w: j for j, w in enumerate(words)}
+    vecs = np.zeros((_FOCK.cum(level + 1), len(words)), dtype=complex)
+    vecs[0, 0] = 1.0  # the empty word
+    for j, w in enumerate(words[1:], start=1):
+        spec, rest = _leftmost(w)
+        src = vecs[:_FOCK.cum(rest.level + 1), column[rest], None]
+        blk = real._then(spec, (0, rest.level, src))
+        if blk is not None:  # None: a null vector such as L_-1 Omega
+            rows, m = _FOCK.rows_upto(blk, level)
+            vecs[rows, j] = m[:, 0]
+    vecs *= np.sqrt(np.concatenate([level_norms(lev)
+                                    for lev in range(level + 1)]))[:, None]
+    gram = vecs.conj().T @ vecs
+    del vecs
+    herm = gram.conj().T
+    herm += gram
+    herm *= 0.5
     eigs = np.linalg.eigvalsh(herm)
     return CyclicGram(variant, level, words, gram, eigs)

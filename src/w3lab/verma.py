@@ -36,6 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO,
@@ -360,25 +361,24 @@ def enumerate_basis(level: int) -> List[ModeWord]:
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    words = []
-    for lpart in _partitions(level):
-        rem = level - sum(lpart)
-        for wpart in _partitions(rem):
-            if sum(wpart) == rem:
-                words.append(ModeWord(lpart, wpart))
+    words = [ModeWord(lpart[::-1], wpart[::-1])
+             for n in range(level + 1)
+             for lpart in partitions(n) for wpart in partitions(level - n)]
     words.sort(key=lambda w: (w.lpart, w.wpart), reverse=True)
     return words
 
 
-def _partitions(n: int) -> List[Tuple[int, ...]]:
-    """Weakly increasing tuples of positive integers summing to <= n."""
-    out: List[Tuple[int, ...]] = [()]
-    def rec(prefix, smallest, remaining):
-        for p in range(smallest, remaining + 1):
-            out.append(prefix + (p,))
+@lru_cache(maxsize=None)
+def partitions(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The partitions of n as weakly decreasing tuples, largest parts first."""
+    out: List[Tuple[int, ...]] = []
+    def rec(prefix, largest, remaining):
+        if remaining == 0:
+            out.append(prefix)
+        for p in range(min(largest, remaining), 0, -1):
             rec(prefix + (p,), p, remaining - p)
-    rec((), 1, n)
-    return out
+    rec((), n, n)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -313,3 +313,53 @@ def test_vacuum_spectrum_rejects_nonpositive_tolerance(runner):
                                "--level", "2", "--cutoff", "6",
                                "--psd-tol", "-1"])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["fz-check", "--q1", "nan"],
+    ["fz-check", "--q2", "inf"],
+    ["fz-check", "--kappa", "nan"],
+    ["fz-check", "--kappa", "-inf"],
+    ["fz-check", "--eta-im", "nan"],
+    ["vacuum-spectrum", "--kappa", "nan", "--level", "1", "--cutoff", "4"],
+    ["vacuum-spectrum", "--kappa", "inf", "--level", "1", "--cutoff", "4"],
+    ["vacuum-spectrum", "--kappa", "1", "--level", "1", "--cutoff", "4",
+     "--psd-tol", "nan"],
+    ["vacuum-spectrum", "--kappa", "1", "--level", "1", "--cutoff", "4",
+     "--psd-tol", "inf"],
+])
+def test_non_finite_fock_inputs_rejected(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+def test_fz_check_nan_residual_fails(runner, monkeypatch):
+    real_check = cli.fock.check_w3_relations
+
+    def nan_residual(*args):
+        rep = real_check(*args)
+        rep["maxResidual"] = float("nan")
+        rep["centralCharge"]["error"] = float("nan")
+        return rep
+
+    monkeypatch.setattr(cli.fock, "check_w3_relations", nan_residual)
+    res = runner.invoke(main, ["fz-check", "--variant", "raw", "--cutoff",
+                               "6", "--max-mode", "1", "--max-level", "1"])
+    assert res.exit_code == 5
+    assert {"relations", "centralCharge"} <= set(
+        json.loads(res.output)["failures"])
+
+
+def test_vacuum_spectrum_nan_eigenvalue_fails(runner, monkeypatch):
+    real_gram = cli.fock.cyclic_gram
+
+    def nan_eigenvalue(*args):
+        cg = real_gram(*args)
+        cg.eigenvalues[-1] = float("nan")
+        return cg
+
+    monkeypatch.setattr(cli.fock, "cyclic_gram", nan_eigenvalue)
+    res = runner.invoke(main, ["vacuum-spectrum", "--kappa", "1",
+                               "--level", "2", "--cutoff", "6"])
+    assert res.exit_code == 5

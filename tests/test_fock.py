@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w3lab import verma
 from w3lab.fock import (CutoffExceeded, Realization, RealizationParams,
@@ -475,7 +477,67 @@ def test_word_state_matches_mode_composition():
                default=0.0) < 1e-12
 
 
+def test_cyclic_gram_matches_pairwise_fock_form():
+    """V^H diag(norm^2) V equals the dict-state loop over word pairs."""
+    p = params(kappa=0.9, q1=0.2, q2=-0.3, cutoff=7)
+    for variant in ("raw", "vacuumModified"):
+        cg = cyclic_gram(variant, p, 4)
+        real = Realization(p, variant)
+        vecs = [word_state(real, w) for w in cg.words]
+        loop = np.array([[state_inner(u, v) for v in vecs] for u in vecs])
+        assert np.allclose(cg.gram, loop, rtol=1e-12, atol=1e-12)
+
+
+def test_weak_symmetry_control_matches_pairwise_fock_form():
+    """The matrix defect of the bare L_n equals the dict-state loop
+    max |<L_-n u, v> - <u, L_n v>| over the orthonormalized basis."""
+    p = params(kappa=1.0, cutoff=8)
+    real = Realization(p, "vacuumModified")
+    vecs = [{k: 1.0 / math.sqrt(key_norm_sq(k))} for k in basis_keys(2)]
+    loop = max(abs(state_inner(real._state_apply(("L", -n), u), v)
+                   - state_inner(u, real._state_apply(("L", n), v)))
+               for n in (1, 2) for u in vecs for v in vecs)
+    rep = check_weak_symmetry(p, max_mode_index=2, test_level=2)
+    assert loop > 1e-3
+    assert abs(rep["unpairedControlDefect"] - loop) < 1e-12
+
+
 def test_cyclic_gram_csv_has_labels():
     cg = cyclic_gram("vacuumModified", params(kappa=1.0, cutoff=6), 2)
     text = cg.to_csv()
     assert text.splitlines()[0].startswith(",1,L-1,W-1")
+
+
+def test_vacuum_gram_rank_is_the_w3_vacuum_character():
+    """The level-6 vacuum cyclic Gram has one positive eigenvalue per state
+    of the W3 vacuum module: sum over n <= 6 of the coefficients of
+    prod_{n>=2} (1-q^n)^-1 prod_{n>=3} (1-q^n)^-1."""
+    level = 6
+    coeffs = [1] + [0] * level
+    for first in (2, 3):
+        for part in range(first, level + 1):
+            for n in range(part, level + 1):
+                coeffs[n] += coeffs[n - part]
+    for kap in (0.0, 1.78):
+        cg = cyclic_gram("vacuumModified", params(kappa=kap, cutoff=8), level)
+        assert len(cg.words) == 139
+        eigs = cg.eigenvalues
+        assert np.count_nonzero(eigs > 1e-9 * eigs.max()) == sum(coeffs)
+
+
+def test_non_finite_coefficients_are_never_pruned():
+    p = params(q1=float("nan"))
+    out = Realization(p, "raw")._a_state(1, 0, OM)
+    assert math.isnan(out[VACUUM_KEY].real)
+    rep = check_w3_relations("raw", p, max_mode_index=1, max_level=1)
+    assert math.isnan(rep["maxResidual"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(kappa=st.floats(0.0, 3.0), q1=st.floats(-1.0, 1.0),
+       q2=st.floats(-1.0, 1.0))
+def test_w3_relations_hold_for_random_parameters(kappa, q1, q2):
+    p = params(kappa=kappa, q1=q1, q2=q2, cutoff=6)
+    for variant in ("raw", "vacuumModified", "unitaryFamily"):
+        rep = check_w3_relations(variant, p, max_mode_index=2, max_level=2)
+        assert rep["maxResidual"] < 1e-9
