@@ -17,10 +17,6 @@ import re
 from fractions import Fraction
 from typing import Dict, Tuple
 
-# Arbitrary-precision rational numbers.  fractions.Fraction already keeps
-# gcd-reduced numerator/positive denominator, which is the invariant we need.
-BigRational = Fraction
-
 Monomial = Tuple[int, int, int]  # exponents of (c, h, w)
 
 _VARS = ("c", "h", "w")
@@ -184,16 +180,6 @@ class ExactScalar:
             h = hash((self.denom_power, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return self._hash
-
-    # -- queries ---------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.denom_power == 0 and all(m == (0, 0, 0) for m in self.terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a pure rational: {self}")
-        return self.terms.get((0, 0, 0), Fraction(0))
 
     # -- evaluation ------------------------------------------------------
 

@@ -25,10 +25,15 @@ Kronecker product per term.  Blocks are built lazily and cached per (field,
 mode, source level).  Mode sums are finite and exact: annihilation above a
 level kills it and the twist coefficients vanish for positive indices.
 
-The cutoff is a contract guard, not a truncation: ``ModeOperator`` raises
-CutoffExceeded when an image would lie above it, and ``check_w3_relations``
-and ``cyclic_gram`` refuse sweeps that would need levels above it.  The dict
-``State`` functions are a thin adapter over the blocks.
+The W3 relations the realized modes must satisfy are not restated here:
+``check_w3_relations`` reads the bracket table and the Lambda_s collapse of
+``verma`` over a float Ring, the same table the exact rewriting engine uses,
+so the sweep checks that one table against the free-field realization.
+
+The cutoff is a contract guard, not a truncation: ``check_w3_relations``,
+``check_automorphism_identity`` and ``cyclic_gram`` raise CutoffExceeded for
+sweeps that would need levels above it.  The blocks are exact at every level.
+The dict ``State`` functions are a thin adapter over the blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .verma import ModeWord, enumerate_basis, partitions
+from .verma import (ModeWord, Ring, bracket, enumerate_basis, lambda_terms,
+                    partitions)
 
 PRUNE_TOL = 1e-14
 
@@ -175,10 +181,6 @@ def state_norm(u: State) -> float:
 def state_prune(u: State) -> State:
     """Drop entries below PRUNE_TOL; non-finite entries are kept."""
     return {k: c for k, c in u.items() if not abs(c) < PRUNE_TOL}
-
-
-def max_state_level(u: State) -> int:
-    return max((key_level(k) for k in u), default=0)
 
 
 def vacuum_state() -> State:
@@ -364,7 +366,6 @@ class RealizationParams:
     kappa: float = 0.0
     q1: float = 0.0
     q2: float = 0.0
-    eta: complex = 0j
     cutoff: int = 12
     b_sign: int = 1
 
@@ -437,28 +438,6 @@ def field_table(variant: str, kappa: float, b: float) -> Dict[str, List[Row]]:
 # ---------------------------------------------------------------------------
 # the realization engine
 # ---------------------------------------------------------------------------
-
-class ModeOperator:
-    """A single Fourier mode acting on truncated states.
-
-    Mode index n bounds the image level by (input level - n); applying the
-    operator to a state whose image would exceed the cutoff raises
-    CutoffExceeded rather than truncating.
-    """
-
-    def __init__(self, realization: "Realization", spec: Tuple, index: int):
-        self._real = realization
-        self.spec = spec
-        self.index = index
-
-    def __call__(self, state: State) -> State:
-        cut = self._real.params.cutoff
-        top = max_state_level(state)
-        if top - self.index > cut:
-            raise CutoffExceeded(
-                f"mode {self.spec} on level-{top} state exceeds cutoff {cut}")
-        return self._real._state_apply(self.spec, state)
-
 
 class Realization:
     """One of the two-current field assemblies acting on the Fock module.
@@ -571,29 +550,6 @@ class Realization:
                 out[keys[i]] = out.get(keys[i], 0j) + complex(blk[2][i, 0])
         return state_prune(out)
 
-    def _a_state(self, which: int, n: int, state: State) -> State:
-        return self._state_apply(("a", which, n), state)
-
-
-def current_mode(params: RealizationParams, which: int, n: int) -> ModeOperator:
-    return ModeOperator(Realization(params), ("a", which, n), n)
-
-
-def normal_power_mode(params: RealizationParams, which: int, power: int,
-                      n: int) -> ModeOperator:
-    if power not in (2, 3):
-        raise ValueError("power must be 2 or 3")
-    return ModeOperator(Realization(params), (f"j{power}", which, n), n)
-
-
-def fz_field_mode(fieldname: str, variant: str, n: int,
-                  params: RealizationParams) -> ModeOperator:
-    """Mode n of the realized stress tensor ('T') or spin-3 field ('M')."""
-    field = {"T": "L", "L": "L", "M": "W", "W": "W"}.get(fieldname)
-    if field is None:
-        raise ValueError(f"unknown field {fieldname!r}")
-    return ModeOperator(Realization(params, variant), (field, n), n)
-
 
 # ---------------------------------------------------------------------------
 # residual checks
@@ -611,52 +567,46 @@ def check_w3_relations(variant: str, params: RealizationParams,
     if max_level + 2 * max_mode_index > params.cutoff:
         raise CutoffExceeded("max_level + 2*max_mode_index must be <= cutoff")
     real = Realization(params, variant)
-    c_val, b2 = params.central_charge, params.b ** 2
+    c_val = params.central_charge
+    ring = Ring(1.0, 0.0, c_val, 0.0, 0.0, params.b ** 2, float)
     worst = {"residual": 0.0, "pair": None, "kind": None}
     lambdas: Dict[Tuple[int, int], Optional[Block]] = {}
 
     def L(n, lev):
         return real._block(("L", n), lev)
 
-    def bracket(x, m, y, n, lev):
-        return [(1, real._then((x, m), real._block((y, n), lev))),
-                (-1, real._then((y, n), real._block((x, m), lev)))]
-
     def lam(s, lev):
-        # Lambda_s on level lev: the first sum runs over k in [-1, lev], the
-        # second over k in [s - lev, -2]
         if (s, lev) not in lambdas:
-            terms = [(1, real._then(("L", s - k), L(k, lev)))
-                     for k in range(-1, lev + 1)]
-            terms += [(1, real._then(("L", k), L(s - k, lev)))
-                      for k in range(s - lev, -1)]
-            terms.append((-0.3 * (s + 2) * (s + 3), L(s, lev)))
+            terms = []
+            for q, modes in lambda_terms(s, lev):
+                blk = L(modes[-1], lev)
+                for k in reversed(modes[:-1]):
+                    blk = real._then(("L", k), blk)
+                terms.append((float(q), blk))
             lambdas[s, lev] = _FOCK.combine(terms)
         return lambdas[s, lev]
 
+    def field(kind, idx, lev):
+        if kind == "1":
+            return lev, lev, np.eye(_FOCK.dim(lev), dtype=complex)
+        if kind == "Lambda":
+            return lam(idx, lev)
+        return real._block((kind, idx), lev)
+
     rng = range(-max_mode_index, max_mode_index + 1)
     for lev in range(max_level + 1):
-        eye = (lev, lev, np.eye(_FOCK.dim(lev), dtype=complex))
         for m in rng:
             for n in rng:
-                delta = m + n == 0
-                checks = {
-                    "LL": bracket("L", m, "L", n, lev) + [
-                        (-(m - n), L(m + n, lev)),
-                        (-c_val / 12.0 * m * (m * m - 1) if delta else 0, eye)],
-                    "LW": bracket("L", m, "W", n, lev) + [
-                        (-(2 * m - n), real._block(("W", m + n), lev))]}
-                if m >= n:  # [W_m, W_n] is antisymmetric
-                    lcoef = (m - n) * (2 * m * m - m * n + 2 * n * n - 8) / 30.0
-                    checks["WW"] = bracket("W", m, "W", n, lev) + [
-                        (-c_val / 360.0 * m * (m * m - 1) * (m * m - 4)
-                         if delta else 0, eye),
-                        (-b2 * (m - n), lam(m + n, lev) if m != n else None),
-                        (-lcoef, L(m + n, lev))]
-                for kind, terms in checks.items():
+                for x, y in (("L", "L"), ("L", "W"), ("W", "W")):
+                    if x == y == "W" and m < n:
+                        continue  # [W_m, W_n] is antisymmetric
+                    terms = [(1, real._then((x, m), field(y, n, lev))),
+                             (-1, real._then((y, n), field(x, m, lev)))]
+                    terms += [(-coef, field(kind, idx, lev))
+                              for coef, kind, idx in bracket(x, m, y, n, ring)]
                     res = _max_abs(_FOCK.combine(terms))
                     if _severity(res) > _severity(worst["residual"]):
-                        worst.update(residual=res, pair=(m, n), kind=kind)
+                        worst.update(residual=res, pair=(m, n), kind=x + y)
 
     # central charge extraction from <O, [L2, L-2] O> = 4h + c/2
     comm = _FOCK.combine([(1, real._then(("L", 2), L(-2, 0))),
@@ -689,8 +639,12 @@ def check_automorphism_identity(kappa: float, eta: complex,
 
     Both sides act on current 1 only, so the residual over the states of
     level <= max_level is its largest entry over sector-1 levels <=
-    max_level; the worst key is reported with an empty sector 2.
+    max_level; the worst key is reported with an empty sector 2.  Mode
+    -max_mode_index maps level max_level to max_level + max_mode_index,
+    which must not exceed the cutoff.
     """
+    if max_level + max_mode_index > cutoff:
+        raise CutoffExceeded("max_level + max_mode_index must be <= cutoff")
     def shift(n: int) -> complex:
         return kappa * rho_coefficient(n) + (eta if n == 0 else 0)
 

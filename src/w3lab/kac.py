@@ -59,19 +59,6 @@ def p2(n: int) -> int:
 # alpha invariants and the quadratic extension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphaInvariants:
-    """Symmetric functions of alpha_+^2 and alpha_-^2 at rational c."""
-
-    sum_alpha: Fraction   # alpha_+^2 + alpha_-^2 = (50-c)/96
-    prod_alpha: Fraction  # alpha_+^2 * alpha_-^2 = 1/16
-
-    @staticmethod
-    def at(c_val) -> "AlphaInvariants":
-        c_val = Fraction(c_val)
-        return AlphaInvariants(Fraction(50 - c_val, 96), Fraction(1, 16))
-
-
 class _Ext:
     """x + y*sqrt(D) over a commutative coefficient ring."""
 
@@ -150,10 +137,8 @@ def f_pair_product(m: int, n: int, h, c) -> Fraction:
     alpha_+^2 <-> alpha_-^2."""
     h, c = Fraction(h), Fraction(c)
     val = _f_mn_ext(m, n, h, c, Fraction) * _f_mn_ext(n, m, h, c, Fraction)
-    if val.y != 0:
-        raise ArithmeticError("paired product failed to be rational")
     den = 5 * c + 22
-    return val.x / (den * den)
+    return _rational(val, "paired product") / (den * den)
 
 
 def f_mm(m: int, h, c) -> Fraction:
@@ -224,74 +209,47 @@ def kac_closed_form(level: int, c: float, h: float, w: float) -> float:
 def kac_closed_form_exact(level: int, c, h, w) -> Fraction:
     """Exact rational closed-form product at a rational (c, h, w) point.
 
-    m != n factors are grouped with their conjugates, whose product is
-    rational by symmetric-function elimination.
+    Raises PoleAtForbiddenCentralCharge at c = -22/5.
     """
-    c, h, w = Fraction(c), Fraction(h), Fraction(w)
-    if 22 + 5 * c == 0:
-        raise PoleAtForbiddenCentralCharge("closed form at c = -22/5")
-    w2 = w * w
-    acc = Fraction(1)
-    for k in range(1, level + 1):
-        e = p2(level - k)
-        for m in range(1, k + 1):
-            if k % m:
-                continue
-            n = k // m
-            if m == n:
-                acc *= (f_mm(m, h, c) - w2) ** e
-            elif m < n:
-                pair = (f_pair_product(m, n, h, c)
-                        - w2 * _f_sum(m, n, h, c) + w2 * w2)
-                acc *= pair ** e
-    return acc
-
-
-def _f_sum(m: int, n: int, h: Fraction, c: Fraction) -> Fraction:
-    """f_mn + f_nm, rational by symmetry."""
-    val = _f_mn_ext(m, n, h, c, Fraction) + _f_mn_ext(n, m, h, c, Fraction)
-    if val.y != 0:
-        raise ArithmeticError("conjugate sum failed to be rational")
-    return val.x / (5 * c + 22)
+    return _closed_form(level, verma.point_ring(c, h, w))
 
 
 def kac_closed_form_symbolic(level: int) -> ExactScalar:
-    """The closed-form product as an ExactScalar in (c, h, w).
+    """The closed-form product as an ExactScalar in (c, h, w)."""
+    return _closed_form(level, verma.SYMBOLIC)
 
-    Every piece is a polynomial over powers of (22+5c), so the product stays
-    inside the scalar ring.
+
+def _closed_form(level: int, ring: "verma.Ring"):
+    """The closed-form product over a Verma coefficient ring.
+
+    Each f_mn carries 1/(22+5c) = b^2/16, which the ring holds.  An m != n
+    factor is paired with its conjugate f_nm, so the pair contributes
+    f_mn f_nm - w^2 (f_mn + f_nm) + w^4, rational by symmetric-function
+    elimination; every piece stays inside the ring.
     """
-    from .exact import C, H, W, ONE, scalar
-
-    lift = lambda q: scalar(q) if not isinstance(q, ExactScalar) else q
-    c_sym, h_sym = C, H
-    w2 = W * W
-    inv_den = ExactScalar({(0, 0, 0): Fraction(1)}, 1)
-    acc = ONE
-    for k in range(1, level + 1):
-        e = p2(level - k)
-        for m in range(1, k + 1):
-            if k % m:
-                continue
-            n = k // m
-            if m == n:
-                num = ((c_sym - 2) * scalar(m * m) - c_sym + scalar(24) * h_sym
-                       + scalar(2)) ** 2 \
-                      * (scalar(96) * h_sym + (c_sym - 2) * scalar(m * m - 4))
-                fac = num * scalar(Fraction(1, 7776)) * inv_den - w2
-            elif m < n:
-                prod_ext = _f_mn_ext(m, n, h_sym, c_sym, lift) \
-                           * _f_mn_ext(n, m, h_sym, c_sym, lift)
-                sum_ext = _f_mn_ext(m, n, h_sym, c_sym, lift) \
-                          + _f_mn_ext(n, m, h_sym, c_sym, lift)
-                if prod_ext.y or sum_ext.y:
-                    raise ArithmeticError("symbolic pairing failed")
-                fac = (prod_ext.x * inv_den * inv_den
-                       - w2 * sum_ext.x * inv_den + w2 * w2)
-            else:
-                continue
-            acc = acc * fac ** e
+    c, h, lift = ring.c, ring.h, ring.lift
+    w2 = ring.w * ring.w
+    inv_den = ring.b2 * lift(Fraction(1, 16))
+    acc = ring.one
+    for m, n, e in KacFactors.at_level(level).factors:
+        if m > n:
+            continue
+        f = _f_mn_ext(m, n, h, c, lift)
+        if m == n:
+            fac = _rational(f, "f_mm") * inv_den - w2
+        else:
+            g = _f_mn_ext(n, m, h, c, lift)
+            fac = (_rational(f * g, "conjugate product") * inv_den * inv_den
+                   - w2 * _rational(f + g, "conjugate sum") * inv_den + w2 * w2)
+        acc = acc * fac ** e
     return acc
+
+
+def _rational(z: _Ext, what: str):
+    """The x of z = x + y*sqrt(D), which must lie in the base ring (y = 0)."""
+    if z.y:
+        raise ArithmeticError(f"{what} failed to be rational")
+    return z.x
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +265,6 @@ class ComparisonReport:
     max_rel_deviation: float
     verdict: str
     method: str = "evaluated"
-
-    @property
-    def constant_positive(self) -> bool:
-        return self.constant > 0
 
     def to_json(self) -> str:
         return json.dumps({

@@ -18,6 +18,12 @@ The L-coefficient in [W, W] is 1/30: that value is forced by the field-form
 relations (expand the delta-function commutator into modes) and is the one the
 free-field realization satisfies.
 
+These relations are written once, as the table ``bracket`` over a coefficient
+Ring, and the finite-range collapse of Lambda_s once, as ``lambda_terms``.
+The rewriting Engine reads both, and so does ``fock.check_w3_relations`` over
+a float Ring, so the Fock sweep checks this same table against the
+free-field realization.
+
 The rewriting Engine is parametric in its coefficient Ring.  Over SYMBOLIC
 the coefficients are ExactScalars, i.e. polynomials in c, 1/(22+5c), h, w;
 over point_ring(c, h, w) they are the Fractions those take at one rational
@@ -37,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO,
                     PoleAtForbiddenCentralCharge, parse_scalar, scalar)
@@ -45,17 +51,6 @@ from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO,
 
 class LevelTooLarge(ValueError):
     """Requested Gram level exceeds the configured symbolic-size guard."""
-
-
-class Mode(NamedTuple):
-    """A single generator mode; the grade (2 for L, 3 for W) is derived."""
-
-    gen: str
-    n: int
-
-    @property
-    def grade(self) -> int:
-        return 2 if self.gen == "L" else 3
 
 
 # Soft guard: P2(level)^2 exact reductions must stay desk-sized, in any ring.
@@ -112,9 +107,6 @@ OMEGA = ModeWord()
 # A vector in the module: finite map word -> coefficient in the engine's ring.
 VermaVector = Dict[ModeWord, Any]
 
-_L_COEFF_WW = Fraction(1, 30)
-
-
 class Ring(NamedTuple):
     """The coefficients a rewriting engine works over.
 
@@ -148,6 +140,54 @@ def point_ring(c_val, h_val, w_val) -> Ring:
             "b^2 = 16/(22+5c) has its pole at c = -22/5")
     return Ring(Fraction(1), Fraction(0), c_val, h_val, w_val,
                 Fraction(16) / den, Fraction)
+
+
+def bracket(g1: str, m: int, g2: str, n: int,
+            ring: Ring) -> List[Tuple[Any, str, int]]:
+    """[X_m, Y_n] for X, Y in {L, W} as (coefficient, kind, index) terms.
+
+    The commutator is the sum of coefficient * kind_index, where kind is
+    "L", "W", "Lambda" or "1" (the central term, index 0).  Coefficients lie
+    in ``ring``; terms whose coefficient vanishes identically are left out.
+    """
+    lift = ring.lift
+    s = m + n
+    if g1 == "L" and g2 == "L":
+        out = [(lift(m - n), "L", s)] if m != n else []
+        if s == 0 and m * (m * m - 1):
+            out.append((ring.c * lift(Fraction(m * (m * m - 1), 12)), "1", 0))
+        return out
+    if g1 == "L":
+        return [(lift(2 * m - n), "W", s)] if 2 * m != n else []
+    if g2 == "L":
+        # [W_m, L_n] = -[L_n, W_m]
+        return [(lift(m - 2 * n), "W", s)] if 2 * n != m else []
+    out = []
+    if s == 0 and m * (m * m - 1) * (m * m - 4):
+        out.append((ring.c * lift(Fraction(m * (m * m - 1) * (m * m - 4), 360)),
+                    "1", 0))
+    if m != n:
+        out.append((ring.b2 * lift(m - n), "Lambda", s))
+        lc = Fraction((m - n) * (2 * m * m - m * n + 2 * n * n - 8), 30)
+        if lc:
+            out.append((lift(lc), "L", s))
+    return out
+
+
+@lru_cache(maxsize=None)
+def lambda_terms(s: int, level: int
+                 ) -> Tuple[Tuple[Fraction, Tuple[int, ...]], ...]:
+    """Lambda_s on vectors of level <= ``level`` as (coefficient, L indices).
+
+    Each term is coefficient * L_{i1} ... L_{ir}, the last index acting
+    first.  L_k kills such vectors for k > level, so the first normal-ordered
+    sum runs over k in [-1, level] and the second over k in [s-level, -2].
+    """
+    terms = [(Fraction(1), (s - k, k)) for k in range(-1, level + 1)]
+    terms += [(Fraction(1), (k, s - k)) for k in range(s - level, -1)]
+    if (s + 2) * (s + 3):
+        terms.append((Fraction(-3 * (s + 2) * (s + 3), 10), (s,)))
+    return tuple(terms)
 
 
 def _combine(acc: VermaVector, vec: VermaVector, scale) -> None:
@@ -225,41 +265,17 @@ class Engine:
             apply_word = self._apply_word
             for w2, coef in apply_word(gen, n, rest).items():
                 _combine(out, apply_word(g1, i1, w2), coef)
-            for coef, vec in self._commutator_action(gen, n, g1, i1, rest):
+            for coef, kind, idx in bracket(gen, n, g1, i1, ring):
+                if kind == "1":
+                    vec = {rest: ring.one}
+                elif kind == "Lambda":
+                    vec = self.apply_lambda(idx, {rest: ring.one})
+                else:
+                    vec = apply_word(kind, idx, rest)
                 _combine(out, vec, coef)
 
         self._memo[key] = out
         return out
-
-    def _commutator_action(self, g1: str, m: int, g2: str, n: int,
-                           word: ModeWord) -> Iterable[Tuple[Any, VermaVector]]:
-        """Yield (coefficient, vector) pairs for [K_{g1,m}, K_{g2,n}] word."""
-        ring = self.ring
-        lift = ring.lift
-        base = {word: ring.one}
-        if g1 == "L" and g2 == "L":
-            if m != n:
-                yield lift(m - n), self._apply_word("L", m + n, word)
-            if m + n == 0:
-                yield ring.c * lift(Fraction(m * (m * m - 1), 12)), base
-        elif g1 == "L" and g2 == "W":
-            if 2 * m != n:
-                yield lift(2 * m - n), self._apply_word("W", m + n, word)
-        elif g1 == "W" and g2 == "L":
-            # [W_m, L_n] = -[L_n, W_m]
-            if 2 * n != m:
-                yield lift(m - 2 * n), self._apply_word("W", m + n, word)
-        else:
-            s = m + n
-            if s == 0:
-                yield (ring.c * lift(Fraction(m * (m * m - 1) * (m * m - 4),
-                                              360)), base)
-            if m != n:
-                yield ring.b2 * lift(m - n), self.apply_lambda(s, base)
-                lc = (Fraction(m - n) * (2 * m * m - m * n + 2 * n * n - 8)
-                      * _L_COEFF_WW)
-                if lc:
-                    yield lift(lc), self._apply_word("L", s, word)
 
     def apply_mode(self, gen: str, n: int, vec: VermaVector) -> VermaVector:
         """Exact action of L_n or W_n on a vector, in the ordered basis."""
@@ -271,28 +287,15 @@ class Engine:
         return out
 
     def apply_lambda(self, s: int, vec: VermaVector) -> VermaVector:
-        """Action of Lambda_s; the infinite sums collapse to finite ranges.
-
-        On a vector of maximal level l, L_k kills everything for k > l, so
-        the first sum runs over k in [-1, l] and the second over k in
-        [s-l, -2].
-        """
-        apply_mode = self.apply_mode
-        lam = self.ring.lift(Fraction(-3 * (s + 2) * (s + 3), 10))
+        """Action of Lambda_s, summed over the terms of ``lambda_terms``."""
+        lift = self.ring.lift
         out: VermaVector = {}
         for word, coef in vec.items():
-            lev = word.level
-            base = {word: self.ring.one}
-            for k in range(-1, lev + 1):
-                step = apply_mode("L", k, base)
-                _combine(out, apply_mode("L", s - k, step), coef)
-            for k in range(s - lev, -1):
-                if k > -2:
-                    break
-                step = apply_mode("L", s - k, base)
-                _combine(out, apply_mode("L", k, step), coef)
-            if lam:
-                _combine(out, apply_mode("L", s, base), coef * lam)
+            for q, modes in lambda_terms(s, word.level):
+                step = {word: self.ring.one}
+                for k in reversed(modes):
+                    step = self.apply_mode("L", k, step)
+                _combine(out, step, coef if q == 1 else coef * lift(q))
         return out
 
     def inner_product(self, u: ModeWord, v: ModeWord):
@@ -327,11 +330,6 @@ def apply_mode(gen: str, n: int, vec: VermaVector) -> VermaVector:
 def apply_lambda(s: int, vec: VermaVector) -> VermaVector:
     """Action of Lambda_s on a symbolic vector."""
     return Engine().apply_lambda(s, vec)
-
-
-def apply(mode: Mode, vec: VermaVector) -> VermaVector:
-    """apply_mode with the mode packed as a Mode value."""
-    return apply_mode(mode.gen, mode.n, vec)
 
 
 def inner_product(u: ModeWord, v: ModeWord) -> ExactScalar:
@@ -399,10 +397,6 @@ class GramMatrix:
 
     def evaluate(self, c_val, h_val, w_val) -> List[List[Fraction]]:
         return [[e.evaluate(c_val, h_val, w_val) for e in row]
-                for row in self.entries]
-
-    def evaluate_float(self, c_val, h_val, w_val) -> List[List[float]]:
-        return [[e.evaluate_float(c_val, h_val, w_val) for e in row]
                 for row in self.entries]
 
     def to_json(self) -> str:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from w3lab import verma
 from w3lab.fock import (CutoffExceeded, Realization, RealizationParams,
                         VACUUM_KEY, basis_keys, check_automorphism_identity,
-                        check_w3_relations, check_weak_symmetry, current_mode,
-                        cyclic_gram, fz_field_mode, key_level, key_norm_sq,
-                        normal_power_mode, rho_coefficient, rho_coefficients,
+                        check_w3_relations, check_weak_symmetry, cyclic_gram,
+                        key_level, key_norm_sq, rho_coefficient,
+                        rho_coefficients,
                         solve_w_triple, state_inner, state_norm,
                         vacuum_state, verify_rho_ode, word_state,
                         zero_vector_norms)
@@ -30,20 +30,19 @@ def params(**kw):
 # ---------------------------------------------------------------------------
 
 def test_current_commutator_on_vacuum():
-    op_minus = current_mode(params(), 1, -1)
-    op_plus = current_mode(params(), 1, 1)
-    v = op_plus(op_minus(OM))
+    real = Realization(params())
+    v = real._state_apply(("a", 1, 1), real._state_apply(("a", 1, -1), OM))
     assert v == {VACUUM_KEY: 1.0 + 0j}
 
 
 def test_zero_mode_reads_lowest_weight():
-    p = params(q1=0.7, q2=-0.2)
-    assert current_mode(p, 1, 0)(OM) == {VACUUM_KEY: 0.7 + 0j}
-    assert current_mode(p, 2, 0)(OM) == {VACUUM_KEY: -0.2 + 0j}
+    real = Realization(params(q1=0.7, q2=-0.2))
+    assert real._state_apply(("a", 1, 0), OM) == {VACUUM_KEY: 0.7 + 0j}
+    assert real._state_apply(("a", 2, 0), OM) == {VACUUM_KEY: -0.2 + 0j}
 
 
 def test_annihilation_of_vacuum():
-    assert current_mode(params(), 2, 3)(OM) == {}
+    assert Realization(params())._state_apply(("a", 2, 3), OM) == {}
 
 
 def test_heisenberg_relations_on_states():
@@ -58,8 +57,10 @@ def test_heisenberg_relations_on_states():
         n = rng.randint(-2, 2)
         j1 = rng.choice((1, 2))
         j2 = rng.choice((1, 2))
-        a = real._a_state(j1, m, real._a_state(j2, n, v))
-        b = real._a_state(j2, n, real._a_state(j1, m, v))
+        a = real._state_apply(("a", j1, m),
+                              real._state_apply(("a", j2, n), v))
+        b = real._state_apply(("a", j2, n),
+                              real._state_apply(("a", j1, m), v))
         r = {k: a.get(k, 0j) - b.get(k, 0j) for k in set(a) | set(b)}
         if j1 == j2 and m + n == 0 and m != 0:
             r[key] = r.get(key, 0j) - m
@@ -77,8 +78,8 @@ def test_fock_form_hermitian_and_norms():
         u, v = {ku: 1.0 + 0j}, {kv: 1.0 + 0j}
         n = rng.randint(1, 3)
         j = rng.choice((1, 2))
-        lhs = state_inner(real._a_state(j, -n, u), v)
-        rhs = state_inner(u, real._a_state(j, n, v))
+        lhs = state_inner(real._state_apply(("a", j, -n), u), v)
+        rhs = state_inner(u, real._state_apply(("a", j, n), v))
         assert abs(lhs - rhs) < 1e-12
     assert key_norm_sq(((3, 1, 1), ())) == 3.0 * 1.0 * 1.0 * 2
     assert key_norm_sq(((), (2, 2, 2))) == 2.0 ** 3 * 6
@@ -92,10 +93,6 @@ def test_grading_exactness_and_cutoff():
             op_out = real._state_apply(spec, {((2, 1), (1,)): 1.0})
             for k in op_out:
                 assert key_level(k) == 4 - n
-    # contract: image above the cutoff raises instead of truncating
-    op = current_mode(p, 1, -3)
-    with pytest.raises(CutoffExceeded):
-        op({((3,), (2, 1)): 1.0})  # 6 + 3 > 5
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +100,16 @@ def test_grading_exactness_and_cutoff():
 # ---------------------------------------------------------------------------
 
 def test_normal_square_zero_mode_is_half_q_squared():
-    p = params(q1=0.6)
-    op = normal_power_mode(p, 1, 2, 0)
-    out = op(OM)
+    real = Realization(params(q1=0.6))
+    out = real._state_apply(("j2", 1, 0), OM)
     assert abs(out[VACUUM_KEY] - 0.36) < 1e-14
     for n in (1, 2, 5):
-        assert normal_power_mode(p, 1, 2, n)(OM) == {}
+        assert real._state_apply(("j2", 1, n), OM) == {}
 
 
 def test_normal_cube_zero_mode_is_q_cubed():
-    p = params(q2=-0.8)
-    out = normal_power_mode(p, 2, 3, 0)(OM)
+    out = Realization(params(q2=-0.8))._state_apply(("j3", 2, 0), OM)
     assert abs(out[VACUUM_KEY] - (-0.512)) < 1e-14
-
-
-def test_normal_power_only_two_or_three():
-    with pytest.raises(ValueError):
-        normal_power_mode(params(), 1, 4, 0)
 
 
 def _brute_normal_product(real, which, indices, state):
@@ -127,7 +117,7 @@ def _brute_normal_product(real, which, indices, state):
     ordered = sorted(indices)  # annihilators (largest) must act first
     out = dict(state)
     for idx in reversed(ordered):
-        out = real._a_state(which, idx, out)
+        out = real._state_apply(("a", which, idx), out)
         if not out:
             return {}
     return out
@@ -210,17 +200,16 @@ def test_rho_ode_exact():
 def test_lowest_weight_eigenvalues(variant):
     p = params(kappa=0.75, q1=0.4, q2=-0.6)
     h, w = p.lowest_weights(variant)
-    T0 = fz_field_mode("T", variant, 0, p)
-    M0 = fz_field_mode("M", variant, 0, p)
-    tv, mv = T0(OM), M0(OM)
+    real = Realization(p, variant)
+    tv, mv = real._state_apply(("L", 0), OM), real._state_apply(("W", 0), OM)
     assert abs(tv.get(VACUUM_KEY, 0j) - h) < 1e-12
     assert abs(mv.get(VACUUM_KEY, 0j) - w) < 1e-12
     assert all(k == VACUUM_KEY for k in tv)
     assert all(k == VACUUM_KEY for k in mv)
     # positive modes annihilate the lowest weight vector
     for n in (1, 2, 3):
-        assert fz_field_mode("T", variant, n, p)(OM) == {}
-        assert fz_field_mode("M", variant, n, p)(OM) == {}
+        assert real._state_apply(("L", n), OM) == {}
+        assert real._state_apply(("W", n), OM) == {}
 
 
 def test_unitary_family_weights_match_formula():
@@ -300,6 +289,14 @@ def test_automorphism_identity_zero_mode_shift():
                           shift1=lambda n: kappa * rho_coefficient(n))
     out = shifted._state_apply(("T1k", 0), OM)
     assert abs(out[VACUUM_KEY] - 0.5) < 1e-14
+
+
+def test_automorphism_identity_guards_the_cutoff():
+    # mode -3 takes level 2 to level 5
+    with pytest.raises(CutoffExceeded):
+        check_automorphism_identity(0.5, 0j, 3, 2, cutoff=4)
+    rep = check_automorphism_identity(0.5, 0j, 3, 2, cutoff=5)
+    assert rep["maxResidual"] < 1e-10
 
 
 @pytest.mark.parametrize("kappa,eta", [(1.0, 0j), (0.5, 0.5j),
@@ -527,7 +524,7 @@ def test_vacuum_gram_rank_is_the_w3_vacuum_character():
 
 def test_non_finite_coefficients_are_never_pruned():
     p = params(q1=float("nan"))
-    out = Realization(p, "raw")._a_state(1, 0, OM)
+    out = Realization(p, "raw")._state_apply(("a", 1, 0), OM)
     assert math.isnan(out[VACUUM_KEY].real)
     rep = check_w3_relations("raw", p, max_mode_index=1, max_level=1)
     assert math.isnan(rep["maxResidual"])

@@ -5,12 +5,12 @@ import pytest
 
 from w3lab import verma
 from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
-from w3lab.kac import (AlphaInvariants, ComparisonReport, DegenerateSample,
+from w3lab.kac import (ComparisonReport, DegenerateSample,
                        KacFactors, alpha_pm_squared, compare_with_gram, f11,
                        f11_alt, f_mm, f_mn, f_pair_product,
                        kac_closed_form, kac_closed_form_exact,
                        kac_closed_form_symbolic, p2)
-from w3lab.kac import _f_mn_ext, _f_sum
+from w3lab.kac import _f_mn_ext
 
 
 def brute_force_bicolored(n):
@@ -47,14 +47,11 @@ def test_basis_dimension_matches_p2():
 
 def test_alpha_invariants():
     for c in (Fraction(3), Fraction(50), Fraction(97), Fraction(-1)):
-        inv = AlphaInvariants.at(c)
-        assert inv.sum_alpha == Fraction(50 - c, 96)
-        assert inv.prod_alpha == Fraction(1, 16)
-        # (50-c)^2 - (2-c)(98-c) = 2304, the identity behind prod_alpha
+        # (50-c)^2 - (2-c)(98-c) = 2304, the identity behind the product 1/16
         assert (50 - c) ** 2 - (2 - c) * (98 - c) == 2304
         ap, am = alpha_pm_squared(float(c))
-        assert abs(ap + am - float(inv.sum_alpha)) < 1e-12
-        assert abs(ap * am - float(inv.prod_alpha)) < 1e-12
+        assert abs(ap + am - float(Fraction(50 - c, 96))) < 1e-12
+        assert abs(ap * am - 1 / 16) < 1e-12
 
 
 def test_f_mm_display_equals_general_formula():
@@ -231,6 +228,14 @@ def test_compare_with_gram_levels_4_and_5():
 def test_symbolic_closed_form_identity(grams):
     assert verma.determinant(grams[1]) == scalar(9) * kac_closed_form_symbolic(1)
     assert verma.determinant(grams[2]) == scalar(104976) * kac_closed_form_symbolic(2)
+
+
+def test_symbolic_closed_form_matches_exact_at_level_3():
+    sym = kac_closed_form_symbolic(3)
+    for pt in [(Fraction(10), Fraction(2), Fraction(1, 7)),
+               (Fraction(50), Fraction(-1, 3), Fraction(5, 2)),
+               (Fraction(7, 2), Fraction(5, 4), Fraction(1, 9))]:
+        assert sym.evaluate(*pt) == kac_closed_form_exact(3, *pt)
 
 
 def test_comparison_report_json(grams):

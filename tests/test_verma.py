@@ -6,10 +6,11 @@ import pytest
 from w3lab import kac
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
-from w3lab.verma import (GramMatrix, LevelTooLarge, Mode, ModeWord, OMEGA,
-                         apply, apply_lambda, apply_mode, determinant,
+from w3lab.verma import (GramMatrix, LevelTooLarge, ModeWord, OMEGA,
+                         apply_lambda, apply_mode, determinant,
                          determinant_at, enumerate_basis, gram_matrix,
-                         inner_product, point_ring, rational_determinant)
+                         inner_product, point_ring, rational_determinant,
+                         SYMBOLIC, bracket)
 
 L1 = ModeWord((1,), ())
 L2 = ModeWord((2,), ())
@@ -77,10 +78,7 @@ def test_zero_modes_read_weights():
     assert apply_mode("W", 0, as_vec(OMEGA)) == {OMEGA: W}
 
 
-def test_mode_value_wrapper():
-    assert Mode("L", 2).grade == 2
-    assert Mode("W", -1).grade == 3
-    assert apply(Mode("L", 1), as_vec(L1)) == apply_mode("L", 1, as_vec(L1))
+def test_apply_mode_rejects_unknown_generator():
     with pytest.raises(ValueError):
         apply_mode("X", 0, as_vec(OMEGA))
 
@@ -187,6 +185,23 @@ def _commutator_rhs(engine, g1, m, g2, n, vec):
         acc(engine.apply_mode("L", m + n, vec),
             scalar(Fraction((m - n) * (2 * m * m - m * n + 2 * n * n - 8), 30)))
     return out
+
+
+def test_bracket_table_is_antisymmetric():
+    """[X_m, Y_n] = -[Y_n, X_m] term by term, W/L against L/W included."""
+    def table(g1, m, g2, n):
+        out = {}
+        for coef, kind, idx in bracket(g1, m, g2, n, SYMBOLIC):
+            assert (kind, idx) not in out and coef
+            out[kind, idx] = coef
+        return out
+    modes = range(-4, 5)
+    for g1 in ("L", "W"):
+        for g2 in ("L", "W"):
+            for m in modes:
+                for n in modes:
+                    neg = {k: -v for k, v in table(g2, n, g1, m).items()}
+                    assert table(g1, m, g2, n) == neg, (g1, m, g2, n)
 
 
 def test_lambda_finite_ranges_are_complete():
