@@ -280,7 +280,7 @@ class ComparisonReport:
 
 def compare_with_gram(level: int,
                       sample_points: Sequence[Tuple],
-                      tol: float = 1e-8,
+                      tol: object = None,
                       gram: "verma.GramMatrix | None" = None,
                       level_cap: int = verma.DEFAULT_LEVEL_CAP
                       ) -> ComparisonReport:
@@ -289,8 +289,10 @@ def compare_with_gram(level: int,
     With a symbolic ``gram`` the determinant is taken of its value at each
     point.  Without one, the Gram matrix is built directly over Q at each
     point by the point engine, under ``level_cap``.  Both sides are exact
-    rationals, so the constancy check is exact; the reported deviation is
-    0.0 whenever the formula holds.
+    rationals, so the verdict is exact: "ok" iff every ratio equals the
+    first and that ratio is positive.  The relative spread is reported as a
+    float, 0.0 whenever the formula holds.  ``tol`` is not read; the slot
+    stays for callers that pass ``gram`` after it by position.
     """
     pts = [tuple(Fraction(x) for x in p) for p in sample_points]
     if len(pts) < 2:
@@ -319,7 +321,8 @@ def compare_with_gram(level: int,
         max_dev = max(abs(float(r)) for r in ratios)
     else:
         max_dev = max(abs(float((r - base) / base)) for r in ratios)
-    verdict = "ok" if (max_dev <= tol and base > 0) else "fail"
+    exact = all(r == base for r in ratios)
+    verdict = "ok" if (exact and base > 0) else "fail"
     return ComparisonReport(level=level, points=pts, ratios=ratios,
                             constant=base, max_rel_deviation=max_dev,
                             verdict=verdict)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -432,18 +431,37 @@ def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
 
     Over SYMBOLIC the entries are ExactScalars in (c, h, w); over
     ``point_ring(c, h, w)`` they are the Fractions those take at the point.
-    Entries are computed for j <= i and mirrored; the engine's memo makes
-    repeated subwords cheap.
+
+    The levels 0..level are built in turn on one engine, each from the
+    lower ones through the adjoint of the leading mode: for u = X_{-m} u',
+    <u, v> = <u', X_m v> = sum_w (X_m v)[w] <u', w>, with X_m v one memoised
+    rewrite and <u', w> an entry of the level-(N-m) Gram.  Entries are
+    computed for j <= i and mirrored.  ``Engine.inner_product`` computes the
+    same entries pairwise.
     """
     check_level(level, level_cap)
-    basis = enumerate_basis(level)
     engine = Engine(ring)
-    d = len(basis)
-    entries = [[ring.zero] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1):
-            entries[i][j] = entries[j][i] = engine.inner_product(basis[i],
-                                                                 basis[j])
+    zero = ring.zero
+    basis, entries = [OMEGA], [[ring.one]]
+    grams, positions = [entries], [{OMEGA: 0}]
+    for n in range(1, level + 1):
+        basis = enumerate_basis(n)
+        d = len(basis)
+        entries = [[zero] * d for _ in range(d)]
+        for i, u in enumerate(basis):
+            gen, idx, rest = _leading(u)
+            pos = positions[n + idx]
+            row = grams[n + idx][pos[rest]]
+            for j in range(i + 1):
+                acc = zero
+                for word, coef in engine._apply_word(gen, -idx,
+                                                     basis[j]).items():
+                    x = row[pos[word]]
+                    if x:
+                        acc = acc + coef * x
+                entries[i][j] = entries[j][i] = acc
+        grams.append(entries)
+        positions.append({word: i for i, word in enumerate(basis)})
     return GramMatrix(level, basis, entries)
 
 
@@ -491,17 +509,21 @@ def determinant(gram: GramMatrix) -> ExactScalar:
 def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix.
 
-    Each row is scaled to integers by the lcm of its denominators, Bareiss
-    runs over Z with exact integer division, and the result is divided by
-    the product of the scales.
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer determinant is taken multi-modularly
+    (``modular.integer_determinant``), and the result is divided by the
+    product of the scales.
     """
+    # imported here, not at the top: loading numpy before the rest of the
+    # package grows the peak RSS of every CLI command by about 0.7 MB
+    from .modular import integer_determinant
     ints = []
     scale = 1
     for row in rows:
         s = math.lcm(*(q.denominator for q in row))
         ints.append([q.numerator * (s // q.denominator) for q in row])
         scale *= s
-    return Fraction(_bareiss(ints, operator.floordiv, 1), scale)
+    return Fraction(integer_determinant(ints), scale)
 
 
 def determinant_at(gram: GramMatrix, c_val, h_val, w_val) -> Fraction:

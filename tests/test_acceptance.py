@@ -41,7 +41,7 @@ def test_criterion_1_kac_determinant_agreement(grams):
     constants = {}
     ok = True
     for level in (1, 2, 3):
-        rep = kac.compare_with_gram(level, pts, tol=1e-8, gram=grams[level])
+        rep = kac.compare_with_gram(level, pts, gram=grams[level])
         constants[level] = rep.constant
         ok &= rep.verdict == "ok" and rep.constant > 0
         ok &= rep.max_rel_deviation == 0.0  # exact path: identically equal

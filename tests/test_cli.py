@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -109,6 +113,29 @@ def test_gram_cached_level_above_cap_is_refused(runner, tmp_path):
     assert json.loads(res.stderr)["error"] == "LevelTooLarge"
 
 
+def test_gram_cache_file_stores_the_entries_sha256(runner, tmp_path):
+    assert runner.invoke(main, ["gram", "--level", "1"]).exit_code == 0
+    payload = json.loads(cli._cache_path(tmp_path / "cache", 1).read_text())
+    assert payload["sha256"] == cli._entries_sha256(payload["entries"])
+
+
+def test_gram_cache_edited_entries_are_rebuilt(runner, tmp_path):
+    args = ["gram", "--level", "2", "--symbolic"]
+    first = runner.invoke(main, args)
+    path = cli._cache_path(tmp_path / "cache", 2)
+    text = path.read_text()
+    edited = json.loads(text)
+    assert edited["entries"][0][1] != "0"
+    edited["entries"][0][1] = edited["entries"][1][0] = "0"
+    path.write_text(json.dumps(edited))
+    # the edited file still parses as a level-2 Gram over the right basis
+    assert cli.verma.GramMatrix.from_json(path.read_text()).level == 2
+    second = runner.invoke(main, args)
+    assert second.exit_code == 0
+    assert second.output == first.output
+    assert path.read_text() == text
+
+
 def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     res = runner.invoke(main, ["gram", "--level", "2", "--c", "3",
                                "--h", "1/24", "--w", "0"])
@@ -201,6 +228,36 @@ def test_kac_verify_rejects_nonpositive_tolerance(runner):
     res = runner.invoke(main, ["kac-verify", "--level", "1", "--random", "3",
                                "--tol", "-1"])
     assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+USAGE_ERRORS = [
+    ["gram"],
+    ["gram", "--level", "x"],
+    ["kac-verify", "--bogus", "1"],
+    ["kac-verify", "--level", "1", "--random", "3", "--tol", "1e-8"],
+    ["no-such-command"],
+    [],
+]
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS)
+def test_usage_errors_are_bad_arguments(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS[:3])
+def test_usage_errors_are_bad_arguments_as_a_module(tmp_path, args):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, W3LAB_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    res = subprocess.run([sys.executable, "-m", "w3lab.cli", *args],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 1
+    assert res.stdout == ""
     assert json.loads(res.stderr)["error"] == "BadArguments"
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from w3lab import verma
+from w3lab import kac, verma
 from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
 from w3lab.kac import (ComparisonReport, DegenerateSample,
                        KacFactors, alpha_pm_squared, compare_with_gram, f11,
@@ -206,6 +206,28 @@ def test_compare_rejects_degenerate_sample(grams):
     assert f11(h, c) == w * w
     with pytest.raises(DegenerateSample):
         compare_with_gram(1, [(c, h, w), (10, 2, 0)], gram=grams[1])
+
+
+def test_compare_verdict_is_exact(grams, monkeypatch):
+    """Ratios 1e-12 apart fail; a negative constant fails."""
+    pts = [(Fraction(10), Fraction(2), Fraction(0)),
+           (Fraction(3), Fraction(1, 24), Fraction(0))]
+    real = kac.kac_closed_form_exact
+
+    def nudged(level, c, h, w):
+        cf = real(level, c, h, w)
+        return cf * (1 + Fraction(1, 10 ** 12)) if c == 3 else cf
+
+    monkeypatch.setattr(kac, "kac_closed_form_exact", nudged)
+    rep = compare_with_gram(1, pts, gram=grams[1])
+    assert 0 < rep.max_rel_deviation < 1e-11
+    assert rep.verdict == "fail"
+    monkeypatch.setattr(kac, "kac_closed_form_exact",
+                        lambda *args: -real(*args))
+    rep = compare_with_gram(1, pts, gram=grams[1])
+    assert rep.max_rel_deviation == 0.0
+    assert rep.constant == -9
+    assert rep.verdict == "fail"
 
 
 def test_compare_needs_two_points(grams):

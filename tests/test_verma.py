@@ -1,16 +1,20 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from w3lab import kac
+from w3lab import kac, modular, verma
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.verma import (GramMatrix, LevelTooLarge, ModeWord, OMEGA,
                          apply_lambda, apply_mode, determinant,
                          determinant_at, enumerate_basis, gram_matrix,
                          inner_product, point_ring, rational_determinant,
-                         SYMBOLIC, bracket)
+                         SYMBOLIC, bracket, Engine)
 
 L1 = ModeWord((1,), ())
 L2 = ModeWord((2,), ())
@@ -365,6 +369,119 @@ def test_rational_determinant_against_cofactor_expansion():
                                  [Fraction(3), Fraction(1)]]) == Fraction(-3, 2)
     assert rational_determinant([[Fraction(0), Fraction(1)],
                                  [Fraction(0), Fraction(2)]]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the recursive Gram build against the pairwise inner products
+# ---------------------------------------------------------------------------
+
+def _assert_matches_pairwise(level, ring, engine):
+    """gram_matrix is symmetric and equals Engine.inner_product for j <= i."""
+    g = gram_matrix(level, ring=ring)
+    assert g.basis == enumerate_basis(level)
+    for i, u in enumerate(g.basis):
+        for j, v in enumerate(g.basis[:i + 1]):
+            assert g.entries[i][j] == g.entries[j][i]
+            assert g.entries[i][j] == engine.inner_product(u, v), (level, u, v)
+
+
+def test_recursive_gram_matches_pairwise_symbolic(engine):
+    for n in range(6):
+        _assert_matches_pairwise(n, SYMBOLIC, engine)
+
+
+@pytest.mark.parametrize("pt", [POINTS[0], POINTS[1]])
+def test_recursive_gram_matches_pairwise_at_a_point(pt):
+    ring = point_ring(*pt)
+    pairwise = Engine(ring)
+    for n in range(7):
+        _assert_matches_pairwise(n, ring, pairwise)
+
+
+# ---------------------------------------------------------------------------
+# the multi-modular determinant against Bareiss over Z
+# ---------------------------------------------------------------------------
+
+def _bareiss_z(m):
+    return verma._bareiss([row[:] for row in m], operator.floordiv, 1)
+
+
+def _check_integer_determinant(m):
+    assert modular.integer_determinant(m) == _bareiss_z(m), m
+
+
+def test_integer_determinant_random_matrices():
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        bound = rng.choice([1, 3, 2 ** 31, 2 ** 100, 2 ** 600])
+        m = [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0
+              for _ in range(n)] for _ in range(n)]
+        _check_integer_determinant(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_integer_determinant_property(m):
+    _check_integer_determinant(m)
+
+
+def test_integer_determinant_cases():
+    p = int(modular.primes(1)[0])
+    q = int(modular.primes(10)[-1])
+    # singular: a repeated row, a zero row, a zero column
+    assert modular.integer_determinant([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
+    assert modular.integer_determinant([[0, 0], [7, 1]]) == 0
+    assert modular.integer_determinant([[0, 5], [0, 9]]) == 0
+    # negative determinants, small and past one chunk of primes
+    assert modular.integer_determinant([[0, 1], [1, 0]]) == -1
+    big = [[0, 2 ** 700], [3 ** 500, 1]]
+    assert modular.integer_determinant(big) == -(2 ** 700) * 3 ** 500
+    # the first column vanishes modulo the first prime only
+    assert modular.integer_determinant([[p, 1], [2 * p, 3]]) == p
+    assert modular.integer_determinant([[p, 1, 0], [3 * p, 1, 1],
+                                       [5 * p, 0, 2]]) == _bareiss_z(
+        [[p, 1, 0], [3 * p, 1, 1], [5 * p, 0, 2]])
+    # the pivot is 0 modulo the first prime only, so only it swaps rows
+    assert modular.integer_determinant([[p, 1], [1, 1]]) == p - 1
+    # zero leading pivots force row swaps for every prime
+    _check_integer_determinant([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
+    _check_integer_determinant([[0, 0, 1], [0, 2, 3], [4, 5, 6]])
+    # 1 x 1
+    assert modular.integer_determinant([[-5]]) == -5
+    assert modular.integer_determinant([[0]]) == 0
+    assert modular.integer_determinant([[-(2 ** 300)]]) == -(2 ** 300)
+    # |det| above the product of the first ten primes
+    product = 1
+    for r in modular.primes(10).tolist():
+        product *= r
+    m = [[q ** 4, 1, 0], [2, q ** 4, 5], [1, 1, q ** 3]]
+    assert abs(_bareiss_z(m)) > product
+    _check_integer_determinant(m)
+
+
+def test_primes_are_distinct_primes_below_2_24():
+    primes = modular.primes(3000).tolist()
+    assert len(set(primes)) == 3000
+    assert primes == sorted(primes, reverse=True)
+    assert all(2 ** 23 < r < 2 ** 24 for r in primes)
+    for r in primes[:50] + primes[-50:]:
+        assert all(r % d for d in range(2, int(r ** 0.5) + 1))
+
+
+def test_rational_determinant_of_point_grams_matches_bareiss():
+    for pt in POINTS:
+        for n in (3, 5):
+            rows = gram_matrix(n, ring=point_ring(*pt)).entries
+            scaled, scale = [], 1
+            for row in rows:
+                s = math.lcm(*(x.denominator for x in row))
+                scaled.append([int(x * s) for x in row])
+                scale *= s
+            assert rational_determinant(rows) == Fraction(
+                _bareiss_z(scaled), scale)
 
 
 def test_level_guard():
