@@ -80,14 +80,20 @@ def discrete_series_index(c: Fraction) -> Optional[int]:
     return None
 
 
+def constructive_bound_sq(c: Fraction, h: Fraction) -> Optional[Fraction]:
+    """The constructive family's bound on w^2 at (c, h),
+    8/(198+45c) * (2h - (c-2)/12)^3; None where the family has no point
+    (c < 2 or h < (c-2)/24)."""
+    if c < 2 or h < Fraction(c - 2, 24):
+        return None
+    return Fraction(8, 198 + 45 * c) * (2 * h - Fraction(c - 2, 12)) ** 3
+
+
 def constructive_family_contains(c: Fraction, h: Fraction,
                                  w: Fraction) -> bool:
-    """Exact membership in the constructive unitary region (c >= 2)."""
-    if h < Fraction(c - 2, 24):
-        return False
-    margin = 2 * h - Fraction(c - 2, 12)
-    # |w| <= sqrt(8/(198+45c)) * margin^(3/2), squared to stay rational
-    return w * w * (198 + 45 * c) <= 8 * margin ** 3
+    """Exact membership in the constructive unitary region."""
+    bound = constructive_bound_sq(c, h)
+    return bound is not None and w * w <= bound
 
 
 def classify(c, h, w) -> UnitarityVerdict:
@@ -125,8 +131,7 @@ def classify(c, h, w) -> UnitarityVerdict:
         return UnitarityVerdict(Status.NOT_UNITARY,
                                 Witness.NECESSARY_CONDITION_FAILED, detail)
     if constructive_family_contains(c, h, w):
-        detail["constructive_bound_sq"] = \
-            Fraction(8, 198 + 45 * c) * (2 * h - Fraction(c - 2, 12)) ** 3
+        detail["constructive_bound_sq"] = constructive_bound_sq(c, h)
         return UnitarityVerdict(Status.UNITARY, Witness.CONSTRUCTIVE_FAMILY,
                                 detail)
     return UnitarityVerdict(Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION,
@@ -152,14 +157,11 @@ def region_scan(c, h_range: Tuple, w_range: Tuple,
     rows = []
     for i in range(resolution):
         h = h0 + (h1 - h0) * Fraction(i, resolution - 1)
+        bound_sq = constructive_bound_sq(c, h)
+        bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
         for j in range(resolution):
             w = w0 + (w1 - w0) * Fraction(j, resolution - 1)
             v = classify(c, h, w)
-            bound = ""
-            if c >= 2 and h >= Fraction(c - 2, 24):
-                margin = 2 * h - Fraction(c - 2, 12)
-                val = Fraction(8, 198 + 45 * c) * margin ** 3
-                bound = repr(float(val) ** 0.5)
             rows.append({
                 "c": str(c), "h": str(h), "w": str(w),
                 "status": v.status.value, "witness": v.witness.value,

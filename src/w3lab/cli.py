@@ -25,7 +25,6 @@ import random
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,27 +44,12 @@ EXIT_CUTOFF = 6
 # bump when the serialized Gram layout changes; part of the cache key
 FORMAT_VERSION = "gram-json-2"
 
-DEFAULT_TOLERANCES = {
-    "relationResidual": 1e-9,
-    "automorphismResidual": 1e-10,
-    "weakSymmetry": 1e-9,
-    "zeroVector": 1e-12,
-    "psd": 1e-8,
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved run settings shared by the subcommands."""
-
-    output_format: str = "json"
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in self.tolerances.values()):
-            raise ValueError("all tolerances must be positive and finite")
-        if self.output_format not in ("json", "csv", "pretty"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+# fz-check pass bounds and the vacuum-spectrum default
+RELATION_TOL = 1e-9
+AUTOMORPHISM_TOL = 1e-10
+WEAK_SYMMETRY_TOL = 1e-9
+ZERO_VECTOR_TOL = 1e-12
+PSD_TOL = 1e-8
 
 
 def _fail(code: int, kind: str, message: str):
@@ -112,12 +96,6 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _config(**overrides) -> RunConfig:
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(tolerances=tol)
 
 
 def _cache_path(cache: Path, level: int) -> Path:
@@ -421,7 +399,6 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
         _fail(EXIT_CUTOFF, "CutoffExceeded",
               "need max_level + 2*max_mode <= cutoff")
     params = fock.RealizationParams(kappa=kappa, q1=q1, q2=q2, cutoff=cutoff)
-    tol = _config().tolerances
     try:
         relations = fock.check_w3_relations(variant, params, max_mode,
                                             max_level)
@@ -441,12 +418,11 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
                                           for v in ode.values())},
         }
         failures = []
-        if not _within(tol["relationResidual"], relations["maxResidual"]):
+        if not _within(RELATION_TOL, relations["maxResidual"]):
             failures.append("relations")
-        if not _within(tol["relationResidual"],
-                       relations["centralCharge"]["error"]):
+        if not _within(RELATION_TOL, relations["centralCharge"]["error"]):
             failures.append("centralCharge")
-        if not _within(tol["automorphismResidual"], auto["maxResidual"]):
+        if not _within(AUTOMORPHISM_TOL, auto["maxResidual"]):
             failures.append("automorphismIdentity")
         if any(v != 0 for v in ode.values()):
             failures.append("rhoOde")
@@ -457,13 +433,13 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
                 "maxTripleDefect": weak["maxTripleDefect"],
                 "unpairedControlDefect": weak["unpairedControlDefect"],
             }
-            if not _within(tol["weakSymmetry"], weak["maxPairDefect"],
+            if not _within(WEAK_SYMMETRY_TOL, weak["maxPairDefect"],
                            weak["maxTripleDefect"]):
                 failures.append("weakSymmetry")
             if q1 == 0 and q2 == 0:
                 zv = fock.zero_vector_norms(params)
                 report["zeroVectors"] = zv
-                if not _within(tol["zeroVector"], *zv.values()):
+                if not _within(ZERO_VECTOR_TOL, *zv.values()):
                     failures.append("zeroVectors")
         report["failures"] = failures
     except fock.CutoffExceeded as e:
@@ -481,7 +457,7 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
 @click.option("--kappa", type=float, required=True)
 @click.option("--level", type=int, required=True)
 @click.option("--cutoff", type=int, default=8)
-@click.option("--psd-tol", type=float, default=None,
+@click.option("--psd-tol", type=float, default=PSD_TOL,
               help="exit 5 when the smallest eigenvalue is below "
                    "-PSD_TOL * max(1, largest eigenvalue); default 1e-8")
 def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
@@ -492,10 +468,9 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
     eigensolver scales with it.
     """
     _require_finite(kappa=kappa)
-    try:
-        psd_tol = _config(psd=psd_tol).tolerances["psd"]
-    except ValueError as e:
-        _fail(1, "BadArguments", str(e))
+    if not 0 < psd_tol < math.inf:
+        _fail(1, "BadArguments",
+              f"--psd-tol must be positive and finite, got {psd_tol}")
     if level > cutoff - 2:
         _fail(EXIT_CUTOFF, "CutoffExceeded", "need level <= cutoff - 2")
     params = fock.RealizationParams(kappa=kappa, cutoff=cutoff)

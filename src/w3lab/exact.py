@@ -199,13 +199,6 @@ class ExactScalar:
             num += coef * c_val**ec * h_val**eh * w_val**ew
         return num / den**self.denom_power if self.denom_power else num
 
-    def evaluate_float(self, c_val: float, h_val: float, w_val: float) -> float:
-        den = 22.0 + 5.0 * c_val
-        num = 0.0
-        for (ec, eh, ew), coef in self.terms.items():
-            num += float(coef) * c_val**ec * h_val**eh * w_val**ew
-        return num / den**self.denom_power if self.denom_power else num
-
     # -- exact division (needed by fraction-free elimination) -------------
 
     def exact_div(self, other: "ExactScalar") -> "ExactScalar":

@@ -33,7 +33,6 @@ so the sweep checks that one table against the free-field realization.
 The cutoff is a contract guard, not a truncation: ``check_w3_relations``,
 ``check_automorphism_identity`` and ``cyclic_gram`` raise CutoffExceeded for
 sweeps that would need levels above it.  The blocks are exact at every level.
-The dict ``State`` functions are a thin adapter over the blocks.
 """
 
 from __future__ import annotations
@@ -47,20 +46,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .verma import (ModeWord, Ring, bracket, enumerate_basis, lambda_terms,
-                    partitions)
-
-PRUNE_TOL = 1e-14
+from .verma import (ModeWord, Ring, _leading, bracket, enumerate_basis,
+                    lambda_terms, partitions)
 
 VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
 BiKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-State = Dict[BiKey, complex]
 # (lowest target level, highest target level, stacked matrix); the matrix is
 # a numpy array or, for assembled two-current blocks, a _Sparse
 Block = Tuple[int, int, "np.ndarray | _Sparse"]
-
-VACUUM_KEY: BiKey = ((), ())
 
 
 class CutoffExceeded(RuntimeError):
@@ -84,11 +78,6 @@ def rho_prime_coefficient(n: int) -> complex:
     return -1j * n * rho_coefficient(n)
 
 
-def rho_coefficients(max_order: int) -> Dict[int, complex]:
-    """Expansion coefficients rho_n for |n| <= max_order."""
-    return {n: rho_coefficient(n) for n in range(-max_order, max_order + 1)}
-
-
 def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
     """Residuals of rho^2/2 + 1/2 - rho' per mode, in exact arithmetic.
 
@@ -110,7 +99,7 @@ def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# bases and states
+# bases
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -118,11 +107,6 @@ def level_keys(level: int) -> Tuple[BiKey, ...]:
     """The bicolored-partition keys of one total level, sector-1-major."""
     return tuple((p1, p2) for l1 in range(level + 1)
                  for p1 in partitions(l1) for p2 in partitions(level - l1))
-
-
-@lru_cache(maxsize=None)
-def _level_index(level: int) -> Dict[BiKey, int]:
-    return {k: i for i, k in enumerate(level_keys(level))}
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +130,14 @@ def level_norms(level: int) -> np.ndarray:
     return out
 
 
+def _norms_upto(top: int) -> np.ndarray:
+    """Fock norms, not squared, of the basis vectors of V_0 + ... + V_top."""
+    return np.sqrt(np.concatenate([level_norms(t) for t in range(top + 1)]))
+
+
 def basis_keys(max_level: int) -> List[BiKey]:
     """All bicolored-partition keys of level <= max_level, ordered."""
     return [k for lev in range(max_level + 1) for k in level_keys(lev)]
-
-
-def key_level(key: BiKey) -> int:
-    return sum(key[0]) + sum(key[1])
 
 
 def key_norm_sq(key: BiKey) -> float:
@@ -166,25 +151,6 @@ def key_norm_sq(key: BiKey) -> float:
             mult = len(list(group))
             out *= float(p) ** mult * math.factorial(mult)
     return out
-
-
-def state_inner(u: State, v: State) -> complex:
-    """Hermitian Fock form, conjugate-linear in the first argument."""
-    return sum((u[k].conjugate() * v[k] * key_norm_sq(k)
-                for k in u.keys() & v.keys()), start=0j)
-
-
-def state_norm(u: State) -> float:
-    return math.sqrt(max(state_inner(u, u).real, 0.0))
-
-
-def state_prune(u: State) -> State:
-    """Drop entries below PRUNE_TOL; non-finite entries are kept."""
-    return {k: c for k, c in u.items() if not abs(c) < PRUNE_TOL}
-
-
-def vacuum_state() -> State:
-    return {VACUUM_KEY: 1.0 + 0j}
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +415,7 @@ class Realization:
     shift1 optionally adds scalar mode shifts to current 1 (used to realize
     the current-algebra automorphisms); it must vanish for positive indices.
 
-    Mode specs: ("a" | "j2" | "j3", current, n), ("T1k", n), ("L", n),
-    ("W", n).
+    Mode specs: ("L", n), ("W", n).
     """
 
     def __init__(self, params: RealizationParams, variant: str = "raw",
@@ -469,14 +434,8 @@ class Realization:
         """The block of a mode on V_level, built on first use."""
         key = (spec, level)
         if key not in self._blocks:
-            kind, n = spec[0], spec[-1]
-            if kind in ("a", "j2", "j3"):
-                rows = [(1.0, kind, "1") if spec[1] == 1 else (1.0, "1", kind)]
-            elif kind == "T1k":
-                rows = [(1.0, "T1k", "1")]
-            else:
-                rows = self._fields[kind]
-            self._blocks[key] = self._assemble(n, rows, level)
+            kind, n = spec
+            self._blocks[key] = self._assemble(n, self._fields[kind], level)
         return self._blocks[key]
 
     def _then(self, spec: Tuple, blk: Optional[Block]) -> Optional[Block]:
@@ -531,24 +490,6 @@ class Realization:
         lo = next((t for t in range(hi)
                    if out[_FOCK.cum(t):_FOCK.cum(t + 1)].any()), hi)
         return lo, hi, _Sparse(out[_FOCK.cum(lo):])
-
-    def _state_apply(self, spec: Tuple, state: State) -> State:
-        by_level: Dict[int, State] = {}
-        for key, coef in state.items():
-            by_level.setdefault(key_level(key), {})[key] = coef
-        out: State = {}
-        for level, part in by_level.items():
-            index = _level_index(level)
-            x = np.zeros((len(index), 1), dtype=complex)
-            for key, coef in part.items():
-                x[index[key], 0] += coef
-            blk = self._then(spec, (level, level, x))
-            if blk is None:
-                continue
-            keys = [k for t in range(blk[0], blk[1] + 1) for k in level_keys(t)]
-            for i in np.flatnonzero(blk[2][:, 0]):
-                out[keys[i]] = out.get(keys[i], 0j) + complex(blk[2][i, 0])
-        return state_prune(out)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +642,7 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
     exhibit a visible defect.
     """
     real = Realization(params, "vacuumModified")
-    norm = np.sqrt(np.concatenate([level_norms(lev)
-                                   for lev in range(test_level + 1)]))
+    norm = _norms_upto(test_level)
     modes = range(-max_mode_index, max_mode_index + 1)
 
     def hat(spec):
@@ -742,11 +682,16 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
 def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
     """Norms of L_{-1} O, W_{-1} O, W_{-2} O in the vacuumModified realization.
 
-    All three vanish when q1 = q2 = 0.
+    All three vanish when q1 = q2 = 0.  Each is the image of O under the
+    mode's level-0 block, weighted by the Fock norms of its rows.
     """
     real = Realization(params, "vacuumModified")
-    return {f"{f}{n}": state_norm(real._state_apply((f, n), vacuum_state()))
-            for f, n in (("L", -1), ("W", -1), ("W", -2))}
+    out = {}
+    for f, n in (("L", -1), ("W", -1), ("W", -2)):
+        rows, m = _FOCK.rows_upto(real._block((f, n), 0), -n)
+        out[f"{f}{n}"] = float(np.linalg.norm(_norms_upto(-n)[rows]
+                                              * m[:, 0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -770,21 +715,6 @@ class CyclicGram:
         return "\n".join(lines) + "\n"
 
 
-def _leftmost(word: ModeWord) -> Tuple[Tuple, ModeWord]:
-    """The leftmost mode of a nonempty word and the word it acts on."""
-    if word.lpart:
-        return ("L", -word.lpart[0]), ModeWord(word.lpart[1:], word.wpart)
-    return ("W", -word.wpart[0]), ModeWord((), word.wpart[1:])
-
-
-def word_state(real: Realization, word: ModeWord) -> State:
-    """The realized vector for an ordered mode word (rightmost mode first)."""
-    if not word.lpart and not word.wpart:
-        return vacuum_state()
-    spec, rest = _leftmost(word)
-    return real._state_apply(spec, word_state(real, rest))
-
-
 def cyclic_gram(variant: str, params: RealizationParams, level: int,
                 margin: int = 2) -> CyclicGram:
     """Gram matrix of the cyclic subspace words of level <= level.
@@ -803,14 +733,13 @@ def cyclic_gram(variant: str, params: RealizationParams, level: int,
     vecs = np.zeros((_FOCK.cum(level + 1), len(words)), dtype=complex)
     vecs[0, 0] = 1.0  # the empty word
     for j, w in enumerate(words[1:], start=1):
-        spec, rest = _leftmost(w)
+        gen, n, rest = _leading(w)
         src = vecs[:_FOCK.cum(rest.level + 1), column[rest], None]
-        blk = real._then(spec, (0, rest.level, src))
+        blk = real._then((gen, n), (0, rest.level, src))
         if blk is not None:  # None: a null vector such as L_-1 Omega
             rows, m = _FOCK.rows_upto(blk, level)
             vecs[rows, j] = m[:, 0]
-    vecs *= np.sqrt(np.concatenate([level_norms(lev)
-                                    for lev in range(level + 1)]))[:, None]
+    vecs *= _norms_upto(level)[:, None]
     gram = vecs.conj().T @ vecs
     del vecs
     herm = gram.conj().T

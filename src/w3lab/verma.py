@@ -317,32 +317,12 @@ class Engine:
         return vec.get(OMEGA, zero)
 
 
-# ---------------------------------------------------------------------------
-# the symbolic engine through module functions
-# ---------------------------------------------------------------------------
-
-def apply_mode(gen: str, n: int, vec: VermaVector) -> VermaVector:
-    """Exact action of L_n or W_n on a symbolic vector, in the ordered basis."""
-    return Engine().apply_mode(gen, n, vec)
-
-
-def apply_lambda(s: int, vec: VermaVector) -> VermaVector:
-    """Action of Lambda_s on a symbolic vector."""
-    return Engine().apply_lambda(s, vec)
-
-
-def inner_product(u: ModeWord, v: ModeWord) -> ExactScalar:
-    """Symbolic <u Omega, v Omega>; see Engine.inner_product."""
-    return Engine().inner_product(u, v)
-
-
 def clear_cache() -> None:
     """Reset the rewriting memo.
 
-    Every call of the module functions above, and every Gram build, runs on
-    a fresh Engine whose memo lives only as long as that call, so there is
-    no shared memo left to clear.  Kept for callers that reset it between
-    runs.
+    Every Gram build runs on a fresh Engine whose memo lives only as long as
+    that call, so there is no shared memo left to clear.  Kept for callers
+    that reset it between runs.
     """
 
 

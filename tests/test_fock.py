@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fock_states import (VACUUM_KEY, key_level, state_apply, state_inner,
+                         state_norm, vacuum_state, word_state)
 from w3lab import verma
 from w3lab.fock import (CutoffExceeded, Realization, RealizationParams,
-                        VACUUM_KEY, basis_keys, check_automorphism_identity,
+                        basis_keys, check_automorphism_identity,
                         check_w3_relations, check_weak_symmetry, cyclic_gram,
-                        key_level, key_norm_sq, rho_coefficient,
-                        rho_coefficients,
-                        solve_w_triple, state_inner, state_norm,
-                        vacuum_state, verify_rho_ode, word_state,
-                        zero_vector_norms)
+                        key_norm_sq, rho_coefficient, solve_w_triple,
+                        verify_rho_ode, zero_vector_norms)
 
 OM = vacuum_state()
 
@@ -31,18 +30,18 @@ def params(**kw):
 
 def test_current_commutator_on_vacuum():
     real = Realization(params())
-    v = real._state_apply(("a", 1, 1), real._state_apply(("a", 1, -1), OM))
+    v = state_apply(real, ("a", 1, 1), state_apply(real, ("a", 1, -1), OM))
     assert v == {VACUUM_KEY: 1.0 + 0j}
 
 
 def test_zero_mode_reads_lowest_weight():
     real = Realization(params(q1=0.7, q2=-0.2))
-    assert real._state_apply(("a", 1, 0), OM) == {VACUUM_KEY: 0.7 + 0j}
-    assert real._state_apply(("a", 2, 0), OM) == {VACUUM_KEY: -0.2 + 0j}
+    assert state_apply(real, ("a", 1, 0), OM) == {VACUUM_KEY: 0.7 + 0j}
+    assert state_apply(real, ("a", 2, 0), OM) == {VACUUM_KEY: -0.2 + 0j}
 
 
 def test_annihilation_of_vacuum():
-    assert Realization(params())._state_apply(("a", 2, 3), OM) == {}
+    assert state_apply(Realization(params()), ("a", 2, 3), OM) == {}
 
 
 def test_heisenberg_relations_on_states():
@@ -57,10 +56,8 @@ def test_heisenberg_relations_on_states():
         n = rng.randint(-2, 2)
         j1 = rng.choice((1, 2))
         j2 = rng.choice((1, 2))
-        a = real._state_apply(("a", j1, m),
-                              real._state_apply(("a", j2, n), v))
-        b = real._state_apply(("a", j2, n),
-                              real._state_apply(("a", j1, m), v))
+        a = state_apply(real, ("a", j1, m), state_apply(real, ("a", j2, n), v))
+        b = state_apply(real, ("a", j2, n), state_apply(real, ("a", j1, m), v))
         r = {k: a.get(k, 0j) - b.get(k, 0j) for k in set(a) | set(b)}
         if j1 == j2 and m + n == 0 and m != 0:
             r[key] = r.get(key, 0j) - m
@@ -78,8 +75,8 @@ def test_fock_form_hermitian_and_norms():
         u, v = {ku: 1.0 + 0j}, {kv: 1.0 + 0j}
         n = rng.randint(1, 3)
         j = rng.choice((1, 2))
-        lhs = state_inner(real._state_apply(("a", j, -n), u), v)
-        rhs = state_inner(u, real._state_apply(("a", j, n), v))
+        lhs = state_inner(state_apply(real, ("a", j, -n), u), v)
+        rhs = state_inner(u, state_apply(real, ("a", j, n), v))
         assert abs(lhs - rhs) < 1e-12
     assert key_norm_sq(((3, 1, 1), ())) == 3.0 * 1.0 * 1.0 * 2
     assert key_norm_sq(((), (2, 2, 2))) == 2.0 ** 3 * 6
@@ -90,7 +87,7 @@ def test_grading_exactness_and_cutoff():
     real = Realization(p, "raw")
     for n in (-2, 0, 1, 3):
         for spec in (("a", 1, n), ("j2", 2, n), ("j3", 2, n)):
-            op_out = real._state_apply(spec, {((2, 1), (1,)): 1.0})
+            op_out = state_apply(real, spec, {((2, 1), (1,)): 1.0})
             for k in op_out:
                 assert key_level(k) == 4 - n
 
@@ -101,14 +98,14 @@ def test_grading_exactness_and_cutoff():
 
 def test_normal_square_zero_mode_is_half_q_squared():
     real = Realization(params(q1=0.6))
-    out = real._state_apply(("j2", 1, 0), OM)
+    out = state_apply(real, ("j2", 1, 0), OM)
     assert abs(out[VACUUM_KEY] - 0.36) < 1e-14
     for n in (1, 2, 5):
-        assert real._state_apply(("j2", 1, n), OM) == {}
+        assert state_apply(real, ("j2", 1, n), OM) == {}
 
 
 def test_normal_cube_zero_mode_is_q_cubed():
-    out = Realization(params(q2=-0.8))._state_apply(("j3", 2, 0), OM)
+    out = state_apply(Realization(params(q2=-0.8)), ("j3", 2, 0), OM)
     assert abs(out[VACUUM_KEY] - (-0.512)) < 1e-14
 
 
@@ -117,7 +114,7 @@ def _brute_normal_product(real, which, indices, state):
     ordered = sorted(indices)  # annihilators (largest) must act first
     out = dict(state)
     for idx in reversed(ordered):
-        out = real._state_apply(("a", which, idx), out)
+        out = state_apply(real, ("a", which, idx), out)
         if not out:
             return {}
     return out
@@ -139,7 +136,7 @@ def test_normal_powers_against_brute_force():
                 d = _brute_normal_product(real, 1, (k, N - k), v)
                 for kk, cc in d.items():
                     expect[kk] = expect.get(kk, 0j) + cc
-            got = real._state_apply(("j2", 1, N), v)
+            got = state_apply(real, ("j2", 1, N), v)
             allk = set(expect) | set(got)
             assert max((abs(expect.get(k, 0j) - got.get(k, 0j))
                         for k in allk), default=0.0) < 1e-12
@@ -151,7 +148,7 @@ def test_single_current_canonical_virasoro_c1():
     real = Realization(p, "raw")
     keys = basis_keys(2)
     def L(n, v):
-        d = real._state_apply(("j2", 1, n), v)
+        d = state_apply(real, ("j2", 1, n), v)
         return {k: 0.5 * c for k, c in d.items()}
     for m in range(-2, 3):
         for n in range(-2, 3):
@@ -179,8 +176,7 @@ def test_rho_coefficients():
     assert rho_coefficient(0) == 1j
     assert rho_coefficient(-1) == -2j
     assert rho_coefficient(2) == 0
-    table = rho_coefficients(3)
-    assert table[-2] == 2j and table[1] == 0 and table[0] == 1j
+    assert rho_coefficient(-2) == 2j and rho_coefficient(1) == 0
 
 
 def test_rho_ode_exact():
@@ -201,15 +197,15 @@ def test_lowest_weight_eigenvalues(variant):
     p = params(kappa=0.75, q1=0.4, q2=-0.6)
     h, w = p.lowest_weights(variant)
     real = Realization(p, variant)
-    tv, mv = real._state_apply(("L", 0), OM), real._state_apply(("W", 0), OM)
+    tv, mv = state_apply(real, ("L", 0), OM), state_apply(real, ("W", 0), OM)
     assert abs(tv.get(VACUUM_KEY, 0j) - h) < 1e-12
     assert abs(mv.get(VACUUM_KEY, 0j) - w) < 1e-12
     assert all(k == VACUUM_KEY for k in tv)
     assert all(k == VACUUM_KEY for k in mv)
     # positive modes annihilate the lowest weight vector
     for n in (1, 2, 3):
-        assert real._state_apply(("L", n), OM) == {}
-        assert real._state_apply(("W", n), OM) == {}
+        assert state_apply(real, ("L", n), OM) == {}
+        assert state_apply(real, ("W", n), OM) == {}
 
 
 def test_unitary_family_weights_match_formula():
@@ -230,6 +226,17 @@ def test_zero_vectors_vanish_at_vacuum():
 def test_zero_vectors_survive_at_nonzero_weight():
     norms = zero_vector_norms(params(kappa=1.0, q2=0.7))
     assert max(norms.values()) > 1e-3
+
+
+def test_zero_vector_norms_match_the_dict_reference():
+    for kap, q1, q2 in ((1.0, 0.4, 0.7), (0.6, -0.3, 0.9), (2.5, 0.8, -0.2)):
+        p = params(kappa=kap, q1=q1, q2=q2)
+        real = Realization(p, "vacuumModified")
+        norms = zero_vector_norms(p)
+        for f, n in (("L", -1), ("W", -1), ("W", -2)):
+            want = state_norm(state_apply(real, (f, n), vacuum_state()))
+            assert want > 1e-3
+            assert abs(norms[f"{f}{n}"] - want) <= 1e-14 * max(1.0, want)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +260,9 @@ def test_w3_relations_guard():
 def test_commutator_example_l1_lminus1():
     p = params(kappa=1.0)
     real = Realization(p, "vacuumModified")
-    v1 = real._state_apply(("L", 1), real._state_apply(("L", -1), OM))
-    v2 = real._state_apply(("L", -1), real._state_apply(("L", 1), OM))
-    l0 = real._state_apply(("L", 0), OM)
+    v1 = state_apply(real, ("L", 1), state_apply(real, ("L", -1), OM))
+    v2 = state_apply(real, ("L", -1), state_apply(real, ("L", 1), OM))
+    l0 = state_apply(real, ("L", 0), OM)
     r = dict(v1)
     for k, c in v2.items():
         r[k] = r.get(k, 0j) - c
@@ -287,7 +294,7 @@ def test_automorphism_identity_zero_mode_shift():
     p = params(kappa=kappa, cutoff=8)
     shifted = Realization(p, "raw",
                           shift1=lambda n: kappa * rho_coefficient(n))
-    out = shifted._state_apply(("T1k", 0), OM)
+    out = state_apply(shifted, ("T1k", 0), OM)
     assert abs(out[VACUUM_KEY] - 0.5) < 1e-14
 
 
@@ -371,8 +378,8 @@ def test_cross_oracle_agreement_single_point(engine):
     c = p.central_charge
     for i, wi in enumerate(cg.words):
         for j, wj in enumerate(cg.words):
-            exact = engine.inner_product(wi, wj).evaluate_float(
-                c, h.real, w.real)
+            exact = float(engine.inner_product(wi, wj).evaluate(
+                c, h.real, w.real))
             got = cg.gram[i, j]
             assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
 
@@ -388,7 +395,8 @@ def test_vacuum_cyclic_gram_is_the_canonical_form(engine):
         c = p.central_charge
         for i, wi in enumerate(cg.words):
             for j, wj in enumerate(cg.words):
-                exact = engine.inner_product(wi, wj).evaluate_float(c, 0.0, 0.0)
+                exact = float(
+                    engine.inner_product(wi, wj).evaluate(c, 0.0, 0.0))
                 assert abs(cg.gram[i, j] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
@@ -410,8 +418,8 @@ def test_nonvacuum_twisted_form_is_not_the_canonical_one(engine):
     mismatch = 0.0
     for i, wi in enumerate(cg.words):
         for j, wj in enumerate(cg.words):
-            exact = engine.inner_product(wi, wj).evaluate_float(c, h.real,
-                                                               w.real)
+            exact = float(engine.inner_product(wi, wj).evaluate(
+                c, h.real, w.real))
             mismatch = max(mismatch, abs(cg.gram[i, j] - exact))
     assert mismatch > 1e-2
 
@@ -423,8 +431,8 @@ def test_cross_oracle_agreement_level4(engine):
     c = p.central_charge
     for i, wi in enumerate(cg.words):
         for j, wj in enumerate(cg.words):
-            exact = engine.inner_product(wi, wj).evaluate_float(
-                c, h.real, w.real)
+            exact = float(engine.inner_product(wi, wj).evaluate(
+                c, h.real, w.real))
             got = cg.gram[i, j]
             assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
 
@@ -440,7 +448,7 @@ def test_virasoro_only_gram_block_diagonal_across_levels():
         for w in words:
             v = vacuum_state()
             for m in reversed(w.lpart):
-                v = real._state_apply(("T1k", -m), v)
+                v = state_apply(real, ("T1k", -m), v)
             vecs.append((w.level, v))
         for (la, va) in vecs:
             for (lb, vb) in vecs:
@@ -466,9 +474,9 @@ def test_word_state_matches_mode_composition():
     real = Realization(p, "unitaryFamily")
     w = verma.ModeWord((1, 2), (1,))
     v = word_state(real, w)
-    manual = real._state_apply(
-        ("L", -1), real._state_apply(
-            ("L", -2), real._state_apply(("W", -1), vacuum_state())))
+    manual = state_apply(real, 
+        ("L", -1), state_apply(real, 
+            ("L", -2), state_apply(real, ("W", -1), vacuum_state())))
     allk = set(v) | set(manual)
     assert max((abs(v.get(k, 0j) - manual.get(k, 0j)) for k in allk),
                default=0.0) < 1e-12
@@ -491,8 +499,8 @@ def test_weak_symmetry_control_matches_pairwise_fock_form():
     p = params(kappa=1.0, cutoff=8)
     real = Realization(p, "vacuumModified")
     vecs = [{k: 1.0 / math.sqrt(key_norm_sq(k))} for k in basis_keys(2)]
-    loop = max(abs(state_inner(real._state_apply(("L", -n), u), v)
-                   - state_inner(u, real._state_apply(("L", n), v)))
+    loop = max(abs(state_inner(state_apply(real, ("L", -n), u), v)
+                   - state_inner(u, state_apply(real, ("L", n), v)))
                for n in (1, 2) for u in vecs for v in vecs)
     rep = check_weak_symmetry(p, max_mode_index=2, test_level=2)
     assert loop > 1e-3
@@ -524,7 +532,7 @@ def test_vacuum_gram_rank_is_the_w3_vacuum_character():
 
 def test_non_finite_coefficients_are_never_pruned():
     p = params(q1=float("nan"))
-    out = Realization(p, "raw")._state_apply(("a", 1, 0), OM)
+    out = state_apply(Realization(p, "raw"), ("a", 1, 0), OM)
     assert math.isnan(out[VACUUM_KEY].real)
     rep = check_w3_relations("raw", p, max_mode_index=1, max_level=1)
     assert math.isnan(rep["maxResidual"])

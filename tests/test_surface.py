@@ -14,12 +14,18 @@ MODULES = ("verma", "kac", "fock", "exact")
 
 REMOVED = {
     "w3lab": ["AlphaInvariants", "BigRational", "Mode", "ModeOperator",
-              "current_mode", "normal_power_mode", "fz_field_mode"],
+              "current_mode", "normal_power_mode", "fz_field_mode",
+              "apply_mode", "inner_product", "rho_coefficients"],
     "w3lab.kac": ["AlphaInvariants", "_f_sum"],
-    "w3lab.verma": ["Mode", "apply"],
+    "w3lab.verma": ["Mode", "apply", "apply_mode", "apply_lambda",
+                    "inner_product"],
     "w3lab.exact": ["BigRational"],
     "w3lab.fock": ["ModeOperator", "current_mode", "normal_power_mode",
-                   "fz_field_mode"],
+                   "fz_field_mode", "rho_coefficients", "State",
+                   "VACUUM_KEY", "PRUNE_TOL", "_level_index", "key_level",
+                   "state_inner", "state_norm", "state_prune",
+                   "vacuum_state", "word_state", "_leftmost"],
+    "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES"],
 }
 
 
@@ -40,7 +46,9 @@ def test_removed_members_are_gone():
     assert not hasattr(verma.GramMatrix, "evaluate_float")
     assert not hasattr(exact.ExactScalar, "is_rational")
     assert not hasattr(exact.ExactScalar, "as_fraction")
+    assert not hasattr(exact.ExactScalar, "evaluate_float")
     assert not hasattr(fock.Realization, "_a_state")
+    assert not hasattr(fock.Realization, "_state_apply")
     assert "eta" not in fock.RealizationParams.__dataclass_fields__
 
 

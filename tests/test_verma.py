@@ -11,9 +11,8 @@ from w3lab import kac, modular, verma
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.verma import (GramMatrix, LevelTooLarge, ModeWord, OMEGA,
-                         apply_lambda, apply_mode, determinant,
-                         determinant_at, enumerate_basis, gram_matrix,
-                         inner_product, point_ring, rational_determinant,
+                         determinant, determinant_at, enumerate_basis,
+                         gram_matrix, point_ring, rational_determinant,
                          SYMBOLIC, bracket, Engine)
 
 L1 = ModeWord((1,), ())
@@ -64,31 +63,31 @@ def test_mode_word_validation():
 # apply_mode
 # ---------------------------------------------------------------------------
 
-def test_apply_l1_to_lminus1():
-    assert apply_mode("L", 1, as_vec(L1)) == {OMEGA: scalar(2) * H}
+def test_apply_l1_to_lminus1(engine):
+    assert engine.apply_mode("L", 1, as_vec(L1)) == {OMEGA: scalar(2) * H}
 
 
-def test_positive_modes_annihilate():
-    assert apply_mode("L", 5, as_vec(OMEGA)) == {}
-    assert apply_mode("W", 3, as_vec(OMEGA)) == {}
+def test_positive_modes_annihilate(engine):
+    assert engine.apply_mode("L", 5, as_vec(OMEGA)) == {}
+    assert engine.apply_mode("W", 3, as_vec(OMEGA)) == {}
 
 
-def test_apply_l1_to_wminus1():
-    assert apply_mode("L", 1, as_vec(W1)) == {OMEGA: scalar(3) * W}
+def test_apply_l1_to_wminus1(engine):
+    assert engine.apply_mode("L", 1, as_vec(W1)) == {OMEGA: scalar(3) * W}
 
 
-def test_zero_modes_read_weights():
-    assert apply_mode("L", 0, as_vec(OMEGA)) == {OMEGA: H}
-    assert apply_mode("W", 0, as_vec(OMEGA)) == {OMEGA: W}
+def test_zero_modes_read_weights(engine):
+    assert engine.apply_mode("L", 0, as_vec(OMEGA)) == {OMEGA: H}
+    assert engine.apply_mode("W", 0, as_vec(OMEGA)) == {OMEGA: W}
 
 
-def test_apply_mode_rejects_unknown_generator():
+def test_apply_mode_rejects_unknown_generator(engine):
     with pytest.raises(ValueError):
-        apply_mode("X", 0, as_vec(OMEGA))
+        engine.apply_mode("X", 0, as_vec(OMEGA))
 
 
-def test_creation_keeps_words_ordered():
-    v = apply_mode("L", -2, as_vec(L1))
+def test_creation_keeps_words_ordered(engine):
+    v = engine.apply_mode("L", -2, as_vec(L1))
     # L_{-2} L_{-1} O reorders to L_{-1} L_{-2} O plus the commutator term
     assert set(v) == {ModeWord((1, 2), ()), ModeWord((3,), ())}
     assert v[ModeWord((3,), ())] == scalar(-1)
@@ -98,25 +97,26 @@ def test_creation_keeps_words_ordered():
 # inner products
 # ---------------------------------------------------------------------------
 
-def test_inner_product_normalization():
-    assert inner_product(OMEGA, OMEGA) == ONE
+def test_inner_product_normalization(engine):
+    assert engine.inner_product(OMEGA, OMEGA) == ONE
 
 
-def test_inner_product_level1():
-    assert inner_product(L1, L1) == scalar(2) * H
-    assert inner_product(L1, W1) == scalar(3) * W
+def test_inner_product_level1(engine):
+    assert engine.inner_product(L1, L1) == scalar(2) * H
+    assert engine.inner_product(L1, W1) == scalar(3) * W
     # derived by hand from [W_1, W_-1] = 2 b^2 Lambda_0 - (1/5) L_0
-    ww = inner_product(W1, W1)
+    ww = engine.inner_product(W1, W1)
     expect = (scalar(32) * H * H + scalar(2) * H - C * H).exact_div(DEN)
     assert ww == expect
 
 
-def test_inner_product_cross_level_vanishes():
-    assert inner_product(L1, L2) == ZERO
+def test_inner_product_cross_level_vanishes(engine):
+    assert engine.inner_product(L1, L2) == ZERO
 
 
-def test_level2_hand_checked_entries():
+def test_level2_hand_checked_entries(engine):
     # Virasoro block
+    inner_product = engine.inner_product
     assert inner_product(L2, L2) == scalar(4) * H + C * scalar(Fraction(1, 2))
     L11 = ModeWord((1, 1), ())
     assert inner_product(L2, L11) == scalar(6) * H
@@ -208,12 +208,13 @@ def test_bracket_table_is_antisymmetric():
                     assert table(g1, m, g2, n) == neg, (g1, m, g2, n)
 
 
-def test_lambda_finite_ranges_are_complete():
+def test_lambda_finite_ranges_are_complete(engine):
     """Widening the mode sums beyond the stated ranges changes nothing."""
+    apply = engine.apply_mode
     for word in enumerate_basis(2) + enumerate_basis(3):
         lev = word.level
         for s in (-2, 0, 1, 3):
-            tight = apply_lambda(s, as_vec(word))
+            tight = engine.apply_lambda(s, as_vec(word))
             wide = {}
             def acc(v, scale):
                 for w2, c2 in v.items():
@@ -223,12 +224,10 @@ def test_lambda_finite_ranges_are_complete():
                     elif w2 in wide:
                         del wide[w2]
             for k in range(-1, lev + 6):
-                acc(apply_mode("L", s - k, apply_mode("L", k, as_vec(word))),
-                    ONE)
+                acc(apply("L", s - k, apply("L", k, as_vec(word))), ONE)
             for k in range(s - lev - 6, -1):
-                acc(apply_mode("L", k, apply_mode("L", s - k, as_vec(word))),
-                    ONE)
-            acc(apply_mode("L", s, as_vec(word)),
+                acc(apply("L", k, apply("L", s - k, as_vec(word))), ONE)
+            acc(apply("L", s, as_vec(word)),
                 scalar(Fraction(-3 * (s + 2) * (s + 3), 10)))
             assert tight == wide
 
