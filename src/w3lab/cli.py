@@ -205,12 +205,16 @@ def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
     """Level-N Gram matrix of the canonical invariant form.
 
     With --c/--h/--w the matrix and its determinant are computed exactly
-    over Q at that point; otherwise the symbolic matrix is printed.
+    over Q at that point; with none of them the symbolic matrix is printed.
+    Some but not all of the three is BadArguments.
     """
     if level < 0:
         _fail(1, "BadArguments", "--level must be nonnegative")
     point = (c_val, h_val, w_val)
-    if symbolic or c_val is None:
+    given = sum(v is not None for v in point)
+    if given not in (0, 3):
+        _fail(1, "BadArguments", "--c/--h/--w must be given together")
+    if symbolic or not given:
         try:
             g = _gram_cached(level, level_cap)
         except verma.LevelTooLarge as e:
@@ -222,8 +226,6 @@ def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
                 click.echo(f"{word.label():16s} "
                            + "  ".join(str(e) for e in row))
         return
-    if any(v is None for v in point):
-        _fail(1, "BadArguments", "--c/--h/--w must be given together")
     try:
         # the level cap is reported before a pole, as on the symbolic path
         verma.check_level(level, level_cap)
@@ -468,6 +470,8 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
     eigensolver scales with it.
     """
     _require_finite(kappa=kappa)
+    if level < 0:
+        _fail(1, "BadArguments", "--level must be nonnegative")
     if not 0 < psd_tol < math.inf:
         _fail(1, "BadArguments",
               f"--psd-tol must be positive and finite, got {psd_tol}")

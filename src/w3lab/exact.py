@@ -4,7 +4,9 @@ Scalars live in the ring of polynomials in the central charge ``c`` and the
 two lowest weights ``h``, ``w`` with arbitrary-precision rational
 coefficients, divided by a nonnegative power of ``(22+5c)``.  Every quantity
 the reduction engine produces has exactly this shape, so the ring is closed
-under all operations we need and structural equality is decidable.
+under all operations we need and structural equality is decidable.  Those
+are +, -, * and powers: nothing divides one scalar by another, since the
+symbolic determinant (``verma.determinant``) is an expansion in minors.
 
 No floating point is used anywhere in this module: sign decisions near the
 vanishing locus of determinants are ill-conditioned, so everything is kept
@@ -31,7 +33,7 @@ class PoleAtForbiddenCentralCharge(ValueError):
 
 
 def _monomial_sort_key(m: Monomial):
-    # graded lexicographic with c > h > w; used for printing and division
+    # graded lexicographic with c > h > w; used for printing
     return (m[0] + m[1] + m[2], m[0], m[1], m[2])
 
 
@@ -199,30 +201,6 @@ class ExactScalar:
             num += coef * c_val**ec * h_val**eh * w_val**ew
         return num / den**self.denom_power if self.denom_power else num
 
-    # -- exact division (needed by fraction-free elimination) -------------
-
-    def exact_div(self, other: "ExactScalar") -> "ExactScalar":
-        """Divide by ``other`` assuming the quotient lies in the ring."""
-        other = ExactScalar._coerce(other)
-        if not other:
-            raise ZeroDivisionError("exact_div by zero")
-        if not self:
-            return ZERO
-        # strip (22+5c) factors from the divisor numerator
-        num = dict(other.terms)
-        extra = 0
-        while True:
-            reduced = _divide_poly_by_den(num)
-            if reduced is None:
-                break
-            num = reduced
-            extra += 1
-        quo = _poly_exact_div(self.terms, num)
-        power = self.denom_power + extra - other.denom_power
-        if power >= 0:
-            return ExactScalar(quo, power)
-        return ExactScalar(_scale_by_den(quo, -power), 0)
-
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
@@ -270,30 +248,6 @@ def _scale_by_den(terms: Dict[Monomial, Fraction], k: int):
             nxt[m1] = nxt.get(m1, Fraction(0)) + _DEN_LIN * coef
         out = {m: c for m, c in nxt.items() if c != 0}
     return out
-
-
-def _poly_exact_div(num: Dict[Monomial, Fraction],
-                    den: Dict[Monomial, Fraction]) -> Dict[Monomial, Fraction]:
-    """Multivariate exact polynomial division (remainder must vanish)."""
-    rem = dict(num)
-    lead_den = max(den, key=_monomial_sort_key)
-    cden = den[lead_den]
-    quo: Dict[Monomial, Fraction] = {}
-    while rem:
-        lead = max(rem, key=_monomial_sort_key)
-        exps = tuple(a - b for a, b in zip(lead, lead_den))
-        if any(e < 0 for e in exps):
-            raise ArithmeticError("exact_div: divisor does not divide")
-        q = rem[lead] / cden
-        quo[exps] = quo.get(exps, Fraction(0)) + q
-        for m, c in den.items():
-            mm = (m[0] + exps[0], m[1] + exps[1], m[2] + exps[2])
-            r = rem.get(mm, Fraction(0)) - q * c
-            if r:
-                rem[mm] = r
-            else:
-                rem.pop(mm, None)
-    return quo
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,15 @@ def rho_prime_coefficient(n: int) -> complex:
 def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
     """Residuals of rho^2/2 + 1/2 - rho' per mode, in exact arithmetic.
 
-    rho_n = i * r_n with integer r_n, so the mode-n residual is
+    rho_n = i * r_n with integer r_n, read off ``rho_coefficient`` (the one
+    the realizations use), so the mode-n residual is
     -S_n/2 + delta_{n,0}/2 - n*r_n with S_n = sum_k r_k r_{n-k}; everything
     stays in Q.
     """
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
     def r(k: int) -> int:
-        if k > 0:
-            return 0
-        return 1 if k == 0 else (-2 if k % 2 else 2)
+        return int(rho_coefficient(k).imag)
     out: Dict[int, Fraction] = {}
     for n in range(-max_order, max_order + 1):
         s = sum(r(k) * r(n - k) for k in range(n, 1))
@@ -412,19 +411,16 @@ class Realization:
       raw            -- the plain free-field pair of fields
       vacuumModified -- the rho-twisted pair (weakly symmetric)
       unitaryFamily  -- the manifestly symmetric family
-    shift1 optionally adds scalar mode shifts to current 1 (used to realize
-    the current-algebra automorphisms); it must vanish for positive indices.
 
     Mode specs: ("L", n), ("W", n).
     """
 
-    def __init__(self, params: RealizationParams, variant: str = "raw",
-                 shift1: Optional[Callable[[int], complex]] = None):
+    def __init__(self, params: RealizationParams, variant: str = "raw"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         self.params = params
         self.variant = variant
-        self._currents = (_Current(params.q1, params.kappa, shift1),
+        self._currents = (_Current(params.q1, params.kappa),
                           _Current(params.q2, params.kappa))
         self._fields = field_table(variant, params.kappa, params.b)
         self._blocks: Dict[Tuple, Optional[Block]] = {}
@@ -706,13 +702,6 @@ class CyclicGram:
     gram: np.ndarray
     eigenvalues: np.ndarray
 
-    def to_csv(self) -> str:
-        def cell(x: complex) -> str:
-            return repr(x.real) if abs(x.imag) < 1e-12 else repr(x)
-        lines = ["," + ",".join(w.label() for w in self.words)]
-        for w, row in zip(self.words, self.gram):
-            lines.append(w.label() + "," + ",".join(cell(x) for x in row))
-        return "\n".join(lines) + "\n"
 
 
 def cyclic_gram(variant: str, params: RealizationParams, level: int,

@@ -33,6 +33,9 @@ Termination of the rewriting recurses on the grade
 g = 2*(number of L) + 3*(number of W), which strictly drops on every
 commutator byproduct, plus the number of out-of-order adjacent pairs, which
 drops on every swap.
+
+The symbolic determinant is an expansion in minors and never divides; the
+determinant over Q is taken multi-modularly (``w3lab.modular``).
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ class ModeWord:
     @property
     def level(self) -> int:
         return sum(self.lpart) + sum(self.wpart)
-
-    @property
-    def grade(self) -> int:
-        return 2 * len(self.lpart) + 3 * len(self.wpart)
 
     def label(self) -> str:
         if not self.lpart and not self.wpart:
@@ -449,41 +448,30 @@ def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
 # determinants
 # ---------------------------------------------------------------------------
 
-def _bareiss(m: List[List[Any]], exact_div: Callable[[Any, Any], Any], one):
-    """Determinant of a nonempty square matrix by fraction-free elimination.
-
-    ``m`` is overwritten.  ``exact_div(a, b)`` returns a / b for the b that
-    Bareiss' identity guarantees divides a; ``one`` is the ring's unit.
-    """
-    n = len(m)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        rowk = m[k]
-        if not rowk[k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], rowk
-                    sign = -sign
-                    break
-            else:
-                return rowk[k]  # a zero column: the ring's zero
-            rowk = m[k]
-        pivot = rowk[k]
-        for i in range(k + 1, n):
-            rowi = m[i]
-            a = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = exact_div(rowi[j] * pivot - a * rowk[j], prev)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
 def determinant(gram: GramMatrix) -> ExactScalar:
-    """Exact symbolic determinant by Bareiss elimination."""
-    return _bareiss([row[:] for row in gram.entries], ExactScalar.exact_div,
-                   ONE)
+    """Exact symbolic determinant by expansion in minors, with no division.
+
+    The rows are taken in turn.  After k rows, ``minors`` maps the bitmask
+    of a set of k columns to the minor on the first k rows and those
+    columns.  Row k extends each minor by one unused column j (Laplace
+    along the minor's last row), with the sign of the parity of the used
+    columns to the right of j.  That is n 2^(n-1) ring products.
+    """
+    n = gram.dimension
+    minors = {0: ONE}
+    for row in gram.entries:
+        grown: Dict[int, ExactScalar] = {}
+        for mask, minor in minors.items():
+            odd = False
+            for j in range(n - 1, -1, -1):
+                if mask >> j & 1:
+                    odd = not odd
+                elif row[j]:
+                    term = -(minor * row[j]) if odd else minor * row[j]
+                    key = mask | 1 << j
+                    grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors.get((1 << n) - 1, ZERO)
 
 
 def rational_determinant(rows: List[List[Fraction]]) -> Fraction:

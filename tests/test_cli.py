@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w3lab import cli
 from w3lab.cli import main
@@ -158,11 +160,33 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     ["region", "--c", "1/0", "--h-max", "1", "--w-max", "1", "--res", "3"],
     ["fz-check", "--max-mode", "-1"],
     ["fz-check", "--max-level", "-1"],
+    ["vacuum-spectrum", "--kappa", "1", "--level", "-1"],
+    ["gram", "--level", "1", "--h", "1", "--w", "0"],
 ])
 def test_bad_arguments(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 1
     assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cache"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(-3, 6), bound=st.integers(-3, 6))
+def test_level_options_end_in_a_documented_exit(shared_cache, level, bound):
+    """Any --level against any --cutoff or --level-cap exits 0, or with a
+    JSON error on stderr and a documented code; never a traceback."""
+    runner = CliRunner(env={"W3LAB_CACHE_DIR": shared_cache})
+    for args in (["vacuum-spectrum", "--kappa", "1", "--level", str(level),
+                  "--cutoff", str(bound)],
+                 ["gram", "--level", str(level), "--level-cap", str(bound)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code in (0, 1, 3, 6), (args, res.exception)
+        if res.exit_code:
+            assert "error" in json.loads(res.stderr), args
 
 
 def test_kac_verify_random(runner):

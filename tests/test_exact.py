@@ -123,18 +123,6 @@ def test_serialization_round_trip():
     assert str(ONE) == "1"
 
 
-def test_exact_division():
-    rng = random.Random(88)
-    for _ in range(200):
-        a, b = rand_scalar(rng), rand_scalar(rng)
-        if not b:
-            continue
-        assert (a * b).exact_div(b) == a
-    # division crossing the denominator bookkeeping
-    assert H.exact_div(H * DEN) == ExactScalar({(0, 0, 0): Fraction(1)}, 1)
-    assert (scalar(16) * DEN).exact_div(B_SQUARED) == DEN * DEN
-
-
 def test_pow():
     assert (C + ONE) ** 3 == (C + ONE) * (C + ONE) * (C + ONE)
     assert (H ** 0) == ONE

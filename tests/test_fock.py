@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fock_states import (VACUUM_KEY, key_level, state_apply, state_inner,
                          state_norm, vacuum_state, word_state)
-from w3lab import verma
+from w3lab import fock, verma
 from w3lab.fock import (CutoffExceeded, Realization, RealizationParams,
                         basis_keys, check_automorphism_identity,
                         check_w3_relations, check_weak_symmetry, cyclic_gram,
@@ -188,6 +188,14 @@ def test_rho_ode_exact():
         verify_rho_ode(1)
 
 
+def test_rho_ode_checks_the_coefficients_in_use(monkeypatch):
+    # rho_{-1} = -2i is right; +2i breaks the ODE at modes -1 and below
+    wrong = {-1: 2j}
+    monkeypatch.setattr(fock, "rho_coefficient",
+                        lambda n: wrong.get(n, rho_coefficient(n)))
+    assert max(abs(v) for v in verify_rho_ode(20).values()) > 0
+
+
 # ---------------------------------------------------------------------------
 # realized fields: lowest weight data
 # ---------------------------------------------------------------------------
@@ -291,11 +299,10 @@ def test_automorphism_identity_trivial():
 def test_automorphism_identity_zero_mode_shift():
     # kappa=1, eta=0 on the vacuum: both sides produce the 1/2 shift
     kappa = 1.0
-    p = params(kappa=kappa, cutoff=8)
-    shifted = Realization(p, "raw",
-                          shift1=lambda n: kappa * rho_coefficient(n))
-    out = state_apply(shifted, ("T1k", 0), OM)
-    assert abs(out[VACUUM_KEY] - 0.5) < 1e-14
+    shifted = fock._Current(0.0, kappa, lambda n: kappa * rho_coefficient(n))
+    lo, hi, m = shifted.block("T1k", 0, 0)
+    assert (lo, hi) == (0, 0)
+    assert abs(m[0, 0] - 0.5) < 1e-14
 
 
 def test_automorphism_identity_guards_the_cutoff():
@@ -505,12 +512,6 @@ def test_weak_symmetry_control_matches_pairwise_fock_form():
     rep = check_weak_symmetry(p, max_mode_index=2, test_level=2)
     assert loop > 1e-3
     assert abs(rep["unpairedControlDefect"] - loop) < 1e-12
-
-
-def test_cyclic_gram_csv_has_labels():
-    cg = cyclic_gram("vacuumModified", params(kappa=1.0, cutoff=6), 2)
-    text = cg.to_csv()
-    assert text.splitlines()[0].startswith(",1,L-1,W-1")
 
 
 def test_vacuum_gram_rank_is_the_w3_vacuum_character():

@@ -1,5 +1,4 @@
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3lab import kac, modular, verma
+from w3lab import kac, modular
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.verma import (GramMatrix, LevelTooLarge, ModeWord, OMEGA,
@@ -21,7 +20,7 @@ W1 = ModeWord((), (1,))
 W2 = ModeWord((), (2,))
 L1W1 = ModeWord((1,), (1,))
 
-DEN = ExactScalar({(1, 0, 0): Fraction(5), (0, 0, 0): Fraction(22)})
+INV_DEN = ExactScalar({(0, 0, 0): 1}, 1)  # 1/(22+5c)
 
 
 def as_vec(word):
@@ -106,7 +105,7 @@ def test_inner_product_level1(engine):
     assert engine.inner_product(L1, W1) == scalar(3) * W
     # derived by hand from [W_1, W_-1] = 2 b^2 Lambda_0 - (1/5) L_0
     ww = engine.inner_product(W1, W1)
-    expect = (scalar(32) * H * H + scalar(2) * H - C * H).exact_div(DEN)
+    expect = (scalar(32) * H * H + scalar(2) * H - C * H) * INV_DEN
     assert ww == expect
 
 
@@ -123,12 +122,12 @@ def test_level2_hand_checked_entries(engine):
     assert inner_product(L11, L11) == scalar(8) * H * H + scalar(4) * H
     # W block, from [W_2, W_-2] = 4 b^2 Lambda_0 + (8/5) L_0
     expect = (scalar(64) * H * H + scalar(48) * H
-              + scalar(8) * C * H).exact_div(DEN)
+              + scalar(8) * C * H) * INV_DEN
     assert inner_product(W2, W2) == expect
     assert inner_product(L2, W2) == scalar(6) * W
     # mixed, from L_1 W_-2 O = 4 W_-1 O
     expect = (scalar(128) * H * H + scalar(8) * H
-              - scalar(4) * C * H).exact_div(DEN)
+              - scalar(4) * C * H) * INV_DEN
     assert inner_product(L1W1, W2) == expect
 
 
@@ -313,6 +312,32 @@ def test_determinant_evaluation_matches_symbolic(grams):
             assert determinant_at(grams[n], *pt) == sym.evaluate(*pt)
 
 
+def _hand_gram(rows):
+    """A GramMatrix over SYMBOLIC with hand-chosen entries."""
+    return GramMatrix(0, [OMEGA] * len(rows),
+                      [[x if isinstance(x, ExactScalar) else scalar(x)
+                        for x in row] for row in rows])
+
+
+def test_determinant_of_permutation_matrices():
+    # the 3-cycle is even, the 4-cycle odd
+    even = _hand_gram([[0, C, 0], [0, 0, H], [W, 0, 0]])
+    assert determinant(even) == C * H * W
+    odd = _hand_gram([[0, C, 0, 0], [0, 0, H, 0], [0, 0, 0, W],
+                      [2, 0, 0, 0]])
+    assert determinant(odd) == scalar(-2) * C * H * W
+
+
+def test_determinant_with_zero_leading_entry():
+    g = _hand_gram([[0, H, 1], [H, C, W], [1, W, B_SQUARED]])
+    assert determinant(g) == (-B_SQUARED * H * H + scalar(2) * H * W - C)
+
+
+def test_determinant_with_equal_rows_is_zero():
+    row = [H, C, B_SQUARED]
+    assert determinant(_hand_gram([row, [1, H, W], row])) == ZERO
+
+
 # w = 0, 2 < c < 98; c > 98; c < 2 with negative w
 POINTS = [(Fraction(3), Fraction(1, 24), Fraction(0)),
           (Fraction(150), Fraction(5), Fraction(1, 3)),
@@ -402,7 +427,23 @@ def test_recursive_gram_matches_pairwise_at_a_point(pt):
 # ---------------------------------------------------------------------------
 
 def _bareiss_z(m):
-    return verma._bareiss([row[:] for row in m], operator.floordiv, 1)
+    """Determinant over Z by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def _check_integer_determinant(m):
