@@ -99,9 +99,19 @@ def constructive_family_contains(c: Fraction, h: Fraction,
 def classify(c, h, w) -> UnitarityVerdict:
     """Decide unitarity at real (c, h, w); exact when the inputs are exact."""
     c, h, w = _as_fraction(c), _as_fraction(h), _as_fraction(w)
+    _check_pole(c)
+    return _verdict(c, h, w, f11(h, c) if c >= 2 else None)
+
+
+def _check_pole(c: Fraction) -> None:
     if 22 + 5 * c == 0:
         raise PoleAtForbiddenCentralCharge("classification at c = -22/5")
 
+
+def _verdict(c: Fraction, h: Fraction, w: Fraction,
+             f11_hc: Optional[Fraction]) -> UnitarityVerdict:
+    """The verdict at (c, h, w) with c != -22/5, given f11(h, c) where
+    c >= 2 (below 2 the verdict does not read it)."""
     detail: dict = {"c": c, "h": h, "w": w}
 
     if c < 2:
@@ -113,7 +123,7 @@ def classify(c, h, w) -> UnitarityVerdict:
         return UnitarityVerdict(Status.UNKNOWN,
                                 Witness.OUT_OF_CLASSIFIED_REGION, detail)
 
-    quantity = f11(h, c) - w * w
+    quantity = f11_hc - w * w
     detail["f11_minus_w2"] = quantity
 
     if c <= 98:
@@ -152,18 +162,21 @@ def region_scan(c, h_range: Tuple, w_range: Tuple,
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
     c = _as_fraction(c)
+    _check_pole(c)
     h0, h1 = (_as_fraction(x) for x in h_range)
     w0, w1 = (_as_fraction(x) for x in w_range)
-    rows = []
+    ws = [w0 + (w1 - w0) * Fraction(j, resolution - 1)
+          for j in range(resolution)]
+    c_text, rows = str(c), []
     for i in range(resolution):
         h = h0 + (h1 - h0) * Fraction(i, resolution - 1)
+        h_text, f11_hc = str(h), f11(h, c) if c >= 2 else None
         bound_sq = constructive_bound_sq(c, h)
         bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
-        for j in range(resolution):
-            w = w0 + (w1 - w0) * Fraction(j, resolution - 1)
-            v = classify(c, h, w)
+        for w in ws:
+            v = _verdict(c, h, w, f11_hc)
             rows.append({
-                "c": str(c), "h": str(h), "w": str(w),
+                "c": c_text, "h": h_text, "w": str(w),
                 "status": v.status.value, "witness": v.witness.value,
                 "f11_minus_w2": str(v.detail.get("f11_minus_w2", "")),
                 "constructive_bound": bound,

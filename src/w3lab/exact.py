@@ -87,11 +87,20 @@ class ExactScalar:
                 break
             terms = reduced
             denom_power -= 1
-        if not terms:
-            denom_power = 0
+        self._set(terms, denom_power)
+
+    def _set(self, terms: Dict[Monomial, Fraction], denom_power: int):
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "denom_power", denom_power)
+        object.__setattr__(self, "denom_power", denom_power if terms else 0)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _canonical(terms: dict, denom_power: int) -> "ExactScalar":
+        """``terms`` (nonzero Fractions) over (22+5c)**denom_power, where the
+        numerator is known not to be divisible by 22+5c."""
+        out = object.__new__(ExactScalar)
+        out._set(terms, denom_power)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
@@ -130,8 +139,8 @@ class ExactScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar({m: -c for m, c in self.terms.items()},
-                           self.denom_power)
+        return ExactScalar._canonical(
+            {m: -c for m, c in self.terms.items()}, self.denom_power)
 
     def __sub__(self, other):
         other = ExactScalar._coerce(other)
@@ -151,6 +160,11 @@ class ExactScalar:
             for m2, c2 in other.terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+        if self.denom_power and other.denom_power:
+            # the prime 22+5c divides neither numerator, so not their product
+            return ExactScalar._canonical(
+                {m: c for m, c in terms.items() if c},
+                self.denom_power + other.denom_power)
         return ExactScalar(terms, self.denom_power + other.denom_power)
 
     __rmul__ = __mul__

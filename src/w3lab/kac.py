@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from . import verma
 from .exact import ExactScalar, PoleAtForbiddenCentralCharge
@@ -56,47 +56,27 @@ def p2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# alpha invariants and the quadratic extension
+# f_mn in the quadratic extension
 # ---------------------------------------------------------------------------
 
-class _Ext:
-    """x + y*sqrt(D) over a commutative coefficient ring."""
+def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
+    """(x, y, D) with (5c+22) f_mn = x + y sqrt(D), exact over Q or the
+    symbolic ring.
 
-    __slots__ = ("x", "y", "D")
-
-    def __init__(self, x, y, D):
-        self.x, self.y, self.D = x, y, D
-
-    def __add__(self, o):
-        return _Ext(self.x + o.x, self.y + o.y, self.D)
-
-    def __sub__(self, o):
-        return _Ext(self.x - o.x, self.y - o.y, self.D)
-
-    def __mul__(self, o):
-        return _Ext(self.x * o.x + self.y * o.y * self.D,
-                    self.x * o.y + self.y * o.x, self.D)
-
-
-def _alpha_ext(c, lift) -> Tuple[_Ext, _Ext]:
-    """alpha_+^2, alpha_-^2 as elements of the extension ring."""
-    s_half = (lift(50) - c) * lift(Fraction(1, 192))
+    With s = (50-c)/192 and alpha_pm^2 = s +- sqrt(D)/2, the two factors of
+    (5c+22) f_mn = (64/9) A B^2 are
+    A = h + (mn-4)/2 + (8-m^2-n^2) s + (m^2-n^2)/2 sqrt(D) and
+    B = h + 2(mn-1) - 4(m^2+n^2-2) s + 2(m^2-n^2) sqrt(D).
+    """
+    s = (50 - c) * Fraction(1, 192)
     # D = (2-c)(98-c)/9216, so sqrt(D) = sqrt((2-c)(98-c))/96
-    D = (lift(2) - c) * (lift(98) - c) * lift(Fraction(1, 9216))
-    half = lift(Fraction(1, 2))
-    return (_Ext(s_half, half, D), _Ext(s_half, -half, D))
-
-
-def _f_mn_ext(m: int, n: int, h, c, lift) -> _Ext:
-    """(5c+22) * f_mn in the extension ring; exact for numeric or symbolic h, c."""
-    ap, am = _alpha_ext(c, lift)
-    D = ap.D
-    lz = lambda q: _Ext(lift(q), lift(0), D)
-    A = (lz(Fraction(m * n - 4, 2)) + _Ext(h, lift(0), D)
-         + lz(4 - n * n) * ap + lz(4 - m * m) * am)
-    B = (lz(-2 * (1 - m * n)) + _Ext(h, lift(0), D)
-         + lz(-4 * (n * n - 1)) * ap + lz(-4 * (m * m - 1)) * am)
-    return lz(Fraction(64, 9)) * A * B * B
+    D = (2 - c) * (98 - c) * Fraction(1, 9216)
+    q, d = m * m + n * n, m * m - n * n
+    ax = Fraction(64, 9) * (h + Fraction(m * n - 4, 2) + (8 - q) * s)
+    ay = Fraction(32 * d, 9)  # (64/9) A = ax + ay sqrt(D)
+    bx = h + 2 * (m * n - 1) - 4 * (q - 2) * s  # B = bx + 2d sqrt(D)
+    b2x, b2y = bx * bx + 4 * d * d * D, 4 * d * bx  # B^2
+    return ax * b2x + ay * b2y * D, ax * b2y + ay * b2x, D
 
 
 def alpha_pm_squared(c_val: float) -> Tuple[complex, complex]:
@@ -133,12 +113,11 @@ def _f_mn_complex(m: int, n: int, h: float, c: float) -> complex:
 
 
 def f_pair_product(m: int, n: int, h, c) -> Fraction:
-    """Exact f_mn * f_nm, rational because it is symmetric under
-    alpha_+^2 <-> alpha_-^2."""
+    """Exact f_mn * f_nm, rational because swapping m and n swaps
+    alpha_+^2 and alpha_-^2, so f_nm is the conjugate of f_mn."""
     h, c = Fraction(h), Fraction(c)
-    val = _f_mn_ext(m, n, h, c, Fraction) * _f_mn_ext(n, m, h, c, Fraction)
-    den = 5 * c + 22
-    return _rational(val, "paired product") / (den * den)
+    x, y, D = _f_mn_ext(m, n, h, c)
+    return (x * x - y * y * D) / (5 * c + 22) ** 2
 
 
 def f_mm(m: int, h, c) -> Fraction:
@@ -223,33 +202,25 @@ def _closed_form(level: int, ring: "verma.Ring"):
     """The closed-form product over a Verma coefficient ring.
 
     Each f_mn carries 1/(22+5c) = b^2/16, which the ring holds.  An m != n
-    factor is paired with its conjugate f_nm, so the pair contributes
-    f_mn f_nm - w^2 (f_mn + f_nm) + w^4, rational by symmetric-function
-    elimination; every piece stays inside the ring.
+    factor is paired with its conjugate f_nm: with (5c+22) f_mn = x + y
+    sqrt(D), f_mn f_nm = (x^2 - y^2 D) b^4/256 and f_mn + f_nm = 2x b^2/16,
+    so the pair's factor f_mn f_nm - w^2 (f_mn + f_nm) + w^4 stays inside
+    the ring.  On the diagonal m = n, y = 0.
     """
-    c, h, lift = ring.c, ring.h, ring.lift
     w2 = ring.w * ring.w
-    inv_den = ring.b2 * lift(Fraction(1, 16))
+    inv_den = ring.b2 * ring.lift(Fraction(1, 16))
     acc = ring.one
     for m, n, e in KacFactors.at_level(level).factors:
         if m > n:
             continue
-        f = _f_mn_ext(m, n, h, c, lift)
+        x, y, D = _f_mn_ext(m, n, ring.h, ring.c)
         if m == n:
-            fac = _rational(f, "f_mm") * inv_den - w2
+            fac = x * inv_den - w2
         else:
-            g = _f_mn_ext(n, m, h, c, lift)
-            fac = (_rational(f * g, "conjugate product") * inv_den * inv_den
-                   - w2 * _rational(f + g, "conjugate sum") * inv_den + w2 * w2)
+            fac = (((x * x - y * y * D) * inv_den - 2 * w2 * x) * inv_den
+                   + w2 * w2)
         acc = acc * fac ** e
     return acc
-
-
-def _rational(z: _Ext, what: str):
-    """The x of z = x + y*sqrt(D), which must lie in the base ring (y = 0)."""
-    if z.y:
-        raise ArithmeticError(f"{what} failed to be rational")
-    return z.x
 
 
 # ---------------------------------------------------------------------------

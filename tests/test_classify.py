@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from w3lab.classify import (Status, Witness, classify,
+                            constructive_bound_sq,
                             constructive_family_contains,
                             discrete_series_index, region_scan,
                             region_scan_csv)
@@ -168,3 +169,23 @@ def test_region_scan_resolution_guard():
 def test_region_scan_pole():
     with pytest.raises(PoleAtForbiddenCentralCharge):
         region_scan(Fraction(-22, 5), (0, 1), (0, 1), 3)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 7), Fraction(2), Fraction(353, 7),
+                               Fraction(842, 7)])
+def test_region_scan_rows_match_classify(c):
+    res = 7
+    rows = region_scan(c, (0, 2), (-1, 1), res)
+    grid = [(Fraction(2 * i, res - 1), Fraction(2 * j, res - 1) - 1)
+            for i in range(res) for j in range(res)]
+    assert len(rows) == len(grid)
+    for row, (h, w) in zip(rows, grid):
+        v = classify(c, h, w)
+        bound_sq = constructive_bound_sq(c, h)
+        assert row == {
+            "c": str(c), "h": str(h), "w": str(w),
+            "status": v.status.value, "witness": v.witness.value,
+            "f11_minus_w2": str(v.detail.get("f11_minus_w2", "")),
+            "constructive_bound": ("" if bound_sq is None
+                                   else repr(float(bound_sq) ** 0.5)),
+        }

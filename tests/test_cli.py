@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3lab import cli
+from w3lab import cli, fock
 from w3lab.cli import main
 
 
@@ -162,6 +162,8 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     ["fz-check", "--max-level", "-1"],
     ["vacuum-spectrum", "--kappa", "1", "--level", "-1"],
     ["gram", "--level", "1", "--h", "1", "--w", "0"],
+    ["gram", "--level", "0", "--level-cap", "-1"],
+    ["kac-verify", "--level", "1", "--random", "3", "--level-cap", "-1"],
 ])
 def test_bad_arguments(runner, args):
     res = runner.invoke(main, args)
@@ -272,14 +274,19 @@ def test_usage_errors_are_bad_arguments(runner, args):
     assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
+def _child_env(cache) -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, W3LAB_CACHE_DIR=str(cache),
+                PYTHONPATH=os.pathsep.join(path))
+
+
 @pytest.mark.parametrize("args", USAGE_ERRORS[:3])
 def test_usage_errors_are_bad_arguments_as_a_module(tmp_path, args):
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, W3LAB_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(
-                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     res = subprocess.run([sys.executable, "-m", "w3lab.cli", *args],
-                         capture_output=True, text=True, env=env, timeout=60)
+                         capture_output=True, text=True,
+                         env=_child_env(tmp_path), timeout=60)
     assert res.returncode == 1
     assert res.stdout == ""
     assert json.loads(res.stderr)["error"] == "BadArguments"
@@ -415,8 +422,36 @@ def test_non_finite_fock_inputs_rejected(runner, args):
     assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
+NO_NUMPY_PROBE = """
+import sys
+from click.testing import CliRunner
+from w3lab.cli import main
+for args in (["--help"], ["classify", "--c", "50", "--h", "1", "--w", "0"],
+             ["region", "--c", "50", "--h-max", "1", "--w-max", "1",
+              "--res", "3"],
+             ["gram", "--level", "2", "--symbolic"]):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, (args, res.output)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    res = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE],
+                         capture_output=True, text=True,
+                         env=_child_env(tmp_path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_variant_choices_are_fock_variants():
+    option = next(p for p in main.commands["fz-check"].params
+                  if p.name == "variant")
+    assert tuple(option.type.choices) == fock.VARIANTS
+
+
 def test_fz_check_nan_residual_fails(runner, monkeypatch):
-    real_check = cli.fock.check_w3_relations
+    real_check = fock.check_w3_relations
 
     def nan_residual(*args):
         rep = real_check(*args)
@@ -424,7 +459,7 @@ def test_fz_check_nan_residual_fails(runner, monkeypatch):
         rep["centralCharge"]["error"] = float("nan")
         return rep
 
-    monkeypatch.setattr(cli.fock, "check_w3_relations", nan_residual)
+    monkeypatch.setattr(fock, "check_w3_relations", nan_residual)
     res = runner.invoke(main, ["fz-check", "--variant", "raw", "--cutoff",
                                "6", "--max-mode", "1", "--max-level", "1"])
     assert res.exit_code == 5
@@ -433,14 +468,14 @@ def test_fz_check_nan_residual_fails(runner, monkeypatch):
 
 
 def test_vacuum_spectrum_nan_eigenvalue_fails(runner, monkeypatch):
-    real_gram = cli.fock.cyclic_gram
+    real_gram = fock.cyclic_gram
 
     def nan_eigenvalue(*args):
         cg = real_gram(*args)
         cg.eigenvalues[-1] = float("nan")
         return cg
 
-    monkeypatch.setattr(cli.fock, "cyclic_gram", nan_eigenvalue)
+    monkeypatch.setattr(fock, "cyclic_gram", nan_eigenvalue)
     res = runner.invoke(main, ["vacuum-spectrum", "--kappa", "1",
                                "--level", "2", "--cutoff", "6"])
     assert res.exit_code == 5

@@ -62,9 +62,9 @@ def test_f_mm_display_equals_general_formula():
             continue
         h = Fraction(rng.randint(-10, 10), rng.randint(1, 7))
         for m in (1, 2, 3):
-            ext = _f_mn_ext(m, m, h, c, Fraction)
-            assert ext.y == 0
-            assert ext.x / (5 * c + 22) == f_mm(m, h, c)
+            x, y, _ = _f_mn_ext(m, m, h, c)
+            assert y == 0
+            assert x / (5 * c + 22) == f_mm(m, h, c)
 
 
 def test_f_mm_at_c2_is_cubic_in_h():
