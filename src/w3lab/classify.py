@@ -100,7 +100,8 @@ def classify(c, h, w) -> UnitarityVerdict:
     """Decide unitarity at real (c, h, w); exact when the inputs are exact."""
     c, h, w = _as_fraction(c), _as_fraction(h), _as_fraction(w)
     _check_pole(c)
-    return _verdict(c, h, w, f11(h, c) if c >= 2 else None)
+    return _verdict(c, h, w, f11(h, c) if c >= 2 else None,
+                    constructive_bound_sq(c, h))
 
 
 def _check_pole(c: Fraction) -> None:
@@ -109,9 +110,11 @@ def _check_pole(c: Fraction) -> None:
 
 
 def _verdict(c: Fraction, h: Fraction, w: Fraction,
-             f11_hc: Optional[Fraction]) -> UnitarityVerdict:
+             f11_hc: Optional[Fraction],
+             bound_sq: Optional[Fraction]) -> UnitarityVerdict:
     """The verdict at (c, h, w) with c != -22/5, given f11(h, c) where
-    c >= 2 (below 2 the verdict does not read it)."""
+    c >= 2 (below 2 the verdict does not read it) and
+    constructive_bound_sq(c, h) (read only above c = 98)."""
     detail: dict = {"c": c, "h": h, "w": w}
 
     if c < 2:
@@ -140,8 +143,8 @@ def _verdict(c: Fraction, h: Fraction, w: Fraction,
     if quantity < 0:
         return UnitarityVerdict(Status.NOT_UNITARY,
                                 Witness.NECESSARY_CONDITION_FAILED, detail)
-    if constructive_family_contains(c, h, w):
-        detail["constructive_bound_sq"] = constructive_bound_sq(c, h)
+    if bound_sq is not None and w * w <= bound_sq:
+        detail["constructive_bound_sq"] = bound_sq
         return UnitarityVerdict(Status.UNITARY, Witness.CONSTRUCTIVE_FAMILY,
                                 detail)
     return UnitarityVerdict(Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION,
@@ -174,7 +177,7 @@ def region_scan(c, h_range: Tuple, w_range: Tuple,
         bound_sq = constructive_bound_sq(c, h)
         bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
         for w in ws:
-            v = _verdict(c, h, w, f11_hc)
+            v = _verdict(c, h, w, f11_hc, bound_sq)
             rows.append({
                 "c": c_text, "h": h_text, "w": str(w),
                 "status": v.status.value, "witness": v.witness.value,

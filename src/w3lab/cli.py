@@ -7,6 +7,10 @@ stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
 6 cutoff exceeded; bad arguments, click's usage errors among them, exit 1
 with error "BadArguments".
 
+Options are checked by their click types (nonnegative levels, finite
+floats, exact rationals), and one table, ``EXIT_CODES``, maps library errors
+to exit codes; the JSON error kind is the exception's class name.
+
 Only the symbolic output of ``gram`` (``--symbolic``, or no point given)
 reads and writes the Gram cache under $W3LAB_CACHE_DIR, one file per level,
 which stores the sha256 of its entries.  A cache file that does not parse,
@@ -33,13 +37,15 @@ import click
 from . import kac, verma
 from .classify import classify as run_classify
 from .classify import region_scan, region_scan_csv
-from .exact import PoleAtForbiddenCentralCharge, parse_rational
+from .exact import parse_rational
 
-EXIT_POLE = 2
-EXIT_LEVEL = 3
 EXIT_DEVIATION = 4
 EXIT_RESIDUAL = 5
-EXIT_CUTOFF = 6
+
+# library exceptions by class name, so that the table needs no import of
+# fock (and numpy); the class name is also the JSON error kind
+EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2, "LevelTooLarge": 3,
+              "DegenerateSample": EXIT_DEVIATION, "CutoffExceeded": 6}
 
 # bump when the serialized Gram layout changes; part of the cache key
 FORMAT_VERSION = "gram-json-2"
@@ -58,35 +64,18 @@ def _fail(code: int, kind: str, message: str):
     sys.exit(code)
 
 
-def _require_finite(**values: float) -> None:
-    """BadArguments unless every named float option is finite."""
-    for name, v in values.items():
-        if not math.isfinite(v):
-            _fail(1, "BadArguments",
-                  f"--{name.replace('_', '-')} must be finite, got {v}")
-
-
 def _within(tol: float, *values: float) -> bool:
     """Every value is <= tol; a NaN never is."""
     return all(v <= tol for v in values)
 
 
-def _cache_dir() -> Path | None:
-    root = os.environ.get("W3LAB_CACHE_DIR")
-    if root is None:
-        root = os.path.join(os.path.expanduser("~"), ".cache", "w3lab")
-    path = Path(root)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError:
-        return None  # caching disabled
-    return path
+def _cache_dir() -> Path:
+    default = os.path.join(os.path.expanduser("~"), ".cache", "w3lab")
+    return Path(os.environ.get("W3LAB_CACHE_DIR", default))
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name)
     try:
         with os.fdopen(fd, "w") as fh:
@@ -131,32 +120,60 @@ def _read_cached(path: Path, level: int) -> verma.GramMatrix | None:
 
 def _gram_cached(level: int, level_cap: int) -> verma.GramMatrix:
     """The symbolic Gram at ``level``, from the cache when a valid file is
-    there; otherwise built under ``level_cap`` and written atomically."""
+    there; otherwise built under ``level_cap`` and written atomically.  A
+    cache directory that cannot be made or written disables caching."""
     verma.check_level(level, level_cap)
-    cache = _cache_dir()
-    if cache is None:
-        return verma.gram_matrix(level, level_cap)
-    path = _cache_path(cache, level)
+    path = _cache_path(_cache_dir(), level)
     g = _read_cached(path, level)
     if g is None:
         g = verma.gram_matrix(level, level_cap)
         payload = json.loads(g.to_json())
         payload["sha256"] = _entries_sha256(payload["entries"])
-        _atomic_write(path, json.dumps(payload, indent=2))
+        try:
+            _atomic_write(path, json.dumps(payload, indent=2))
+        except OSError:
+            pass  # caching disabled
     return g
 
 
 class RationalParam(click.ParamType):
+    """An exact rational 'p/q'; a decimal is taken at its exact value,
+    with a warning on stderr."""
+
     name = "rational"
 
     def convert(self, value, param, ctx):
+        text = str(value)
         try:
-            return parse_rational(str(value))
+            val = parse_rational(text)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not a rational (use p/q)", param, ctx)
+        if "." in text or "e" in text.lower():
+            click.echo("warning: decimal input converted to the exact "
+                       f"rational {val}; boundary verdicts reflect that value",
+                       err=True)
+        return val
+
+
+class FiniteFloat(click.FloatRange):
+    """A finite float, above ``min`` when one is given; click's own float
+    types let nan and inf through."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        val = super().convert(value, param, ctx)
+        if not math.isfinite(val):
+            self.fail(f"{val} is not finite", param, ctx)
+        return val
+
+    def _describe_range(self) -> str:  # the range --help shows, if any
+        return "" if self.min is None else super()._describe_range()
 
 
 RATIONAL = RationalParam()
+FINITE = FiniteFloat()
+NONNEGATIVE = click.IntRange(min=0)
 
 
 @contextmanager
@@ -172,15 +189,21 @@ def _usage_as_bad_arguments():
 
 class _Group(click.Group):
     """The command group; parsing, at its level and at a subcommand's,
-    runs under ``_usage_as_bad_arguments``."""
+    runs under ``_usage_as_bad_arguments``, and a library exception named in
+    ``EXIT_CODES`` ends the command with that code and a JSON error."""
 
     def make_context(self, *args, **kwargs):
         with _usage_as_bad_arguments():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_as_bad_arguments():
-            return super().invoke(ctx)
+        try:
+            with _usage_as_bad_arguments():
+                return super().invoke(ctx)
+        except Exception as e:
+            if type(e).__name__ not in EXIT_CODES:
+                raise
+            _fail(EXIT_CODES[type(e).__name__], type(e).__name__, str(e))
 
 
 @click.group(cls=_Group, no_args_is_help=False)
@@ -193,12 +216,13 @@ def main():
 # ---------------------------------------------------------------------------
 
 @main.command("gram")
-@click.option("--level", type=int, required=True)
+@click.option("--level", type=NONNEGATIVE, required=True)
 @click.option("--c", "c_val", type=RATIONAL, default=None)
 @click.option("--h", "h_val", type=RATIONAL, default=None)
 @click.option("--w", "w_val", type=RATIONAL, default=None)
 @click.option("--symbolic", is_flag=True, help="print symbolic entries")
-@click.option("--level-cap", type=int, default=verma.DEFAULT_LEVEL_CAP)
+@click.option("--level-cap", type=NONNEGATIVE,
+              default=verma.DEFAULT_LEVEL_CAP)
 @click.option("--format", "fmt", type=click.Choice(["json", "pretty"]),
               default="json")
 def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
@@ -208,17 +232,12 @@ def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
     over Q at that point; with none of them the symbolic matrix is printed.
     Some but not all of the three is BadArguments.
     """
-    if level < 0 or level_cap < 0:
-        _fail(1, "BadArguments", "--level and --level-cap must be nonnegative")
     point = (c_val, h_val, w_val)
     given = sum(v is not None for v in point)
     if given not in (0, 3):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
     if symbolic or not given:
-        try:
-            g = _gram_cached(level, level_cap)
-        except verma.LevelTooLarge as e:
-            _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
+        g = _gram_cached(level, level_cap)
         if fmt == "json":
             click.echo(g.to_json())
         else:
@@ -226,14 +245,9 @@ def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
                 click.echo(f"{word.label():16s} "
                            + "  ".join(str(e) for e in row))
         return
-    try:
-        # the level cap is reported before a pole, as on the symbolic path
-        verma.check_level(level, level_cap)
-        g = verma.gram_matrix(level, level_cap, verma.point_ring(*point))
-    except verma.LevelTooLarge as e:
-        _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
-    except PoleAtForbiddenCentralCharge as e:
-        _fail(EXIT_POLE, "PoleAtForbiddenCentralCharge", str(e))
+    # the level cap is reported before a pole, as on the symbolic path
+    verma.check_level(level, level_cap)
+    g = verma.gram_matrix(level, level_cap, verma.point_ring(*point))
     payload = {
         "level": level,
         "point": {"c": str(c_val), "h": str(h_val), "w": str(w_val)},
@@ -261,7 +275,7 @@ def _random_region_points(k: int, seed: int):
             continue
         wmax = float(cap) ** 0.5
         w = Fraction(int(rng.uniform(-0.9, 0.9) * wmax * 1000), 1000)
-        if kac.f11(h, c) - w * w > 0:
+        if cap - w * w > 0:
             pts.append((c, h, w))
     return pts
 
@@ -279,12 +293,13 @@ def _read_samples(path: Path) -> list:
 
 
 @main.command("kac-verify")
-@click.option("--level", type=int, required=True)
+@click.option("--level", type=NONNEGATIVE, required=True)
 @click.option("--samples", type=click.Path(exists=True), default=None,
               help="JSON file: list of [c, h, w] rationals as strings")
 @click.option("--random", "n_random", type=int, default=0)
 @click.option("--seed", type=int, default=0)
-@click.option("--level-cap", type=int, default=verma.DEFAULT_LEVEL_CAP)
+@click.option("--level-cap", type=NONNEGATIVE,
+              default=verma.DEFAULT_LEVEL_CAP)
 def cmd_kac_verify(level, samples, n_random, seed, level_cap):
     """Compare det(Gram_N) with the closed-form product at sample points.
 
@@ -294,8 +309,6 @@ def cmd_kac_verify(level, samples, n_random, seed, level_cap):
     verdict is ok iff the ratio det / product is the same positive rational
     at every point.
     """
-    if level < 0 or level_cap < 0:
-        _fail(1, "BadArguments", "--level and --level-cap must be nonnegative")
     if samples:
         pts = _read_samples(Path(samples))
     elif n_random:
@@ -304,14 +317,7 @@ def cmd_kac_verify(level, samples, n_random, seed, level_cap):
         _fail(1, "BadArguments", "give --samples FILE or --random K")
     if len(pts) < 2:
         _fail(1, "BadArguments", "need at least 2 sample points")
-    try:
-        rep = kac.compare_with_gram(level, pts, level_cap=level_cap)
-    except verma.LevelTooLarge as e:
-        _fail(EXIT_LEVEL, "LevelTooLarge", str(e))
-    except kac.DegenerateSample as e:
-        _fail(EXIT_DEVIATION, "DegenerateSample", str(e))
-    except PoleAtForbiddenCentralCharge as e:
-        _fail(EXIT_POLE, "PoleAtForbiddenCentralCharge", str(e))
+    rep = kac.compare_with_gram(level, pts, level_cap=level_cap)
     click.echo(rep.to_json())
     if rep.verdict != "ok":
         sys.exit(EXIT_DEVIATION)
@@ -321,58 +327,27 @@ def cmd_kac_verify(level, samples, n_random, seed, level_cap):
 # classify / region
 # ---------------------------------------------------------------------------
 
-def _parse_real(text: str) -> Fraction:
-    """Rational 'p/q' preferred; decimal/float inputs accepted with a warning."""
-    floaty = "." in text or "e" in text.lower()
-    try:
-        val = parse_rational(text)
-    except ValueError:
-        floaty = True
-        try:
-            val = Fraction(float(text))
-        except (ValueError, OverflowError):
-            _fail(1, "BadArguments", f"{text!r} is not a finite real number")
-    except ZeroDivisionError:
-        _fail(1, "BadArguments", f"{text!r} divides by zero")
-    if floaty:
-        click.echo("warning: decimal input converted to the exact rational "
-                   f"{val}; boundary verdicts reflect that value", err=True)
-    return val
-
-
 @main.command("classify")
-@click.option("--c", "c_val", required=True)
-@click.option("--h", "h_val", required=True)
-@click.option("--w", "w_val", required=True)
+@click.option("--c", "c_val", type=RATIONAL, required=True)
+@click.option("--h", "h_val", type=RATIONAL, required=True)
+@click.option("--w", "w_val", type=RATIONAL, required=True)
 def cmd_classify(c_val, h_val, w_val):
     """Unitarity verdict for one (c, h, w)."""
-    try:
-        v = run_classify(_parse_real(c_val), _parse_real(h_val),
-                         _parse_real(w_val))
-    except PoleAtForbiddenCentralCharge as e:
-        _fail(EXIT_POLE, "PoleAtForbiddenCentralCharge", str(e))
+    v = run_classify(c_val, h_val, w_val)
     click.echo(json.dumps(v.to_dict(), indent=2))
 
 
 @main.command("region")
-@click.option("--c", "c_val", required=True)
-@click.option("--h-min", default="0")
-@click.option("--h-max", required=True)
-@click.option("--w-min", default=None)
-@click.option("--w-max", required=True)
-@click.option("--res", type=int, required=True)
+@click.option("--c", "c_val", type=RATIONAL, required=True)
+@click.option("--h-min", type=RATIONAL, default="0")
+@click.option("--h-max", type=RATIONAL, required=True)
+@click.option("--w-min", type=RATIONAL, default=None)
+@click.option("--w-max", type=RATIONAL, required=True)
+@click.option("--res", type=click.IntRange(min=2), required=True)
 def cmd_region(c_val, h_min, h_max, w_min, w_max, res):
     """CSV grid of verdicts over [h_min,h_max] x [w_min,w_max]."""
-    wmax = _parse_real(w_max)
-    wmin = _parse_real(w_min) if w_min is not None else -wmax
-    try:
-        rows = region_scan(
-            _parse_real(c_val), (_parse_real(h_min), _parse_real(h_max)),
-            (wmin, wmax), res)
-    except PoleAtForbiddenCentralCharge as e:
-        _fail(EXIT_POLE, "PoleAtForbiddenCentralCharge", str(e))
-    except ValueError as e:
-        _fail(1, "BadArguments", str(e))
+    w_min = -w_max if w_min is None else w_min
+    rows = region_scan(c_val, (h_min, h_max), (w_min, w_max), res)
     click.echo(region_scan_csv(rows), nl=False)
 
 
@@ -385,70 +360,52 @@ def cmd_region(c_val, h_min, h_max, w_min, w_max, res):
 @main.command("fz-check")
 @click.option("--variant", default="vacuumModified", type=click.Choice(
     ("raw", "vacuumModified", "unitaryFamily")))
-@click.option("--kappa", type=float, default=1.0)
-@click.option("--q1", type=float, default=0.0)
-@click.option("--q2", type=float, default=0.0)
+@click.option("--kappa", type=FINITE, default=1.0)
+@click.option("--q1", type=FINITE, default=0.0)
+@click.option("--q2", type=FINITE, default=0.0)
 @click.option("--cutoff", type=int, default=9)
-@click.option("--max-mode", type=int, default=3)
-@click.option("--max-level", type=int, default=2)
-@click.option("--eta-im", type=float, default=0.0,
+@click.option("--max-mode", type=NONNEGATIVE, default=3)
+@click.option("--max-level", type=NONNEGATIVE, default=2)
+@click.option("--eta-im", type=FINITE, default=0.0,
               help="imaginary part of eta for the automorphism check")
 def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
     """Aggregate residual report for the chosen realization."""
     from . import fock
-    _require_finite(kappa=kappa, q1=q1, q2=q2, eta_im=eta_im)
-    if max_mode < 0 or max_level < 0:
-        _fail(1, "BadArguments",
-              "--max-mode and --max-level must be nonnegative")
-    if max_level + 2 * max_mode > cutoff:
-        _fail(EXIT_CUTOFF, "CutoffExceeded",
-              "need max_level + 2*max_mode <= cutoff")
     params = fock.RealizationParams(kappa=kappa, q1=q1, q2=q2, cutoff=cutoff)
-    try:
-        relations = fock.check_w3_relations(variant, params, max_mode,
-                                            max_level)
-        auto = fock.check_automorphism_identity(kappa, complex(0, eta_im),
-                                                max_mode, max_level, cutoff)
-        ode = fock.verify_rho_ode(20)
-        report = {
-            "variant": variant,
-            "params": {"kappa": kappa, "q1": q1, "q2": q2, "cutoff": cutoff},
-            "relations": {
-                "maxResidual": relations["maxResidual"],
-                "worstCase": relations["worstCase"],
-                "centralCharge": relations["centralCharge"],
-            },
-            "automorphismIdentity": {"maxResidual": auto["maxResidual"]},
-            "rhoOde": {"maxResidual": max(abs(float(v))
-                                          for v in ode.values())},
-        }
-        failures = []
-        if not _within(RELATION_TOL, relations["maxResidual"]):
-            failures.append("relations")
-        if not _within(RELATION_TOL, relations["centralCharge"]["error"]):
-            failures.append("centralCharge")
-        if not _within(AUTOMORPHISM_TOL, auto["maxResidual"]):
-            failures.append("automorphismIdentity")
-        if any(v != 0 for v in ode.values()):
-            failures.append("rhoOde")
-        if variant == "vacuumModified":
-            weak = fock.check_weak_symmetry(params, max_mode, max_level)
-            report["weakSymmetry"] = {
-                "maxPairDefect": weak["maxPairDefect"],
-                "maxTripleDefect": weak["maxTripleDefect"],
-                "unpairedControlDefect": weak["unpairedControlDefect"],
-            }
-            if not _within(WEAK_SYMMETRY_TOL, weak["maxPairDefect"],
-                           weak["maxTripleDefect"]):
-                failures.append("weakSymmetry")
-            if q1 == 0 and q2 == 0:
-                zv = fock.zero_vector_norms(params)
-                report["zeroVectors"] = zv
-                if not _within(ZERO_VECTOR_TOL, *zv.values()):
-                    failures.append("zeroVectors")
-        report["failures"] = failures
-    except fock.CutoffExceeded as e:
-        _fail(EXIT_CUTOFF, "CutoffExceeded", str(e))
+    relations = fock.check_w3_relations(variant, params, max_mode, max_level)
+    auto = fock.check_automorphism_identity(kappa, complex(0, eta_im),
+                                            max_mode, max_level, cutoff)
+    ode = fock.verify_rho_ode(20)
+    report = {
+        "variant": variant,
+        "params": {"kappa": kappa, "q1": q1, "q2": q2, "cutoff": cutoff},
+        "relations": {k: relations[k] for k in
+                      ("maxResidual", "worstCase", "centralCharge")},
+        "automorphismIdentity": {"maxResidual": auto["maxResidual"]},
+        "rhoOde": {"maxResidual": max(abs(float(v)) for v in ode.values())},
+    }
+    failures = []
+    if not _within(RELATION_TOL, relations["maxResidual"]):
+        failures.append("relations")
+    if not _within(RELATION_TOL, relations["centralCharge"]["error"]):
+        failures.append("centralCharge")
+    if not _within(AUTOMORPHISM_TOL, auto["maxResidual"]):
+        failures.append("automorphismIdentity")
+    if any(v != 0 for v in ode.values()):
+        failures.append("rhoOde")
+    if variant == "vacuumModified":
+        weak = fock.check_weak_symmetry(params, max_mode, max_level)
+        report["weakSymmetry"] = {k: weak[k] for k in (
+            "maxPairDefect", "maxTripleDefect", "unpairedControlDefect")}
+        if not _within(WEAK_SYMMETRY_TOL, weak["maxPairDefect"],
+                       weak["maxTripleDefect"]):
+            failures.append("weakSymmetry")
+        if q1 == 0 and q2 == 0:
+            zv = fock.zero_vector_norms(params)
+            report["zeroVectors"] = zv
+            if not _within(ZERO_VECTOR_TOL, *zv.values()):
+                failures.append("zeroVectors")
+    report["failures"] = failures
     click.echo(json.dumps(report, indent=2))
     if failures:
         sys.exit(EXIT_RESIDUAL)
@@ -459,10 +416,11 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
 # ---------------------------------------------------------------------------
 
 @main.command("vacuum-spectrum")
-@click.option("--kappa", type=float, required=True)
-@click.option("--level", type=int, required=True)
+@click.option("--kappa", type=FINITE, required=True)
+@click.option("--level", type=NONNEGATIVE, required=True)
 @click.option("--cutoff", type=int, default=8)
-@click.option("--psd-tol", type=float, default=PSD_TOL,
+@click.option("--psd-tol", type=FiniteFloat(min=0, min_open=True),
+              default=PSD_TOL,
               help="exit 5 when the smallest eigenvalue is below "
                    "-PSD_TOL * max(1, largest eigenvalue); default 1e-8")
 def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
@@ -473,19 +431,8 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
     eigensolver scales with it.
     """
     from . import fock
-    _require_finite(kappa=kappa)
-    if level < 0:
-        _fail(1, "BadArguments", "--level must be nonnegative")
-    if not 0 < psd_tol < math.inf:
-        _fail(1, "BadArguments",
-              f"--psd-tol must be positive and finite, got {psd_tol}")
-    if level > cutoff - 2:
-        _fail(EXIT_CUTOFF, "CutoffExceeded", "need level <= cutoff - 2")
     params = fock.RealizationParams(kappa=kappa, cutoff=cutoff)
-    try:
-        cg = fock.cyclic_gram("vacuumModified", params, level)
-    except fock.CutoffExceeded as e:
-        _fail(EXIT_CUTOFF, "CutoffExceeded", str(e))
+    cg = fock.cyclic_gram("vacuumModified", params, level)
     eigs = sorted(float(x) for x in cg.eigenvalues)
     payload = {
         "kappa": kappa,

@@ -272,8 +272,6 @@ def compare_with_gram(level: int,
         verma.check_level(level, level_cap)
     closed_forms: List[Fraction] = []
     for (cv, hv, wv) in pts:
-        if 22 + 5 * cv == 0:
-            raise PoleAtForbiddenCentralCharge("sample point at c = -22/5")
         cf = kac_closed_form_exact(level, cv, hv, wv)
         if cf == 0:
             raise DegenerateSample(f"closed form vanishes at {(cv, hv, wv)}")

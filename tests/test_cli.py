@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3lab import cli, fock
+from w3lab import cli, exact, fock, kac, verma
 from w3lab.cli import main
 
 
@@ -138,6 +138,28 @@ def test_gram_cache_edited_entries_are_rebuilt(runner, tmp_path):
     assert path.read_text() == text
 
 
+def test_gram_unwritable_cache_still_answers(runner, tmp_path, monkeypatch):
+    args = ["gram", "--level", "2", "--symbolic"]
+    cached = runner.invoke(main, args)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # no directory can be made under a regular file
+    monkeypatch.setenv("W3LAB_CACHE_DIR", str(blocker / "cache"))
+    res = runner.invoke(main, args)
+    assert res.exit_code == cached.exit_code == 0
+    assert res.stdout == cached.stdout
+    assert blocker.read_text() == ""
+
+
+def test_exit_codes_name_the_library_exceptions():
+    # the table is keyed by class name; a renamed class would otherwise
+    # turn its exit code into a traceback
+    assert set(cli.EXIT_CODES) == {
+        exact.PoleAtForbiddenCentralCharge.__name__,
+        verma.LevelTooLarge.__name__, kac.DegenerateSample.__name__,
+        fock.CutoffExceeded.__name__}
+
+
 def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     res = runner.invoke(main, ["gram", "--level", "2", "--c", "3",
                                "--h", "1/24", "--w", "0"])
@@ -158,6 +180,7 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     ["region", "--c", "nan", "--h-max", "1", "--w-max", "1", "--res", "3"],
     ["region", "--c", "inf", "--h-max", "1", "--w-max", "1", "--res", "3"],
     ["region", "--c", "1/0", "--h-max", "1", "--w-max", "1", "--res", "3"],
+    ["region", "--c", "2", "--h-max", "1", "--w-max", "1", "--res", "1"],
     ["fz-check", "--max-mode", "-1"],
     ["fz-check", "--max-level", "-1"],
     ["vacuum-spectrum", "--kappa", "1", "--level", "-1"],
@@ -319,6 +342,15 @@ def test_classify_float_warns(runner):
                                "--w", "0.0"])
     assert res.exit_code == 0
     assert "warning" in res.stderr
+
+
+def test_gram_decimal_point_warns(runner):
+    exact_args = ["gram", "--level", "1", "--c", "1/2", "--h", "1", "--w", "0"]
+    res = runner.invoke(main, ["gram", "--level", "1", "--c", "0.5",
+                               "--h", "1", "--w", "0"])
+    assert res.exit_code == 0
+    assert res.stdout == runner.invoke(main, exact_args).stdout
+    assert "warning" in res.stderr and "1/2" in res.stderr
 
 
 def test_region_csv(runner):
