@@ -4,8 +4,7 @@ from .classify import Status, UnitarityVerdict, Witness, classify, region_scan
 from .exact import (ExactScalar, PoleAtForbiddenCentralCharge, parse_rational,
                     parse_scalar)
 from .kac import (ComparisonReport, DegenerateSample, KacFactors,
-                  compare_with_gram, f11, f_mm, f_mn, kac_closed_form,
-                  kac_closed_form_exact, p2)
+                  compare_with_gram, f11, kac_closed_form_exact, p2)
 from .verma import (GramMatrix, LevelTooLarge, ModeWord, determinant,
                     determinant_at, enumerate_basis, gram_matrix)
 
@@ -13,9 +12,9 @@ __all__ = [
     "ComparisonReport", "DegenerateSample", "ExactScalar", "GramMatrix",
     "KacFactors", "LevelTooLarge", "ModeWord", "PoleAtForbiddenCentralCharge",
     "Status", "UnitarityVerdict", "Witness", "classify", "compare_with_gram",
-    "determinant", "determinant_at", "enumerate_basis", "f11", "f_mm",
-    "f_mn", "gram_matrix", "kac_closed_form", "kac_closed_form_exact", "p2",
-    "parse_rational", "parse_scalar", "region_scan",
+    "determinant", "determinant_at", "enumerate_basis", "f11", "gram_matrix",
+    "kac_closed_form_exact", "p2", "parse_rational", "parse_scalar",
+    "region_scan",
 ]
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -73,11 +74,8 @@ def discrete_series_index(c: Fraction) -> Optional[int]:
     if t.denominator != 1:
         return None
     n = t.numerator
-    m = int((n ** 0.5))
-    for cand in (m - 1, m, m + 1):
-        if cand >= 4 and cand * (cand + 1) == n:
-            return cand
-    return None
+    m = math.isqrt(n)
+    return m if m >= 4 and m * (m + 1) == n else None
 
 
 def constructive_bound_sq(c: Fraction, h: Fraction) -> Optional[Fraction]:
@@ -87,13 +85,6 @@ def constructive_bound_sq(c: Fraction, h: Fraction) -> Optional[Fraction]:
     if c < 2 or h < Fraction(c - 2, 24):
         return None
     return Fraction(8, 198 + 45 * c) * (2 * h - Fraction(c - 2, 12)) ** 3
-
-
-def constructive_family_contains(c: Fraction, h: Fraction,
-                                 w: Fraction) -> bool:
-    """Exact membership in the constructive unitary region."""
-    bound = constructive_bound_sq(c, h)
-    return bound is not None and w * w <= bound
 
 
 def classify(c, h, w) -> UnitarityVerdict:

@@ -326,7 +326,7 @@ class _Current:
 # realization parameters and the field-assembly table
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RealizationParams:
     kappa: float = 0.0
     q1: float = 0.0
@@ -488,6 +488,13 @@ class Realization:
         return lo, hi, _Sparse(out[_FOCK.cum(lo):])
 
 
+@lru_cache(maxsize=1)
+def _realization(params: RealizationParams, variant: str) -> Realization:
+    """The Realization of the last parameter set asked for, so checks run
+    one after another on the same assembly share its mode blocks."""
+    return Realization(params, variant)
+
+
 # ---------------------------------------------------------------------------
 # residual checks
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def check_w3_relations(variant: str, params: RealizationParams,
     """
     if max_level + 2 * max_mode_index > params.cutoff:
         raise CutoffExceeded("max_level + 2*max_mode_index must be <= cutoff")
-    real = Realization(params, variant)
+    real = _realization(params, variant)
     c_val = params.central_charge
     ring = Ring(1.0, 0.0, c_val, 0.0, 0.0, params.b ** 2, float)
     worst = {"residual": 0.0, "pair": None, "kind": None}
@@ -637,7 +644,7 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
     noise; an unpaired L_n at kappa != 0 is the negative control and must
     exhibit a visible defect.
     """
-    real = Realization(params, "vacuumModified")
+    real = _realization(params, "vacuumModified")
     norm = _norms_upto(test_level)
     modes = range(-max_mode_index, max_mode_index + 1)
 
@@ -681,7 +688,7 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
     All three vanish when q1 = q2 = 0.  Each is the image of O under the
     mode's level-0 block, weighted by the Fock norms of its rows.
     """
-    real = Realization(params, "vacuumModified")
+    real = _realization(params, "vacuumModified")
     out = {}
     for f, n in (("L", -1), ("W", -1), ("W", -2)):
         rows, m = _FOCK.rows_upto(real._block((f, n), 0), -n)
@@ -716,7 +723,7 @@ def cyclic_gram(variant: str, params: RealizationParams, level: int,
     if level > params.cutoff - margin:
         raise CutoffExceeded(
             f"cyclic level {level} needs cutoff >= {level + margin}")
-    real = Realization(params, variant)
+    real = _realization(params, variant)
     words = [w for lev in range(level + 1) for w in enumerate_basis(lev)]
     column = {w: j for j, w in enumerate(words)}
     vecs = np.zeros((_FOCK.cum(level + 1), len(words)), dtype=complex)

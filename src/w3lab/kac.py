@@ -9,19 +9,20 @@ where P2 is the bicolored partition counting function and f_mn is built from
 alpha_pm^2 = (50 - c +- sqrt((2-c)(98-c))) / 192.  For m != n the two factors
 f_mn, f_nm are algebraic conjugates; their sum and product are rational, so
 the paired products are evaluated exactly in the quadratic extension
-Q(sqrt(D)) with D = (2-c)(98-c)/96^2.  The same code runs with Fraction
-coefficients (numeric points) and ExactScalar coefficients (fully symbolic).
+Q(sqrt(D)) with D = (2-c)(98-c)/96^2.  Every quantity here is exact: the same
+code runs with Fraction coefficients (numeric points) and ExactScalar
+coefficients (fully symbolic).  The float route through complex alpha_pm^2
+is kept only as the tests' independent reference (tests/kac_reference.py).
 
 Two normalization conventions for the first-level factor circulate,
 differing by a factor 2; the exact level-1 Gram determinant equals
-9 * (f_mm|_{m=1} - w^2), so f11 here is the f_mm value.  The two loci
-w^2 = f11 and w^2 = f11/2 differ as sets, and only the former is the true
-vanishing locus of the determinant.
+9 * (f11 - w^2) with f11 = 2h^2(96h - 3c + 6)/(27(5c+22)), the m = n = 1
+value of f_mn.  The two loci w^2 = f11 and w^2 = f11/2 differ as sets, and
+only the former is the true vanishing locus of the determinant.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +31,6 @@ from typing import Any, List, Sequence, Tuple
 
 from . import verma
 from .exact import ExactScalar, PoleAtForbiddenCentralCharge
-
-IM_TOL = 1e-10
 
 
 class DegenerateSample(ValueError):
@@ -79,69 +78,17 @@ def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
     return ax * b2x + ay * b2y * D, ax * b2y + ay * b2x, D
 
 
-def alpha_pm_squared(c_val: float) -> Tuple[complex, complex]:
-    root = cmath.sqrt(complex((2 - c_val) * (98 - c_val)))
-    return ((50 - c_val + root) / 192, (50 - c_val - root) / 192)
-
-
-def _as_real(z: complex, what: str) -> float:
-    if abs(z.imag) > IM_TOL * (1.0 + abs(z.real)):
-        raise ArithmeticError(f"{what}: imaginary residue {z.imag!r} too large")
-    return z.real
-
-
-def f_mn(m: int, n: int, h: float, c: float) -> float:
-    """Numeric f_mn via complex arithmetic; the result must be real.
-
-    For m != n and 2 < c < 98 the two alpha_pm^2 are complex conjugates and
-    f_mn is genuinely real only in paired products; this function returns the
-    real value of the single factor and asserts the imaginary residue is
-    negligible (which holds whenever the inputs make f_mn real, e.g. m = n or
-    c outside (2, 98)).  Use f_pair_product for m != n inside (2, 98).
-    """
-    if abs(22 + 5 * c) < 1e-300:
-        raise PoleAtForbiddenCentralCharge("f_mn at c = -22/5")
-    return _as_real(_f_mn_complex(m, n, h, c) / (5 * c + 22), f"f_{m}{n}")
-
-
-def _f_mn_complex(m: int, n: int, h: float, c: float) -> complex:
-    """(5c+22) * f_mn as a complex number (pole factored out)."""
-    ap, am = alpha_pm_squared(c)
-    A = h + (4 - n * n) * ap + (4 - m * m) * am - 2 + m * n / 2.0
-    B = h - 4 * ((n * n - 1) * ap + (m * m - 1) * am) - 2 * (1 - m * n)
-    return 64.0 / 9.0 * A * B * B
-
-
-def f_pair_product(m: int, n: int, h, c) -> Fraction:
-    """Exact f_mn * f_nm, rational because swapping m and n swaps
-    alpha_+^2 and alpha_-^2, so f_nm is the conjugate of f_mn."""
-    h, c = Fraction(h), Fraction(c)
-    x, y, D = _f_mn_ext(m, n, h, c)
-    return (x * x - y * y * D) / (5 * c + 22) ** 2
-
-
-def f_mm(m: int, h, c) -> Fraction:
-    """Exact f_mm via its factored closed form; equals the general formula at m=n."""
-    h, c = Fraction(h), Fraction(c)
-    den = 7776 * (5 * c + 22)
-    if den == 0:
-        raise PoleAtForbiddenCentralCharge("f_mm at c = -22/5")
-    num = ((c - 2) * m * m - c + 24 * h + 2) ** 2 * (96 * h + (c - 2) * (m * m - 4))
-    return num / den
-
-
 def f11(h, c) -> Fraction:
-    """First Kac determinant up to the positive constant 9 (exact).
+    """First Kac determinant up to the positive constant 9 (exact):
+    f11 = 2h^2(96h - 3c + 6) / (27(5c+22)), the m = n = 1 value of f_mn.
 
-    This is f_mm at m = 1; det(Gram_1) = 9 * (f11 - w^2) identically.
+    det(Gram_1) = 9 * (f11 - w^2) identically.
     """
-    return f_mm(1, h, c)
-
-
-def f11_alt(h, c) -> Fraction:
-    """The competing half-size normalization of the first-level factor."""
     h, c = Fraction(h), Fraction(c)
-    return h * h * (96 * h - 3 * (c - 2)) / (27 * (5 * c + 22))
+    den = 27 * (5 * c + 22)
+    if den == 0:
+        raise PoleAtForbiddenCentralCharge("f11 at c = -22/5")
+    return 2 * h * h * (96 * h - 3 * c + 6) / den
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +111,6 @@ class KacFactors:
                 if k % m == 0:
                     facs.append((m, k // m, e))
         return KacFactors(level, tuple(facs))
-
-
-def kac_closed_form(level: int, c: float, h: float, w: float) -> float:
-    """Numeric closed-form product via complex arithmetic.
-
-    Near the branch points c = 2 and c = 98 the complex square root is
-    ill-conditioned, so the computation falls back to the exact
-    symmetric-function path there.
-    """
-    if abs(22 + 5 * c) < 1e-300:
-        raise PoleAtForbiddenCentralCharge("closed form at c = -22/5")
-    if abs((2 - c) * (98 - c)) < 1e-12:
-        return float(kac_closed_form_exact(level, Fraction(c), Fraction(h),
-                                           Fraction(w)))
-    den = 5 * c + 22
-    acc = complex(1.0)
-    for m, n, e in KacFactors.at_level(level).factors:
-        acc *= (_f_mn_complex(m, n, h, c) / den - w * w) ** e
-    return _as_real(acc, f"kac_closed_form(level={level})")
 
 
 def kac_closed_form_exact(level: int, c, h, w) -> Fraction:

@@ -185,11 +185,11 @@ def test_criterion_8_combinatorics():
 
 
 def test_criterion_9_first_level_normalization(grams):
-    """det(Gram_1) vanishes exactly on the f_mm|m=1 locus, not the halved one.
+    """det(Gram_1) vanishes exactly on the f11 locus, not the halved one.
 
     Boundary points are generated rationally: with 32h - (c-2) =
-    18(5c+22) t^2 the f_mm formula gives w = 2ht exactly on its locus, and
-    with 32h - (c-2) = 9(5c+22) s^2 the half-size variant gives w = hs.
+    18(5c+22) t^2 the f11 formula gives w = 2ht exactly on its locus, and
+    with 32h - (c-2) = 9(5c+22) s^2 the half-size variant f11/2 gives w = hs.
     """
     rng = random.Random(31415)
     g1 = grams[1]
@@ -199,7 +199,7 @@ def test_criterion_9_first_level_normalization(grams):
     while samples < 50:
         c = Fraction(rng.randint(3, 97)) + Fraction(rng.randint(0, 9), 10)
         t = Fraction(rng.randint(1, 9), rng.randint(2, 11))
-        # point on the f_mm|m=1 boundary
+        # point on the f11 boundary
         h = (c - 2 + 18 * (5 * c + 22) * t * t) / 32
         w = 2 * h * t
         assert kac.f11(h, c) == w * w
@@ -207,15 +207,15 @@ def test_criterion_9_first_level_normalization(grams):
         # point on the half-size variant's boundary
         h2 = (c - 2 + 9 * (5 * c + 22) * t * t) / 32
         w2 = h2 * t
-        assert kac.f11_alt(h2, c) == w2 * w2
+        assert kac.f11(h2, c) / 2 == w2 * w2
         if verma.determinant_at(g1, c, h2, w2) != 0:
             off_locus_nonzero += 1
         samples += 1
     # the classifier must use the locus that actually matches det(Gram_1)
-    locus_is_fmm = on_locus_ok and off_locus_nonzero == 50
+    locus_is_f11 = on_locus_ok and off_locus_nonzero == 50
     classifier_uses_it = classify(2, 2, Fraction(4, 3)).detail[
         "f11_minus_w2"] == 0
-    report(9, locus_is_fmm and classifier_uses_it,
-           "det(Gram_1) locus = f_mm at m=1 (50/50 boundary samples); "
+    report(9, locus_is_f11 and classifier_uses_it,
+           "det(Gram_1) locus = f11 (50/50 boundary samples); "
            "half-size variant ruled out (50/50); classifier pinned to the "
            "matching locus")

@@ -5,7 +5,6 @@ import pytest
 
 from w3lab.classify import (Status, Witness, classify,
                             constructive_bound_sq,
-                            constructive_family_contains,
                             discrete_series_index, region_scan,
                             region_scan_csv)
 from w3lab.exact import PoleAtForbiddenCentralCharge
@@ -44,7 +43,7 @@ def test_gap_region_above_98_is_unknown():
     w2cap = f11(h, c)
     w = Fraction(int(float(w2cap) ** 0.5 * 0.95 * 100), 100)
     assert w * w < w2cap
-    assert not constructive_family_contains(c, h, w)
+    assert w * w > constructive_bound_sq(c, h)
     v = classify(c, h, w)
     assert v.status == Status.UNKNOWN
     assert v.witness == Witness.OUT_OF_CLASSIFIED_REGION
@@ -63,6 +62,8 @@ def test_below_c2_unknown_with_discrete_series_metadata():
 
 def test_discrete_series_index():
     assert discrete_series_index(Fraction(4, 5)) == 4  # 2(1 - 12/20)
+    m = 123456789012345678901  # far past exact float square roots
+    assert discrete_series_index(2 * (1 - Fraction(12, m * (m + 1)))) == m
     assert discrete_series_index(Fraction(1, 2)) is None
     assert discrete_series_index(Fraction(7, 3)) is None
 

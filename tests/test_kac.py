@@ -1,15 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import kac_reference as ref
 from w3lab import kac, verma
 from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
 from w3lab.kac import (ComparisonReport, DegenerateSample,
-                       KacFactors, alpha_pm_squared, compare_with_gram, f11,
-                       f11_alt, f_mm, f_mn, f_pair_product,
-                       kac_closed_form, kac_closed_form_exact,
-                       kac_closed_form_symbolic, p2)
+                       KacFactors, compare_with_gram, f11,
+                       kac_closed_form_exact, kac_closed_form_symbolic, p2)
 from w3lab.kac import _f_mn_ext
 
 
@@ -49,7 +49,7 @@ def test_alpha_invariants():
     for c in (Fraction(3), Fraction(50), Fraction(97), Fraction(-1)):
         # (50-c)^2 - (2-c)(98-c) = 2304, the identity behind the product 1/16
         assert (50 - c) ** 2 - (2 - c) * (98 - c) == 2304
-        ap, am = alpha_pm_squared(float(c))
+        ap, am = ref.alpha_pm_squared(float(c))
         assert abs(ap + am - float(Fraction(50 - c, 96))) < 1e-12
         assert abs(ap * am - 1 / 16) < 1e-12
 
@@ -64,23 +64,26 @@ def test_f_mm_display_equals_general_formula():
         for m in (1, 2, 3):
             x, y, _ = _f_mn_ext(m, m, h, c)
             assert y == 0
-            assert x / (5 * c + 22) == f_mm(m, h, c)
+            assert x / (5 * c + 22) == ref.f_mm(m, h, c)
+        assert f11(h, c) == ref.f_mm(1, h, c)
 
 
 def test_f_mm_at_c2_is_cubic_in_h():
     # the (c-2) pieces drop; f_11 at c = 2 is (2/9) h^3
     for h in (Fraction(1), Fraction(3, 2), Fraction(-2)):
-        assert f_mm(1, h, 2) == Fraction(2, 9) * h ** 3
+        assert f11(h, 2) == Fraction(2, 9) * h ** 3
 
 
 def test_f11_normalizations_differ_by_two():
     for (c, h) in [(Fraction(3), Fraction(1, 4)), (Fraction(50), Fraction(7))]:
-        assert f11(h, c) == 2 * f11_alt(h, c)
+        half = h * h * (96 * h - 3 * (c - 2)) / (27 * (5 * c + 22))
+        assert f11(h, c) == 2 * half
 
 
-def _complex_f(m, n, h, c):
-    from w3lab.kac import _f_mn_complex
-    return _f_mn_complex(m, n, h, c) / (5 * c + 22)
+def _pair_product(m, n, h, c):
+    """Exact f_mn * f_nm: f_nm is the conjugate x - y sqrt(D) of f_mn."""
+    x, y, D = _f_mn_ext(m, n, h, c)
+    return (x * x - y * y * D) / (5 * c + 22) ** 2
 
 
 def test_paired_product_matches_complex_arithmetic():
@@ -88,9 +91,9 @@ def test_paired_product_matches_complex_arithmetic():
     for _ in range(100):
         c = Fraction(rng.randint(3, 97)) + Fraction(rng.randint(0, 9), 10)
         h = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-        exact = f_pair_product(1, 2, h, c)
-        z = _complex_f(1, 2, float(h), float(c)) \
-            * _complex_f(2, 1, float(h), float(c))
+        exact = _pair_product(1, 2, h, c)
+        z = ref.f_mn(1, 2, float(h), float(c)) \
+            * ref.f_mn(2, 1, float(h), float(c))
         assert abs(z.imag) <= 1e-10 * (1 + abs(z.real))
         assert abs(z.real - float(exact)) <= 1e-9 * (1 + abs(float(exact)))
 
@@ -101,19 +104,22 @@ def test_closed_form_reality_sweep():
         c = rng.uniform(2.01, 97.99)
         h = rng.uniform(-5, 10)
         for (m, n) in [(1, 2), (1, 3), (2, 3)]:
-            z = _complex_f(m, n, h, c) * _complex_f(n, m, h, c)
+            z = ref.f_mn(m, n, h, c) * ref.f_mn(n, m, h, c)
             assert abs(z.imag) < 1e-10 * (1 + abs(z.real))
-            exact = f_pair_product(m, n, Fraction(h), Fraction(c))
+            exact = _pair_product(m, n, Fraction(h), Fraction(c))
             assert abs(z.real - float(exact)) < 1e-8 * (1 + abs(float(exact)))
 
 
 def test_f_mn_real_on_diagonal():
-    assert abs(f_mn(2, 2, 0.7, 10.0) - float(f_mm(2, Fraction(7, 10), 10))) < 1e-12
+    h, c = Fraction(7, 10), Fraction(10)
+    x, y, _ = _f_mn_ext(2, 2, h, c)
+    assert y == 0
+    assert abs(ref.f_mn(2, 2, 0.7, 10.0) - float(x / (5 * c + 22))) < 1e-12
 
 
 def test_f_mn_pole():
     with pytest.raises(PoleAtForbiddenCentralCharge):
-        f_mn(1, 1, 1.0, -22 / 5)
+        f11(1, Fraction(-22, 5))
 
 
 def test_kac_factors_cover_divisor_pairs():
@@ -123,36 +129,30 @@ def test_kac_factors_cover_divisor_pairs():
 
 
 def test_closed_form_level0_and_1():
-    assert kac_closed_form(0, 10.0, 1.0, 0.5) == 1.0
+    assert kac_closed_form_exact(0, 10, 1, Fraction(1, 2)) == 1
     c, h, w = Fraction(10), Fraction(2), Fraction(1, 3)
     assert kac_closed_form_exact(1, c, h, w) == f11(h, c) - w * w
-    approx = kac_closed_form(1, 10.0, 2.0, float(w))
-    assert abs(approx - float(f11(h, c) - w * w)) < 1e-10
 
 
 def test_closed_form_exact_vs_float():
+    # c = 2 and c = 98 are the branch points, where f_mn and f_nm coincide
     pts = [(10, 2, Fraction(1, 7)), (50, 1, Fraction(-1, 3)),
-           (Fraction(7, 2), Fraction(5, 4), Fraction(1, 9))]
+           (Fraction(7, 2), Fraction(5, 4), Fraction(1, 9)),
+           (2, Fraction(3, 2), Fraction(1, 4)),
+           (98, Fraction(3, 2), Fraction(1, 4))]
     for lev in (1, 2, 3):
         for (c, h, w) in pts:
             ex = kac_closed_form_exact(lev, c, h, w)
-            fl = kac_closed_form(lev, float(c), float(h), float(w))
-            assert abs(fl - float(ex)) <= 1e-9 * (1 + abs(float(ex)))
+            fl = complex(1)
+            for m, n, e in KacFactors.at_level(lev).factors:
+                fl *= (ref.f_mn(m, n, float(h), float(c)) - float(w) ** 2) ** e
+            assert abs(fl.imag) <= 1e-10 * (1 + abs(fl.real))
+            assert abs(fl.real - float(ex)) <= 1e-9 * (1 + abs(float(ex)))
 
 
 def test_closed_form_positive_at_region_point():
     for lev in range(5):
-        assert kac_closed_form(lev, 3.0, 1 / 24, 0.0) > 0
-
-
-def test_closed_form_branch_point_guard():
-    # at c = 2 and c = 98 the complex sqrt degenerates; the exact path takes over
-    for c in (2.0, 98.0):
-        for lev in (1, 2):
-            fl = kac_closed_form(lev, c, 1.5, 0.25)
-            ex = kac_closed_form_exact(lev, Fraction(c), Fraction(3, 2),
-                                       Fraction(1, 4))
-            assert fl == float(ex)
+        assert kac_closed_form_exact(lev, 3, Fraction(1, 24), 0) > 0
 
 
 def test_sign_agreement_with_gram(grams):
@@ -194,8 +194,15 @@ def test_compare_with_gram_constant_ratio(level, grams):
     rep = compare_with_gram(level, pts, gram=grams[level])
     assert rep.verdict == "ok"
     assert rep.max_rel_deviation == 0.0
-    assert rep.constant > 0
+    assert rep.constant == _product_constant(level)
     assert all(r == rep.constant for r in rep.ratios)
+
+
+def _product_constant(level):
+    """C_N = prod (3mn)^(2 P2(N-mn)): each Kac factor carries its own
+    9m^2n^2."""
+    return math.prod((3 * m * n) ** (2 * e)
+                     for m, n, e in KacFactors.at_level(level).factors)
 
 
 def test_compare_rejects_degenerate_sample(grams):
@@ -244,7 +251,7 @@ def test_compare_with_gram_levels_4_and_5():
         rep = compare_with_gram(level, pts)
         assert rep.verdict == "ok"
         assert rep.max_rel_deviation == 0.0
-        assert rep.constant > 0
+        assert rep.constant == _product_constant(level)
 
 
 def test_symbolic_closed_form_identity(grams):

@@ -19,8 +19,12 @@ REMOVED = {
               "apply_mode", "inner_product", "rho_coefficients",
               "CutoffExceeded", "Realization", "RealizationParams",
               "check_automorphism_identity", "check_w3_relations",
-              "check_weak_symmetry", "cyclic_gram", "verify_rho_ode"],
-    "w3lab.kac": ["AlphaInvariants", "_f_sum"],
+              "check_weak_symmetry", "cyclic_gram", "verify_rho_ode",
+              "f_mn", "f_mm", "kac_closed_form"],
+    "w3lab.kac": ["AlphaInvariants", "_f_sum", "f_mn", "f_mm",
+                  "kac_closed_form", "f_pair_product", "f11_alt",
+                  "alpha_pm_squared", "_f_mn_complex", "_as_real", "IM_TOL"],
+    "w3lab.classify": ["constructive_family_contains"],
     "w3lab.verma": ["Mode", "apply", "apply_mode", "apply_lambda",
                     "inner_product", "_bareiss"],
     "w3lab.exact": ["BigRational", "_poly_exact_div"],
