@@ -23,13 +23,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from operator import itemgetter
 
-from .exact import PoleAtForbiddenCentralCharge
-from .kac import f11
+# Nothing else of the package is imported here (exact only on the pole's
+# error path), so that the classify and region commands load none of the
+# Verma, Kac or Fock machinery.
 
 
 class Status(str, Enum):
@@ -46,11 +47,12 @@ class Witness(str, Enum):
     OUT_OF_CLASSIFIED_REGION = "OutOfClassifiedRegion"
 
 
-@dataclass
-class UnitarityVerdict:
-    status: Status
-    witness: Witness
-    detail: dict = field(default_factory=dict)
+class UnitarityVerdict(namedtuple("UnitarityVerdict",
+                                  ("status", "witness", "detail"))):
+    """A status, the witness that decides it, and the detail dict of the
+    inputs and quantities it rests on."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = {"status": self.status.value, "witness": self.witness.value}
@@ -65,7 +67,24 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def discrete_series_index(c: Fraction) -> Optional[int]:
+def _check_pole(c: Fraction, what: str) -> None:
+    if 22 + 5 * c == 0:
+        from .exact import PoleAtForbiddenCentralCharge
+        raise PoleAtForbiddenCentralCharge(f"{what} at c = -22/5")
+
+
+def f11(h, c) -> Fraction:
+    """First Kac determinant up to the positive constant 9 (exact):
+    f11 = 2h^2(96h - 3c + 6) / (27(5c+22)), the m = n = 1 value of f_mn.
+
+    det(Gram_1) = 9 * (f11 - w^2) identically.
+    """
+    h, c = Fraction(h), Fraction(c)
+    _check_pole(c, "f11")
+    return 2 * h * h * (96 * h - 3 * c + 6) / (27 * (5 * c + 22))
+
+
+def discrete_series_index(c: Fraction) -> int | None:
     """m >= 4 with c = 2(1 - 12/(m(m+1))), if the central charge matches."""
     if c >= 2:
         return None
@@ -78,7 +97,7 @@ def discrete_series_index(c: Fraction) -> Optional[int]:
     return m if m >= 4 and m * (m + 1) == n else None
 
 
-def constructive_bound_sq(c: Fraction, h: Fraction) -> Optional[Fraction]:
+def constructive_bound_sq(c: Fraction, h: Fraction) -> Fraction | None:
     """The constructive family's bound on w^2 at (c, h),
     8/(198+45c) * (2h - (c-2)/12)^3; None where the family has no point
     (c < 2 or h < (c-2)/24)."""
@@ -90,56 +109,58 @@ def constructive_bound_sq(c: Fraction, h: Fraction) -> Optional[Fraction]:
 def classify(c, h, w) -> UnitarityVerdict:
     """Decide unitarity at real (c, h, w); exact when the inputs are exact."""
     c, h, w = _as_fraction(c), _as_fraction(h), _as_fraction(w)
-    _check_pole(c)
-    return _verdict(c, h, w, f11(h, c) if c >= 2 else None,
-                    constructive_bound_sq(c, h))
-
-
-def _check_pole(c: Fraction) -> None:
-    if 22 + 5 * c == 0:
-        raise PoleAtForbiddenCentralCharge("classification at c = -22/5")
-
-
-def _verdict(c: Fraction, h: Fraction, w: Fraction,
-             f11_hc: Optional[Fraction],
-             bound_sq: Optional[Fraction]) -> UnitarityVerdict:
-    """The verdict at (c, h, w) with c != -22/5, given f11(h, c) where
-    c >= 2 (below 2 the verdict does not read it) and
-    constructive_bound_sq(c, h) (read only above c = 98)."""
+    _check_pole(c, "classification")
     detail: dict = {"c": c, "h": h, "w": w}
-
+    w2, quantity = w * w, None
     if c < 2:
         m = discrete_series_index(c)
         if m is not None:
             detail["discrete_series_m"] = m
             detail["note"] = ("central charge matches the discrete series; "
                               "the coset criterion is not implemented here")
-        return UnitarityVerdict(Status.UNKNOWN,
-                                Witness.OUT_OF_CLASSIFIED_REGION, detail)
-
-    quantity = f11_hc - w * w
-    detail["f11_minus_w2"] = quantity
-
-    if c <= 98:
-        if h == 0 and w == 0:
-            return UnitarityVerdict(Status.UNITARY, Witness.VACUUM_THEOREM,
-                                    detail)
-        if quantity >= 0:
-            return UnitarityVerdict(Status.UNITARY,
-                                    Witness.FIRST_KAC_DETERMINANT, detail)
-        return UnitarityVerdict(Status.NOT_UNITARY,
-                                Witness.FIRST_KAC_DETERMINANT, detail)
-
-    # c > 98: partial answer
-    if quantity < 0:
-        return UnitarityVerdict(Status.NOT_UNITARY,
-                                Witness.NECESSARY_CONDITION_FAILED, detail)
-    if bound_sq is not None and w * w <= bound_sq:
+    else:
+        quantity = detail["f11_minus_w2"] = f11(h, c) - w2
+    bound_sq = constructive_bound_sq(c, h)
+    status, witness = _rule(c)(h, w, w2, quantity, bound_sq)
+    if witness is Witness.CONSTRUCTIVE_FAMILY:
         detail["constructive_bound_sq"] = bound_sq
-        return UnitarityVerdict(Status.UNITARY, Witness.CONSTRUCTIVE_FAMILY,
-                                detail)
-    return UnitarityVerdict(Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION,
-                            detail)
+    return UnitarityVerdict(status, witness, detail)
+
+
+# The criteria, one function per range of c.  Each maps (h, w, w2, quantity,
+# bound_sq) to (Status, Witness), where w2 = w^2, quantity = f11(h, c) - w^2
+# and bound_sq = constructive_bound_sq(c, h); classify and region_scan both
+# call them, region_scan with w2 and f11 taken once per column and row.
+
+def _rule(c: Fraction):
+    """The criterion that holds at central charge c != -22/5."""
+    if c < 2:
+        return _below_2
+    return _classified if c <= 98 else _above_98
+
+
+def _below_2(h, w, w2, quantity, bound_sq) -> tuple:
+    """c < 2: the coset criterion is out of scope, so the verdict reads
+    none of its inputs (quantity is None here)."""
+    return Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION
+
+
+def _classified(h, w, w2, quantity, bound_sq) -> tuple:
+    """2 <= c <= 98, where the criterion is complete."""
+    if h == 0 and w == 0:
+        return Status.UNITARY, Witness.VACUUM_THEOREM
+    if quantity >= 0:
+        return Status.UNITARY, Witness.FIRST_KAC_DETERMINANT
+    return Status.NOT_UNITARY, Witness.FIRST_KAC_DETERMINANT
+
+
+def _above_98(h, w, w2, quantity, bound_sq) -> tuple:
+    """c > 98: a partial answer from two one-sided witnesses."""
+    if quantity < 0:
+        return Status.NOT_UNITARY, Witness.NECESSARY_CONDITION_FAILED
+    if bound_sq is not None and w2 <= bound_sq:
+        return Status.UNITARY, Witness.CONSTRUCTIVE_FAMILY
+    return Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION
 
 
 # ---------------------------------------------------------------------------
@@ -150,38 +171,56 @@ CSV_FIELDS = ("c", "h", "w", "status", "witness", "f11_minus_w2",
               "constructive_bound")
 
 
-def region_scan(c, h_range: Tuple, w_range: Tuple,
-                resolution: int) -> List[dict]:
-    """Dense grid of verdicts on [h_min,h_max] x [w_min,w_max] at fixed c."""
+def region_scan(c, h_range: tuple, w_range: tuple,
+                resolution: int) -> list:
+    """Dense grid of verdicts on [h_min,h_max] x [w_min,w_max] at fixed c,
+    one dict per cell keyed by CSV_FIELDS, rows of fixed h in order.
+
+    The axis work is linear in the resolution: w, w^2 and str(w) are taken
+    once per column, f11 and the constructive bound once per row.  A cell
+    costs one subtraction f11 - w^2 and one verdict, and below c = 2, where
+    the verdict reads neither h nor w, no arithmetic at all.
+    """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
     c = _as_fraction(c)
-    _check_pole(c)
+    _check_pole(c, "classification")
     h0, h1 = (_as_fraction(x) for x in h_range)
     w0, w1 = (_as_fraction(x) for x in w_range)
-    ws = [w0 + (w1 - w0) * Fraction(j, resolution - 1)
-          for j in range(resolution)]
-    c_text, rows = str(c), []
-    for i in range(resolution):
-        h = h0 + (h1 - h0) * Fraction(i, resolution - 1)
-        h_text, f11_hc = str(h), f11(h, c) if c >= 2 else None
+    steps = [Fraction(j, resolution - 1) for j in range(resolution)]
+    columns = [(w, w * w, str(w))
+               for w in (w0 + (w1 - w0) * t for t in steps)]
+    rule, c_text, rows = _rule(c), str(c), []
+    if c < 2:
+        # _value_ is the plain attribute behind Enum's slower value property
+        status, witness = rule(None, None, None, None, None)
+        below = [(w_text, status._value_, witness._value_, "")
+                 for _, _, w_text in columns]
+    for t in steps:
+        h = h0 + (h1 - h0) * t
         bound_sq = constructive_bound_sq(c, h)
         bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
-        for w in ws:
-            v = _verdict(c, h, w, f11_hc, bound_sq)
-            rows.append({
-                "c": c_text, "h": h_text, "w": str(w),
-                "status": v.status.value, "witness": v.witness.value,
-                "f11_minus_w2": str(v.detail.get("f11_minus_w2", "")),
-                "constructive_bound": bound,
-            })
+        if c < 2:
+            cells = below
+        else:
+            f11_hc, cells = f11(h, c), []
+            for w, w2, w_text in columns:
+                quantity = f11_hc - w2
+                status, witness = rule(h, w, w2, quantity, bound_sq)
+                cells.append((w_text, status._value_, witness._value_,
+                              str(quantity)))
+        h_text = str(h)
+        rows.extend({"c": c_text, "h": h_text, "w": w_text, "status": s,
+                     "witness": wit, "f11_minus_w2": q,
+                     "constructive_bound": bound}
+                    for w_text, s, wit, q in cells)
     return rows
 
 
-def region_scan_csv(rows: Iterable[dict]) -> str:
+def region_scan_csv(rows) -> str:
+    """The rows of ``region_scan`` as RFC-4180 CSV with a header line."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows(map(itemgetter(*CSV_FIELDS), rows))
     return buf.getvalue()

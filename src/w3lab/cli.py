@@ -4,12 +4,17 @@ vacuum-spectrum.
 All payloads are JSON or RFC-4180 CSV on stdout; structured errors go to
 stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
 3 level too large, 4 Kac-comparison deviation, 5 residual/positivity failure,
-6 cutoff exceeded; bad arguments, click's usage errors among them, exit 1
+6 cutoff exceeded; bad arguments, argparse's usage errors among them, exit 1
 with error "BadArguments".
 
-Options are checked by their click types (nonnegative levels, finite
-floats, exact rationals), and one table, ``EXIT_CODES``, maps library errors
-to exit codes; the JSON error kind is the exception's class name.
+Options are parsed by argparse with the standard library alone.  Type
+callables check every value (exact rationals, finite floats, nonnegative
+levels, a resolution of at least 2, an existing samples file), option names
+must be spelled out in full, and a value that starts with '-' (-5/16, -1e-3)
+is a value.  One table, ``EXIT_CODES``, maps library errors to exit codes;
+the JSON error kind is the exception's class name.  Each command imports
+what it uses, so ``classify`` and ``region`` load none of the Verma, Kac or
+Fock machinery and no third-party package.
 
 Only the symbolic output of ``gram`` (``--symbolic``, or no point given)
 reads and writes the Gram cache under $W3LAB_CACHE_DIR, one file per level,
@@ -21,29 +26,22 @@ Gram matrix directly over Q at each point and never touch the cache.
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import json
 import math
 import os
-import random
+import re
 import sys
-import tempfile
-from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
-import click
-
-from . import kac, verma
 from .classify import classify as run_classify
-from .classify import region_scan, region_scan_csv
-from .exact import parse_rational
+from .classify import f11, region_scan, region_scan_csv
 
 EXIT_DEVIATION = 4
 EXIT_RESIDUAL = 5
 
 # library exceptions by class name, so that the table needs no import of
-# fock (and numpy); the class name is also the JSON error kind
+# the modules that raise them; the class name is also the JSON error kind
 EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2, "LevelTooLarge": 3,
               "DegenerateSample": EXIT_DEVIATION, "CutoffExceeded": 6}
 
@@ -69,12 +67,14 @@ def _within(tol: float, *values: float) -> bool:
     return all(v <= tol for v in values)
 
 
-def _cache_dir() -> Path:
+def _cache_dir():
+    from pathlib import Path
     default = os.path.join(os.path.expanduser("~"), ".cache", "w3lab")
     return Path(os.environ.get("W3LAB_CACHE_DIR", default))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path, text: str) -> None:
+    import tempfile
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name)
     try:
@@ -87,21 +87,24 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _cache_path(cache: Path, level: int) -> Path:
+def _cache_path(cache, level: int):
+    import hashlib
     key = hashlib.sha256(f"{FORMAT_VERSION}:{level}".encode()).hexdigest()[:16]
     return cache / f"gram-{level}-{key}.json"
 
 
 def _entries_sha256(entries: list) -> str:
     """sha256 of a Gram's entry strings, written as compact JSON."""
+    import hashlib
     text = json.dumps(entries, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _read_cached(path: Path, level: int) -> verma.GramMatrix | None:
+def _read_cached(path, level: int):
     """The Gram stored at ``path``, or None when the file is missing, does
     not parse, fails its entries' sha256, or does not hold the
     level-``level`` Gram over its basis."""
+    from . import verma
     try:
         text = path.read_text()
         payload = json.loads(text)
@@ -118,10 +121,11 @@ def _read_cached(path: Path, level: int) -> verma.GramMatrix | None:
     return g
 
 
-def _gram_cached(level: int, level_cap: int) -> verma.GramMatrix:
+def _gram_cached(level: int, level_cap: int):
     """The symbolic Gram at ``level``, from the cache when a valid file is
     there; otherwise built under ``level_cap`` and written atomically.  A
     cache directory that cannot be made or written disables caching."""
+    from . import verma
     verma.check_level(level, level_cap)
     path = _cache_path(_cache_dir(), level)
     g = _read_cached(path, level)
@@ -136,127 +140,132 @@ def _gram_cached(level: int, level_cap: int) -> verma.GramMatrix:
     return g
 
 
-class RationalParam(click.ParamType):
+# ---------------------------------------------------------------------------
+# option types: each turns one command-line string into a checked value
+# ---------------------------------------------------------------------------
+
+def _rational(text: str) -> Fraction:
     """An exact rational 'p/q'; a decimal is taken at its exact value,
     with a warning on stderr."""
-
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        text = str(value)
-        try:
-            val = parse_rational(text)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not a rational (use p/q)", param, ctx)
-        if "." in text or "e" in text.lower():
-            click.echo("warning: decimal input converted to the exact "
-                       f"rational {val}; boundary verdicts reflect that value",
-                       err=True)
-        return val
-
-
-class FiniteFloat(click.FloatRange):
-    """A finite float, above ``min`` when one is given; click's own float
-    types let nan and inf through."""
-
-    name = "float"
-
-    def convert(self, value, param, ctx):
-        val = super().convert(value, param, ctx)
-        if not math.isfinite(val):
-            self.fail(f"{val} is not finite", param, ctx)
-        return val
-
-    def _describe_range(self) -> str:  # the range --help shows, if any
-        return "" if self.min is None else super()._describe_range()
-
-
-RATIONAL = RationalParam()
-FINITE = FiniteFloat()
-NONNEGATIVE = click.IntRange(min=0)
-
-
-@contextmanager
-def _usage_as_bad_arguments():
-    """Turn click's usage errors (missing, unknown or malformed options and
-    commands) into the JSON BadArguments error with exit 1; click's own
-    exit code for them, 2, is the pole's."""
     try:
-        yield
-    except click.UsageError as e:
-        _fail(1, "BadArguments", e.format_message())
+        val = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rational (use p/q)") from None
+    if "." in text or "e" in text.lower():
+        print("warning: decimal input converted to the exact rational "
+              f"{val}; boundary verdicts reflect that value", file=sys.stderr)
+    return val
 
 
-class _Group(click.Group):
-    """The command group; parsing, at its level and at a subcommand's,
-    runs under ``_usage_as_bad_arguments``, and a library exception named in
-    ``EXIT_CODES`` ends the command with that code and a JSON error."""
+def _finite(text: str) -> float:
+    """A finite float; float() alone lets nan and inf through."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{val} is not finite")
+    return val
 
-    def make_context(self, *args, **kwargs):
-        with _usage_as_bad_arguments():
-            return super().make_context(*args, **kwargs)
 
-    def invoke(self, ctx):
+def _positive(text: str) -> float:
+    """A finite float above 0."""
+    val = _finite(text)
+    if val <= 0:
+        raise argparse.ArgumentTypeError(f"{val} is not above 0")
+    return val
+
+
+def _at_least(low: int):
+    """The type of an integer option that must be at least ``low``."""
+    def parse(text: str) -> int:
         try:
-            with _usage_as_bad_arguments():
-                return super().invoke(ctx)
-        except Exception as e:
-            if type(e).__name__ not in EXIT_CODES:
-                raise
-            _fail(EXIT_CODES[type(e).__name__], type(e).__name__, str(e))
+            val = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if val < low:
+            raise argparse.ArgumentTypeError(f"{val} is below {low}")
+        return val
+    return parse
 
 
-@click.group(cls=_Group, no_args_is_help=False)
-def main():
-    """Exact W3-algebra computations and unitarity checks."""
+NONNEGATIVE = _at_least(0)
+
+
+def _existing_file(text: str) -> str:
+    """The path of a file that exists."""
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file")
+    return text
+
+
+# Every token that starts with '-', is no option of the parser and
+# looks like the start of a number (-5/16, -.5, -1e-3, -inf, -nan) is a
+# value; argparse's own pattern admits only -1 and -0.5, so that
+# ``--w -5/16`` would fail with "expected one argument".
+_NEGATIVE_VALUE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's error contract: a usage error is the JSON
+    BadArguments error with exit 1 (argparse's own code for it, 2, is the
+    pole's), and options are never abbreviated."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+    def error(self, message):
+        _fail(1, "BadArguments", message)
+
+
+def _level_cap(args) -> int:
+    """--level-cap, or verma's default; the parser leaves it None so that
+    building the parser does not import verma."""
+    from . import verma
+    cap = args.level_cap
+    return verma.DEFAULT_LEVEL_CAP if cap is None else cap
 
 
 # ---------------------------------------------------------------------------
 # gram
 # ---------------------------------------------------------------------------
 
-@main.command("gram")
-@click.option("--level", type=NONNEGATIVE, required=True)
-@click.option("--c", "c_val", type=RATIONAL, default=None)
-@click.option("--h", "h_val", type=RATIONAL, default=None)
-@click.option("--w", "w_val", type=RATIONAL, default=None)
-@click.option("--symbolic", is_flag=True, help="print symbolic entries")
-@click.option("--level-cap", type=NONNEGATIVE,
-              default=verma.DEFAULT_LEVEL_CAP)
-@click.option("--format", "fmt", type=click.Choice(["json", "pretty"]),
-              default="json")
-def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
+def cmd_gram(args):
     """Level-N Gram matrix of the canonical invariant form.
 
     With --c/--h/--w the matrix and its determinant are computed exactly
     over Q at that point; with none of them the symbolic matrix is printed.
     Some but not all of the three is BadArguments.
     """
-    point = (c_val, h_val, w_val)
+    from . import verma
+    level, level_cap = args.level, _level_cap(args)
+    point = (args.c, args.h, args.w)
     given = sum(v is not None for v in point)
     if given not in (0, 3):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
-    if symbolic or not given:
+    if args.symbolic or not given:
         g = _gram_cached(level, level_cap)
-        if fmt == "json":
-            click.echo(g.to_json())
+        if args.format == "json":
+            print(g.to_json())
         else:
             for word, row in zip(g.basis, g.entries):
-                click.echo(f"{word.label():16s} "
-                           + "  ".join(str(e) for e in row))
+                print(f"{word.label():16s} " + "  ".join(str(e) for e in row))
         return
     # the level cap is reported before a pole, as on the symbolic path
     verma.check_level(level, level_cap)
     g = verma.gram_matrix(level, level_cap, verma.point_ring(*point))
     payload = {
         "level": level,
-        "point": {"c": str(c_val), "h": str(h_val), "w": str(w_val)},
+        "point": {"c": str(args.c), "h": str(args.h), "w": str(args.w)},
         "basis": [wd.label() for wd in g.basis],
         "entries": [[str(x) for x in row] for row in g.entries],
         "determinant": str(verma.rational_determinant(g.entries)),
         "determinantMethod": "evaluated",
     }
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +274,13 @@ def cmd_gram(level, c_val, h_val, w_val, symbolic, level_cap, fmt):
 
 def _random_region_points(k: int, seed: int):
     """Deterministic rational sample points with 2 < c < 98, f11 - w^2 > 0."""
+    import random
     rng = random.Random(seed)
     pts = []
     while len(pts) < k:
         c = Fraction(rng.randint(3, 97)) + Fraction(rng.randint(0, 99), 100)
         h = Fraction(rng.randint(1, 80), rng.randint(1, 8))
-        cap = kac.f11(h, c)
+        cap = f11(h, c)
         if cap <= 0:
             continue
         wmax = float(cap) ** 0.5
@@ -280,27 +290,20 @@ def _random_region_points(k: int, seed: int):
     return pts
 
 
-def _read_samples(path: Path) -> list:
+def _read_samples(path: str) -> list:
     """[c, h, w] rows of rationals from a JSON file."""
     try:
-        rows = json.loads(path.read_text())
-        pts = [tuple(parse_rational(str(x)) for x in row) for row in rows]
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+        with open(path) as fh:
+            rows = json.load(fh)
+        pts = [tuple(Fraction(str(x)) for x in row) for row in rows]
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as e:
         _fail(1, "BadArguments", f"unreadable samples file: {e}")
     if any(len(p) != 3 for p in pts):
         _fail(1, "BadArguments", "each sample must be [c, h, w]")
     return pts
 
 
-@main.command("kac-verify")
-@click.option("--level", type=NONNEGATIVE, required=True)
-@click.option("--samples", type=click.Path(exists=True), default=None,
-              help="JSON file: list of [c, h, w] rationals as strings")
-@click.option("--random", "n_random", type=int, default=0)
-@click.option("--seed", type=int, default=0)
-@click.option("--level-cap", type=NONNEGATIVE,
-              default=verma.DEFAULT_LEVEL_CAP)
-def cmd_kac_verify(level, samples, n_random, seed, level_cap):
+def cmd_kac_verify(args):
     """Compare det(Gram_N) with the closed-form product at sample points.
 
     At each point the Gram matrix is built over Q from the lower-level
@@ -309,16 +312,17 @@ def cmd_kac_verify(level, samples, n_random, seed, level_cap):
     verdict is ok iff the ratio det / product is the same positive rational
     at every point.
     """
-    if samples:
-        pts = _read_samples(Path(samples))
-    elif n_random:
-        pts = _random_region_points(n_random, seed)
+    from . import kac
+    if args.samples:
+        pts = _read_samples(args.samples)
+    elif args.random:
+        pts = _random_region_points(args.random, args.seed)
     else:
         _fail(1, "BadArguments", "give --samples FILE or --random K")
     if len(pts) < 2:
         _fail(1, "BadArguments", "need at least 2 sample points")
-    rep = kac.compare_with_gram(level, pts, level_cap=level_cap)
-    click.echo(rep.to_json())
+    rep = kac.compare_with_gram(args.level, pts, level_cap=_level_cap(args))
+    print(rep.to_json())
     if rep.verdict != "ok":
         sys.exit(EXIT_DEVIATION)
 
@@ -327,53 +331,37 @@ def cmd_kac_verify(level, samples, n_random, seed, level_cap):
 # classify / region
 # ---------------------------------------------------------------------------
 
-@main.command("classify")
-@click.option("--c", "c_val", type=RATIONAL, required=True)
-@click.option("--h", "h_val", type=RATIONAL, required=True)
-@click.option("--w", "w_val", type=RATIONAL, required=True)
-def cmd_classify(c_val, h_val, w_val):
+def cmd_classify(args):
     """Unitarity verdict for one (c, h, w)."""
-    v = run_classify(c_val, h_val, w_val)
-    click.echo(json.dumps(v.to_dict(), indent=2))
+    v = run_classify(args.c, args.h, args.w)
+    print(json.dumps(v.to_dict(), indent=2))
 
 
-@main.command("region")
-@click.option("--c", "c_val", type=RATIONAL, required=True)
-@click.option("--h-min", type=RATIONAL, default="0")
-@click.option("--h-max", type=RATIONAL, required=True)
-@click.option("--w-min", type=RATIONAL, default=None)
-@click.option("--w-max", type=RATIONAL, required=True)
-@click.option("--res", type=click.IntRange(min=2), required=True)
-def cmd_region(c_val, h_min, h_max, w_min, w_max, res):
+def cmd_region(args):
     """CSV grid of verdicts over [h_min,h_max] x [w_min,w_max]."""
-    w_min = -w_max if w_min is None else w_min
-    rows = region_scan(c_val, (h_min, h_max), (w_min, w_max), res)
-    click.echo(region_scan_csv(rows), nl=False)
+    w_min = -args.w_max if args.w_min is None else args.w_min
+    rows = region_scan(args.c, (args.h_min, args.h_max),
+                       (w_min, args.w_max), args.res)
+    sys.stdout.write(region_scan_csv(rows))
 
 
 # ---------------------------------------------------------------------------
 # fz-check
 # ---------------------------------------------------------------------------
 
-# the choices are fock.VARIANTS, written out so that building the command
-# group does not import fock and numpy; a test keeps the two equal
-@main.command("fz-check")
-@click.option("--variant", default="vacuumModified", type=click.Choice(
-    ("raw", "vacuumModified", "unitaryFamily")))
-@click.option("--kappa", type=FINITE, default=1.0)
-@click.option("--q1", type=FINITE, default=0.0)
-@click.option("--q2", type=FINITE, default=0.0)
-@click.option("--cutoff", type=int, default=9)
-@click.option("--max-mode", type=NONNEGATIVE, default=3)
-@click.option("--max-level", type=NONNEGATIVE, default=2)
-@click.option("--eta-im", type=FINITE, default=0.0,
-              help="imaginary part of eta for the automorphism check")
-def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
+# fock.VARIANTS, written out so that building the parser does not import
+# fock and numpy; a test keeps the two equal
+VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
+
+
+def cmd_fz_check(args):
     """Aggregate residual report for the chosen realization."""
     from . import fock
+    variant, kappa, q1, q2 = args.variant, args.kappa, args.q1, args.q2
+    cutoff, max_mode, max_level = args.cutoff, args.max_mode, args.max_level
     params = fock.RealizationParams(kappa=kappa, q1=q1, q2=q2, cutoff=cutoff)
     relations = fock.check_w3_relations(variant, params, max_mode, max_level)
-    auto = fock.check_automorphism_identity(kappa, complex(0, eta_im),
+    auto = fock.check_automorphism_identity(kappa, complex(0, args.eta_im),
                                             max_mode, max_level, cutoff)
     ode = fock.verify_rho_ode(20)
     report = {
@@ -406,7 +394,7 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
             if not _within(ZERO_VECTOR_TOL, *zv.values()):
                 failures.append("zeroVectors")
     report["failures"] = failures
-    click.echo(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2))
     if failures:
         sys.exit(EXIT_RESIDUAL)
 
@@ -415,15 +403,7 @@ def cmd_fz_check(variant, kappa, q1, q2, cutoff, max_mode, max_level, eta_im):
 # vacuum-spectrum
 # ---------------------------------------------------------------------------
 
-@main.command("vacuum-spectrum")
-@click.option("--kappa", type=FINITE, required=True)
-@click.option("--level", type=NONNEGATIVE, required=True)
-@click.option("--cutoff", type=int, default=8)
-@click.option("--psd-tol", type=FiniteFloat(min=0, min_open=True),
-              default=PSD_TOL,
-              help="exit 5 when the smallest eigenvalue is below "
-                   "-PSD_TOL * max(1, largest eigenvalue); default 1e-8")
-def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
+def cmd_vacuum_spectrum(args):
     """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
 
     The spectrum counts as positive semidefinite down to a tolerance
@@ -431,22 +411,103 @@ def cmd_vacuum_spectrum(kappa, level, cutoff, psd_tol):
     eigensolver scales with it.
     """
     from . import fock
-    params = fock.RealizationParams(kappa=kappa, cutoff=cutoff)
-    cg = fock.cyclic_gram("vacuumModified", params, level)
+    params = fock.RealizationParams(kappa=args.kappa, cutoff=args.cutoff)
+    cg = fock.cyclic_gram("vacuumModified", params, args.level)
     eigs = sorted(float(x) for x in cg.eigenvalues)
     payload = {
-        "kappa": kappa,
+        "kappa": args.kappa,
         "centralCharge": params.central_charge,
-        "level": level,
+        "level": args.level,
         "dimension": len(cg.words),
         "eigenvalues": eigs,
         "minEigenvalue": eigs[0],
     }
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
     # numpy's min/max propagate a NaN eigenvalue, which then fails
     lo, hi = float(cg.eigenvalues.min()), float(cg.eigenvalues.max())
-    if not _within(psd_tol * max(1.0, hi), -lo):
+    if not _within(args.psd_tol * max(1.0, hi), -lo):
         sys.exit(EXIT_RESIDUAL)
+
+
+# ---------------------------------------------------------------------------
+# the parser and the entry point
+# ---------------------------------------------------------------------------
+
+def build_parser() -> _Parser:
+    """The w3lab argument parser: one subcommand per ``cmd_*`` function,
+    which it stores as ``run``."""
+    parser = _Parser(prog="w3lab", description="Exact W3-algebra "
+                     "computations and unitarity checks.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__.split("\n")[0],
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    p = command("gram", cmd_gram)
+    p.add_argument("--level", type=NONNEGATIVE, required=True)
+    for name in ("--c", "--h", "--w"):
+        p.add_argument(name, type=_rational)
+    p.add_argument("--symbolic", action="store_true",
+                   help="print symbolic entries")
+    p.add_argument("--level-cap", type=NONNEGATIVE)
+    p.add_argument("--format", choices=("json", "pretty"), default="json")
+
+    p = command("kac-verify", cmd_kac_verify)
+    p.add_argument("--level", type=NONNEGATIVE, required=True)
+    p.add_argument("--samples", type=_existing_file,
+                   help="JSON file: list of [c, h, w] rationals as strings")
+    p.add_argument("--random", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--level-cap", type=NONNEGATIVE)
+
+    p = command("classify", cmd_classify)
+    for name in ("--c", "--h", "--w"):
+        p.add_argument(name, type=_rational, required=True)
+
+    p = command("region", cmd_region)
+    p.add_argument("--c", type=_rational, required=True)
+    p.add_argument("--h-min", type=_rational, default=Fraction(0))
+    p.add_argument("--h-max", type=_rational, required=True)
+    p.add_argument("--w-min", type=_rational)
+    p.add_argument("--w-max", type=_rational, required=True)
+    p.add_argument("--res", type=_at_least(2), required=True)
+
+    p = command("fz-check", cmd_fz_check)
+    p.add_argument("--variant", choices=VARIANTS, default="vacuumModified")
+    p.add_argument("--kappa", type=_finite, default=1.0)
+    p.add_argument("--q1", type=_finite, default=0.0)
+    p.add_argument("--q2", type=_finite, default=0.0)
+    p.add_argument("--cutoff", type=int, default=9)
+    p.add_argument("--max-mode", type=NONNEGATIVE, default=3)
+    p.add_argument("--max-level", type=NONNEGATIVE, default=2)
+    p.add_argument("--eta-im", type=_finite, default=0.0,
+                   help="imaginary part of eta for the automorphism check")
+
+    p = command("vacuum-spectrum", cmd_vacuum_spectrum)
+    p.add_argument("--kappa", type=_finite, required=True)
+    p.add_argument("--level", type=NONNEGATIVE, required=True)
+    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--psd-tol", type=_positive, default=PSD_TOL,
+                   help="exit 5 when the smallest eigenvalue is below "
+                        "-PSD_TOL * max(1, largest eigenvalue); default 1e-8")
+    return parser
+
+
+def main(argv=None) -> None:
+    """Run one command; ``argv`` defaults to the process arguments.  A
+    library exception named in ``EXIT_CODES`` ends the command with that
+    code and a JSON error."""
+    args = build_parser().parse_args(argv)
+    try:
+        args.run(args)
+    except Exception as e:
+        if type(e).__name__ not in EXIT_CODES:
+            raise
+        _fail(EXIT_CODES[type(e).__name__], type(e).__name__, str(e))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ from functools import lru_cache
 from typing import Any, List, Sequence, Tuple
 
 from . import verma
-from .exact import ExactScalar, PoleAtForbiddenCentralCharge
+from .classify import f11  # noqa: F401  (re-exported with the Kac names)
+from .exact import ExactScalar
 
 
 class DegenerateSample(ValueError):
@@ -76,19 +77,6 @@ def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
     bx = h + 2 * (m * n - 1) - 4 * (q - 2) * s  # B = bx + 2d sqrt(D)
     b2x, b2y = bx * bx + 4 * d * d * D, 4 * d * bx  # B^2
     return ax * b2x + ay * b2y * D, ax * b2y + ay * b2x, D
-
-
-def f11(h, c) -> Fraction:
-    """First Kac determinant up to the positive constant 9 (exact):
-    f11 = 2h^2(96h - 3c + 6) / (27(5c+22)), the m = n = 1 value of f_mn.
-
-    det(Gram_1) = 9 * (f11 - w^2) identically.
-    """
-    h, c = Fraction(h), Fraction(c)
-    den = 27 * (5 * c + 22)
-    if den == 0:
-        raise PoleAtForbiddenCentralCharge("f11 at c = -22/5")
-    return 2 * h * h * (96 * h - 3 * c + 6) / den
 
 
 # ---------------------------------------------------------------------------

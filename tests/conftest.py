@@ -1,6 +1,11 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
+
 import pytest
 
 from w3lab import verma
+from w3lab.cli import main
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +18,43 @@ def grams():
 def engine():
     """One symbolic rewriting engine, so its memo is shared across tests."""
     return verma.Engine()
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(argv) -> CliResult:
+    """``w3lab.cli.main(argv)`` in-process: its exit code and what it wrote
+    to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(argv))
+            code = 0
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
+@pytest.fixture()
+def runner(tmp_path, monkeypatch):
+    """``runner(argv)`` runs the CLI in-process over a fresh Gram cache
+    under tmp_path and returns its exit_code, stdout and stderr."""
+    monkeypatch.setenv("W3LAB_CACHE_DIR", str(tmp_path / "cache"))
+    return invoke
+
+
+@pytest.fixture(scope="module")
+def shared_runner(tmp_path_factory):
+    """``runner`` over one Gram cache for a whole module, for tests whose
+    examples (hypothesis) must not rebuild the same Gram each time."""
+    cache = str(tmp_path_factory.mktemp("cache"))
+
+    def run(argv) -> CliResult:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("W3LAB_CACHE_DIR", cache)
+            return invoke(argv)
+    return run

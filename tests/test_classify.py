@@ -173,15 +173,20 @@ def test_region_scan_pole():
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 7), Fraction(2), Fraction(353, 7),
-                               Fraction(842, 7)])
+                               Fraction(842, 7), Fraction(110)])
 def test_region_scan_rows_match_classify(c):
+    # h up to 10 at c = 110 reaches the constructive family (h >= 9/2), so
+    # every witness above c = 98 shows up
+    h_max = 10 if c == 110 else 2
     res = 7
-    rows = region_scan(c, (0, 2), (-1, 1), res)
-    grid = [(Fraction(2 * i, res - 1), Fraction(2 * j, res - 1) - 1)
+    rows = region_scan(c, (0, h_max), (-1, 1), res)
+    grid = [(Fraction(h_max * i, res - 1), Fraction(2 * j, res - 1) - 1)
             for i in range(res) for j in range(res)]
     assert len(rows) == len(grid)
+    witnesses = set()
     for row, (h, w) in zip(rows, grid):
         v = classify(c, h, w)
+        witnesses.add(v.witness)
         bound_sq = constructive_bound_sq(c, h)
         assert row == {
             "c": str(c), "h": str(h), "w": str(w),
@@ -190,3 +195,7 @@ def test_region_scan_rows_match_classify(c):
             "constructive_bound": ("" if bound_sq is None
                                    else repr(float(bound_sq) ** 0.5)),
         }
+    if c == 110:
+        assert witnesses == {Witness.NECESSARY_CONDITION_FAILED,
+                             Witness.CONSTRUCTIVE_FAMILY,
+                             Witness.OUT_OF_CLASSIFIED_REGION}

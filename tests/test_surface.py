@@ -33,7 +33,8 @@ REMOVED = {
                    "VACUUM_KEY", "PRUNE_TOL", "_level_index", "key_level",
                    "state_inner", "state_norm", "state_prune",
                    "vacuum_state", "word_state", "_leftmost"],
-    "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES"],
+    "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
+                  "RationalParam", "FiniteFloat", "RATIONAL", "FINITE"],
 }
 
 
