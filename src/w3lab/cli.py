@@ -121,23 +121,25 @@ def _read_cached(path, level: int):
     return g
 
 
-def _gram_cached(level: int, level_cap: int):
-    """The symbolic Gram at ``level``, from the cache when a valid file is
-    there; otherwise built under ``level_cap`` and written atomically.  A
-    cache directory that cannot be made or written disables caching."""
+def _gram_cached(level: int, level_cap: int) -> dict:
+    """The ``GramMatrix.payload`` of the symbolic Gram at ``level``, from
+    the cache when a valid file is there; otherwise built under
+    ``level_cap`` and written atomically, as that payload plus the sha256 of
+    its entries.  A cache directory that cannot be made or written disables
+    caching."""
     from . import verma
     verma.check_level(level, level_cap)
     path = _cache_path(_cache_dir(), level)
     g = _read_cached(path, level)
-    if g is None:
-        g = verma.gram_matrix(level, level_cap)
-        payload = json.loads(g.to_json())
-        payload["sha256"] = _entries_sha256(payload["entries"])
-        try:
-            _atomic_write(path, json.dumps(payload, indent=2))
-        except OSError:
-            pass  # caching disabled
-    return g
+    if g is not None:
+        return g.payload()
+    payload = verma.gram_matrix(level, level_cap).payload()
+    stored = dict(payload, sha256=_entries_sha256(payload["entries"]))
+    try:
+        _atomic_write(path, json.dumps(stored, indent=2))
+    except OSError:
+        pass  # caching disabled
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +249,12 @@ def cmd_gram(args):
     if given not in (0, 3):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
     if args.symbolic or not given:
-        g = _gram_cached(level, level_cap)
+        payload = _gram_cached(level, level_cap)
         if args.format == "json":
-            print(g.to_json())
+            print(json.dumps(payload, indent=2))
         else:
-            for word, row in zip(g.basis, g.entries):
-                print(f"{word.label():16s} " + "  ".join(str(e) for e in row))
+            for label, row in zip(payload["basis"], payload["entries"]):
+                print(f"{label:16s} " + "  ".join(row))
         return
     # the level cap is reported before a pole, as on the symbolic path
     verma.check_level(level, level_cap)

@@ -1,12 +1,20 @@
 """Exact scalar arithmetic for the symbolic side of the library.
 
-Scalars live in the ring of polynomials in the central charge ``c`` and the
-two lowest weights ``h``, ``w`` with arbitrary-precision rational
-coefficients, divided by a nonnegative power of ``(22+5c)``.  Every quantity
-the reduction engine produces has exactly this shape, so the ring is closed
-under all operations we need and structural equality is decidable.  Those
-are +, -, * and powers: nothing divides one scalar by another, since the
-symbolic determinant (``verma.determinant``) is an expansion in minors.
+Scalars are polynomials in the central charge ``c`` and the two lowest
+weights ``h``, ``w`` with arbitrary-precision rational coefficients, divided
+by a power of ``d = 22+5c`` (the reduction engine brings in nothing else,
+since b^2 = 16/d).  Each is stored as a Laurent polynomial in ``(d, h, w)``:
+a dict from exponents to Fractions in which the exponent of ``d`` may be
+negative.  That ring has one representation per element, so equality is
+structural and +, -, * are plain dict operations that never divide.  Nothing
+divides one scalar by another either: the symbolic determinant
+(``verma.determinant``) is an expansion in minors.
+
+The c-form, a numerator in ``(c, h, w)`` over the least power of ``22+5c``,
+exists only at the edges: the constructor takes it, ``terms`` and
+``denom_power`` give it, and ``str`` and ``parse_scalar`` write and read it.
+Both conversions substitute c = (d-22)/5 or d = 5c+22 one (h, w) group at a
+time, as an integer Taylor shift over one common denominator.
 
 No floating point is used anywhere in this module: sign decisions near the
 vanishing locus of determinants are ill-conditioned, so everything is kept
@@ -15,17 +23,14 @@ rational.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-Monomial = Tuple[int, int, int]  # exponents of (c, h, w)
+Monomial = Tuple[int, int, int]  # exponents of (c, h, w), or of (d, h, w)
 
 _VARS = ("c", "h", "w")
-
-# Denominator polynomial 22 + 5c, as a c-coefficient list [22, 5].
-_DEN_CONST = 22
-_DEN_LIN = 5
 
 
 class PoleAtForbiddenCentralCharge(ValueError):
@@ -37,84 +42,86 @@ def _monomial_sort_key(m: Monomial):
     return (m[0] + m[1] + m[2], m[0], m[1], m[2])
 
 
-def _divide_poly_by_den(terms: Dict[Monomial, Fraction]):
-    """Divide a polynomial by (22+5c); return the quotient or None.
+def _groups(terms: Dict[Monomial, Fraction], offset: int):
+    """(den, groups): ``terms`` over one common denominator ``den``, split
+    by (h, w) into integer lists indexed by the first exponent plus
+    ``offset``."""
+    den = math.lcm(*[q.denominator for q in terms.values()])
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for (e, eh, ew), q in terms.items():
+        e += offset
+        a = groups.get((eh, ew))
+        if a is None:
+            a = groups[eh, ew] = [0] * (e + 1)
+        elif len(a) <= e:
+            a.extend([0] * (e + 1 - len(a)))
+        a[e] = q.numerator * (den // q.denominator)
+    return den, groups
 
-    The division is done per (h, w)-exponent group, treating each group as a
-    univariate polynomial in c.
-    """
-    groups: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for (ec, eh, ew), coef in terms.items():
-        groups.setdefault((eh, ew), {})[ec] = coef
+
+def _taylor_shift(a: List[int], s: int) -> None:
+    """Replace the coefficients of p(x) in ``a`` by those of p(x + s)."""
+    n = len(a)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += s * a[j + 1]
+
+
+def _to_laurent(terms: Dict[Monomial, Fraction], denom_power: int):
+    """The c-form ``terms`` / (22+5c)**denom_power in (d, h, w)."""
     out: Dict[Monomial, Fraction] = {}
-    for (eh, ew), cpoly in groups.items():
-        if not cpoly:
-            continue
-        deg = max(cpoly)
-        rem = [cpoly.get(i, Fraction(0)) for i in range(deg + 1)]
-        quo = [Fraction(0)] * max(deg, 1)
-        for i in range(deg, 0, -1):
-            q = rem[i] / _DEN_LIN
-            quo[i - 1] = q
-            rem[i - 1] -= _DEN_CONST * q
-        if rem[0] != 0:
-            return None
-        for i, q in enumerate(quo):
-            if q != 0:
-                out[(i, eh, ew)] = q
+    den, groups = _groups(terms, 0)
+    for (eh, ew), a in groups.items():
+        # c^k = (d-22)^k / 5^k, all over 5^deg
+        deg = len(a) - 1
+        a = [x * 5 ** (deg - k) for k, x in enumerate(a)]
+        _taylor_shift(a, -22)
+        for j, x in enumerate(a):
+            if x:
+                out[(j - denom_power, eh, ew)] = Fraction(x, den * 5 ** deg)
     return out
 
 
 class ExactScalar:
     """A polynomial in (c, h, w) over Q, divided by (22+5c)**denom_power.
 
-    Instances are immutable and kept in canonical form: no zero coefficients
-    are stored and ``denom_power`` is minimal (the numerator is not divisible
-    by 22+5c unless the power is already zero).  Equality is therefore
-    structural.
+    Built from that c-form; stored as the Laurent polynomial in
+    (d, h, w), d = 22+5c, with no zero coefficients.  ``terms`` and
+    ``denom_power`` give the c-form back with the least power.
     """
 
-    __slots__ = ("terms", "denom_power", "_hash")
+    __slots__ = ("_t",)
 
     def __init__(self, terms: Dict[Monomial, Fraction] | None = None,
                  denom_power: int = 0):
-        terms = {m: Fraction(c) for m, c in (terms or {}).items() if c != 0}
         if denom_power < 0:
             raise ValueError("denom_power must be nonnegative")
-        while denom_power > 0 and terms:
-            reduced = _divide_poly_by_den(terms)
-            if reduced is None:
-                break
-            terms = reduced
-            denom_power -= 1
-        self._set(terms, denom_power)
-
-    def _set(self, terms: Dict[Monomial, Fraction], denom_power: int):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "denom_power", denom_power if terms else 0)
-        object.__setattr__(self, "_hash", None)
+        self._t = _to_laurent({m: Fraction(q) for m, q in (terms or {}).items()
+                               if q}, denom_power)
 
     @staticmethod
-    def _canonical(terms: dict, denom_power: int) -> "ExactScalar":
-        """``terms`` (nonzero Fractions) over (22+5c)**denom_power, where the
-        numerator is known not to be divisible by 22+5c."""
+    def _of(t: Dict[Monomial, Fraction]) -> "ExactScalar":
+        """The scalar with Laurent terms ``t`` (nonzero Fractions)."""
         out = object.__new__(ExactScalar)
-        out._set(terms, denom_power)
+        out._t = t
         return out
 
-    def __setattr__(self, *_):
-        raise AttributeError("ExactScalar is immutable")
+    @property
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """The c-form numerator in (c, h, w) over (22+5c)**denom_power."""
+        terms: Dict[Monomial, Fraction] = {}
+        den, groups = _groups(self._t, self.denom_power)
+        for (eh, ew), a in groups.items():
+            _taylor_shift(a, 22)  # d^j = (c' + 22)^j with c' = 5c
+            for i, x in enumerate(a):
+                if x:
+                    terms[(i, eh, ew)] = Fraction(x * 5 ** i, den)
+        return terms
 
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "ExactScalar":
-        q = Fraction(q)
-        return ExactScalar({(0, 0, 0): q}) if q else ExactScalar()
-
-    @staticmethod
-    def monomial(ec: int, eh: int, ew: int, coef=1) -> "ExactScalar":
-        return ExactScalar({(ec, eh, ew): Fraction(coef)})
+    @property
+    def denom_power(self) -> int:
+        """The least power of 22+5c that clears the denominators."""
+        return max(0, -min((m[0] for m in self._t), default=0))
 
     # -- ring structure ------------------------------------------------
 
@@ -123,24 +130,25 @@ class ExactScalar:
         if isinstance(x, ExactScalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return ExactScalar.from_rational(x)
+            return scalar(x)
         return NotImplemented
 
     def __add__(self, other):
         other = ExactScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k = max(self.denom_power, other.denom_power)
-        terms = _scale_by_den(self.terms, k - self.denom_power)
-        for m, c in _scale_by_den(other.terms, k - other.denom_power).items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return ExactScalar(terms, k)
+        t = dict(self._t)
+        for m, q in other._t.items():
+            s = t.pop(m, None)
+            s = q if s is None else s + q
+            if s:
+                t[m] = s
+        return ExactScalar._of(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar._canonical(
-            {m: -c for m, c in self.terms.items()}, self.denom_power)
+        return ExactScalar._of({m: -q for m, q in self._t.items()})
 
     def __sub__(self, other):
         other = ExactScalar._coerce(other)
@@ -155,17 +163,12 @@ class ExactScalar:
         other = ExactScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        if self.denom_power and other.denom_power:
-            # the prime 22+5c divides neither numerator, so not their product
-            return ExactScalar._canonical(
-                {m: c for m, c in terms.items() if c},
-                self.denom_power + other.denom_power)
-        return ExactScalar(terms, self.denom_power + other.denom_power)
+        t: Dict[Monomial, Fraction] = {}
+        for (a1, b1, c1), q1 in self._t.items():
+            for (a2, b2, c2), q2 in other._t.items():
+                m = (a1 + a2, b1 + b2, c1 + c2)
+                t[m] = t[m] + q1 * q2 if m in t else q1 * q2
+        return ExactScalar._of({m: q for m, q in t.items() if q})
 
     __rmul__ = __mul__
 
@@ -182,20 +185,16 @@ class ExactScalar:
         return out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other):
         other = ExactScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.denom_power == other.denom_power
-                and self.terms == other.terms)
+        return self._t == other._t
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((self.denom_power, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash(frozenset(self._t.items()))
 
     # -- evaluation ------------------------------------------------------
 
@@ -205,39 +204,37 @@ class ExactScalar:
         Raises PoleAtForbiddenCentralCharge when c = -22/5 and the scalar
         actually carries a (22+5c) denominator.
         """
-        c_val, h_val, w_val = Fraction(c_val), Fraction(h_val), Fraction(w_val)
-        den = _DEN_CONST + _DEN_LIN * c_val
-        if den == 0 and self.denom_power > 0:
+        h_val, w_val = Fraction(h_val), Fraction(w_val)
+        d_val = 22 + 5 * Fraction(c_val)
+        if d_val == 0 and self.denom_power:
             raise PoleAtForbiddenCentralCharge(
                 "evaluation at c = -22/5 hits the (22+5c) pole")
-        num = Fraction(0)
-        for (ec, eh, ew), coef in self.terms.items():
-            num += coef * c_val**ec * h_val**eh * w_val**ew
-        return num / den**self.denom_power if self.denom_power else num
+        return sum((q * d_val**ed * h_val**eh * w_val**ew
+                    for (ed, eh, ew), q in self._t.items()), Fraction(0))
 
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=_monomial_sort_key, reverse=True):
-            coef = self.terms[mono]
+        for mono in sorted(terms, key=_monomial_sort_key, reverse=True):
+            num, den = terms[mono].numerator, terms[mono].denominator
             factors = []
             for name, e in zip(_VARS, mono):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mag = abs(coef)
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = str(mag) + "*" + "*".join(factors)
-            sign = "-" if coef < 0 else "+"
-            parts.append((sign, body))
+                body = mag + "*" + "*".join(factors)
+            parts.append(("-" if num < 0 else "+", body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
@@ -250,20 +247,6 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
 
-def _scale_by_den(terms: Dict[Monomial, Fraction], k: int):
-    """Multiply a polynomial by (22+5c)**k."""
-    out = dict(terms)
-    for _ in range(k):
-        nxt: Dict[Monomial, Fraction] = {}
-        for (ec, eh, ew), coef in out.items():
-            m0 = (ec, eh, ew)
-            nxt[m0] = nxt.get(m0, Fraction(0)) + _DEN_CONST * coef
-            m1 = (ec + 1, eh, ew)
-            nxt[m1] = nxt.get(m1, Fraction(0)) + _DEN_LIN * coef
-        out = {m: c for m, c in nxt.items() if c != 0}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # text round-trip
 # ---------------------------------------------------------------------------
@@ -272,6 +255,7 @@ _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
     r"(?P<coef>\d+(?:/\d+)?)?"
     r"(?P<vars>(?:\*?\s*[chw](?:\^\d+)?)*)\s*")
+_FACTOR_RE = re.compile(r"([chw])(?:\^(\d+))?")
 
 
 def parse_scalar(text: str) -> ExactScalar:
@@ -291,15 +275,16 @@ def parse_scalar(text: str) -> ExactScalar:
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse scalar at ...{s[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if not m.group("coef") and not m.group("vars").strip():
+        sign, coef, factors = m.group("sign", "coef", "vars")
+        if not coef and not factors.strip():
             raise ValueError(f"empty term in {text!r}")
+        num, _, den = (coef or "1").partition("/")
+        q = Fraction(-int(num) if sign == "-" else int(num), int(den or 1))
         exps = [0, 0, 0]
-        for fac in re.finditer(r"([chw])(?:\^(\d+))?", m.group("vars")):
-            exps[_VARS.index(fac.group(1))] += int(fac.group(2) or 1)
+        for name, e in _FACTOR_RE.findall(factors):
+            exps[_VARS.index(name)] += int(e or 1)
         mono = tuple(exps)
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * coef
+        terms[mono] = terms[mono] + q if mono in terms else q
         pos = m.end()
     return ExactScalar(terms, denom_power)
 
@@ -308,19 +293,20 @@ def parse_scalar(text: str) -> ExactScalar:
 # common constants
 # ---------------------------------------------------------------------------
 
-ZERO = ExactScalar()
-ONE = ExactScalar.from_rational(1)
-C = ExactScalar.monomial(1, 0, 0)
-H = ExactScalar.monomial(0, 1, 0)
-W = ExactScalar.monomial(0, 0, 1)
-# b^2 = 16/(22+5c); b itself is irrational in c and only ever appears as a
-# floating-point number on the Fock side.
-B_SQUARED = ExactScalar({(0, 0, 0): Fraction(16)}, 1)
-
-
 def scalar(x) -> ExactScalar:
-    """Coerce an int/Fraction into the ring."""
-    return ExactScalar.from_rational(x)
+    """Lift an int or Fraction into the ring."""
+    x = Fraction(x)
+    return ExactScalar._of({(0, 0, 0): x} if x else {})
+
+
+ZERO = scalar(0)
+ONE = scalar(1)
+C = ExactScalar({(1, 0, 0): 1})
+H = ExactScalar({(0, 1, 0): 1})
+W = ExactScalar({(0, 0, 1): 1})
+# b^2 = 16/(22+5c), the monomial 16 d^-1; b itself is irrational in c and
+# only ever appears as a floating-point number on the Fock side.
+B_SQUARED = ExactScalar._of({(-1, 0, 0): Fraction(16)})
 
 
 def parse_rational(text: str) -> Fraction:

@@ -377,13 +377,16 @@ class GramMatrix:
         return [[e.evaluate(c_val, h_val, w_val) for e in row]
                 for row in self.entries]
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The object ``to_json`` writes: level, basis labels, entry strings."""
+        return {
             "level": self.level,
             "basis": [w.label() for w in self.basis],
             "entries": [[str(e) for e in row] for row in self.entries],
         }
-        return json.dumps(payload, indent=2, sort_keys=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "GramMatrix":

@@ -407,6 +407,24 @@ REGION_SHA256 = {
 }
 
 
+# sha256 of `gram --level N --symbolic`: the printed symbolic form, on an
+# empty cache and from the cache, is pinned byte for byte
+SYMBOLIC_GRAM_SHA256 = {
+    3: "469096f142cc5b0c07a67afc1053b3eedaa58492af65334ff16663232b9fff8d",
+    4: "15abd341f2f13dd1dac65c03cbcbff44b3515f28367141f15ea4dfada339df81",
+    5: "803da616ac918d100227b85fe923cd53f586c3b0bf8af668b6b8251ccdf84380",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SYMBOLIC_GRAM_SHA256))
+def test_symbolic_gram_is_pinned(runner, level):
+    for _ in ("built", "cached"):
+        res = runner(["gram", "--level", str(level), "--symbolic"])
+        assert res.exit_code == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == SYMBOLIC_GRAM_SHA256[level]
+
+
 @pytest.mark.parametrize("c", sorted(REGION_SHA256))
 def test_region_csv_is_pinned(runner, c):
     res = runner(["region", "--c", c, "--h-min", "0", "--h-max", "2",

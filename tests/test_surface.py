@@ -27,7 +27,8 @@ REMOVED = {
     "w3lab.classify": ["constructive_family_contains"],
     "w3lab.verma": ["Mode", "apply", "apply_mode", "apply_lambda",
                     "inner_product", "_bareiss"],
-    "w3lab.exact": ["BigRational", "_poly_exact_div"],
+    "w3lab.exact": ["BigRational", "_poly_exact_div", "_divide_poly_by_den",
+                    "_scale_by_den", "_DEN_CONST", "_DEN_LIN"],
     "w3lab.fock": ["ModeOperator", "current_mode", "normal_power_mode",
                    "fz_field_mode", "rho_coefficients", "State",
                    "VACUUM_KEY", "PRUNE_TOL", "_level_index", "key_level",
@@ -57,6 +58,8 @@ def test_removed_members_are_gone():
     assert not hasattr(exact.ExactScalar, "as_fraction")
     assert not hasattr(exact.ExactScalar, "evaluate_float")
     assert not hasattr(exact.ExactScalar, "exact_div")
+    for name in ("from_rational", "monomial", "_canonical"):
+        assert not hasattr(exact.ExactScalar, name), name
     assert not hasattr(verma.ModeWord, "grade")
     assert not hasattr(fock.CyclicGram, "to_csv")
     assert "shift1" not in inspect.signature(fock.Realization).parameters
@@ -90,7 +93,11 @@ def test_harness_names_resolve():
         if not hasattr(mod, name):
             # ``from w3lab import verma`` names a submodule
             importlib.import_module(f"{module}.{name}")
-    # methods the harness calls on the Gram matrices it builds
+    # members the harness reads on the Gram matrices it builds and on
+    # their entries
+    from w3lab.exact import ExactScalar
     from w3lab.verma import GramMatrix
     for name in ("evaluate", "to_json", "from_json", "dimension"):
         assert hasattr(GramMatrix, name), name
+    for name in ("terms", "denom_power", "evaluate"):
+        assert hasattr(ExactScalar, name), name
