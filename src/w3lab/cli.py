@@ -8,20 +8,22 @@ stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
 with error "BadArguments".
 
 Options are parsed by argparse with the standard library alone.  Type
-callables check every value (exact rationals, finite floats, nonnegative
-levels, a resolution of at least 2, an existing samples file), option names
-must be spelled out in full, and a value that starts with '-' (-5/16, -1e-3)
-is a value.  One table, ``EXIT_CODES``, maps library errors to exit codes;
-the JSON error kind is the exception's class name.  Each command imports
-what it uses, so ``classify`` and ``region`` load none of the Verma, Kac or
-Fock machinery and no third-party package.
+callables check every value (exact rationals, finite floats, a kappa and an
+eta whose squares are finite, nonnegative levels, a resolution of at least
+2, an existing samples file), option names must be spelled out in full,
+and a value that starts with '-' (-5/16, -1e-3) is a value.  One table,
+``EXIT_CODES``, maps library errors to exit codes; the JSON error kind is
+the exception's class name.  Each command imports what it uses, so
+``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
+and no third-party package.
 
 Only the symbolic output of ``gram`` (``--symbolic``, or no point given)
 reads and writes the Gram cache under $W3LAB_CACHE_DIR, one file per level,
 which stores the sha256 of its entries.  A cache file that does not parse,
-fails that hash or does not hold that level's Gram is rebuilt and
-overwritten.  ``kac-verify`` and ``gram --c/--h/--w`` build the
-Gram matrix directly over Q at each point and never touch the cache.
+fails that hash, holds an exponent above twice its level or does not hold
+that level's Gram is rebuilt and overwritten.  ``kac-verify`` and
+``gram --c/--h/--w`` build the Gram matrix directly over Q at each point
+and never touch the cache.
 """
 
 from __future__ import annotations
@@ -100,15 +102,33 @@ def _entries_sha256(entries: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# a term that names a variable twice: str(ExactScalar) never writes one,
+# and parse_scalar adds up the exponents; ';' joins the entries.  A string,
+# so that only a cache read compiles it
+_REPEATED_VARIABLE = r"c[^-+;c]*c|h[^-+;h]*h|w[^-+;w]*w"
+
+
+def _degrees_within(entries: list, cap: int) -> bool:
+    """Whether no exponent in the entry strings is above ``cap`` and no
+    term names a variable twice.  Parsing a scalar takes time quadratic in
+    its degree in c; the level-N Gram stays within c^N, h^2N, w^N and
+    (22+5c)^N."""
+    text = ";".join(s for row in entries for s in row)
+    return (not re.search(_REPEATED_VARIABLE, text)
+            and max(map(int, re.findall(r"\^(\d+)", text)), default=0) <= cap)
+
+
 def _read_cached(path, level: int):
     """The Gram stored at ``path``, or None when the file is missing, does
-    not parse, fails its entries' sha256, or does not hold the
+    not parse, fails its entries' sha256, has a degree above 2 * ``level``
+    (checked before its entries are parsed), or does not hold the
     level-``level`` Gram over its basis."""
     from . import verma
     try:
         text = path.read_text()
         payload = json.loads(text)
-        if payload["sha256"] != _entries_sha256(payload["entries"]):
+        if (payload["sha256"] != _entries_sha256(payload["entries"])
+                or not _degrees_within(payload["entries"], 2 * level)):
             return None
         g = verma.GramMatrix.from_json(text)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
@@ -169,6 +189,20 @@ def _finite(text: str) -> float:
     if not math.isfinite(val):
         raise argparse.ArgumentTypeError(f"{val} is not finite")
     return val
+
+
+def _finite_square(scale: float):
+    """The type of a finite float x with scale * x^2 finite too: the Fock
+    side squares kappa (c = 2 + 12 kappa^2) and eta."""
+    def parse(text: str) -> float:
+        val = _finite(text)
+        if not math.isfinite(scale * val * val):
+            raise argparse.ArgumentTypeError(f"{val} is too large to square")
+        return val
+    return parse
+
+
+KAPPA = _finite_square(12.0)
 
 
 def _positive(text: str) -> float:
@@ -480,17 +514,17 @@ def build_parser() -> _Parser:
 
     p = command("fz-check", cmd_fz_check)
     p.add_argument("--variant", choices=VARIANTS, default="vacuumModified")
-    p.add_argument("--kappa", type=_finite, default=1.0)
+    p.add_argument("--kappa", type=KAPPA, default=1.0)
     p.add_argument("--q1", type=_finite, default=0.0)
     p.add_argument("--q2", type=_finite, default=0.0)
     p.add_argument("--cutoff", type=int, default=9)
     p.add_argument("--max-mode", type=NONNEGATIVE, default=3)
     p.add_argument("--max-level", type=NONNEGATIVE, default=2)
-    p.add_argument("--eta-im", type=_finite, default=0.0,
+    p.add_argument("--eta-im", type=_finite_square(1.0), default=0.0,
                    help="imaginary part of eta for the automorphism check")
 
     p = command("vacuum-spectrum", cmd_vacuum_spectrum)
-    p.add_argument("--kappa", type=_finite, required=True)
+    p.add_argument("--kappa", type=KAPPA, required=True)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
     p.add_argument("--cutoff", type=int, default=8)
     p.add_argument("--psd-tol", type=_positive, default=PSD_TOL,

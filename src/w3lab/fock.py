@@ -16,14 +16,17 @@ tensor close the Virasoro relations with c shifted upward.
 Block engine.  The space V_l of total level l is the sum over splits
 l = l1 + l2 of P(l1) (x) P(l2), P(n) the partitions of n, sector-1-major as
 in ``basis_keys``.  A mode-n operator is stored per source level s as a block
-(lo, hi, M): M maps V_s into levels lo..hi stacked, hi = s - n (the rho twist
-and the automorphism shift land below s - n).  Each current builds its mode
-families (a, J', J'', :J^2:, :J^3:, rho, rho', T1k) as small matrices on its
-own levels; ``field_table`` writes L and W as rows (coefficient, sector-1
-family, sector-2 family) whose mode n is sum_k F1_k (x) F2_{n-k}, one
-Kronecker product per term.  Blocks are built lazily and cached per (field,
-mode, source level).  Mode sums are finite and exact: annihilation above a
-level kills it and the twist coefficients vanish for positive indices.
+(lo, hi, M): M is a dense numpy array that maps V_s into levels lo..hi
+stacked, hi = s - n (the rho twist and the automorphism shift land below
+s - n).  Each current builds its mode families (a, J', J'', :J^2:, :J^3:,
+rho, rho', T1k) as small matrices on its own levels; ``field_table`` writes
+L and W as rows (coefficient, sector-1 family, sector-2 family) whose mode n
+is sum_k F1_k (x) F2_{n-k}, one Kronecker product per term.  Blocks are
+built lazily and cached per (field, mode, source level);
+``Realization._block`` keeps each two-current block as its nonzero triples
+(1-5% of the entries) and hands out a dense array on every read.  Mode sums
+are finite and exact: annihilation above a level kills it and the twist
+coefficients vanish for positive indices.
 
 The W3 relations the realized modes must satisfy are not restated here:
 ``check_w3_relations`` reads the bracket table and the Lambda_s collapse of
@@ -52,9 +55,8 @@ from .verma import (ModeWord, Ring, _leading, bracket, enumerate_basis,
 VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
 BiKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-# (lowest target level, highest target level, stacked matrix); the matrix is
-# a numpy array or, for assembled two-current blocks, a _Sparse
-Block = Tuple[int, int, "np.ndarray | _Sparse"]
+# (lowest target level, highest target level, stacked matrix)
+Block = Tuple[int, int, np.ndarray]
 
 
 class CutoffExceeded(RuntimeError):
@@ -157,26 +159,19 @@ def key_norm_sq(key: BiKey) -> float:
 # ---------------------------------------------------------------------------
 
 class _Sparse:
-    """An assembled two-current block as (row, column, value) triples: those
-    are Kronecker products with identities, and 1-5% nonzero."""
+    """How ``Realization._block`` stores a two-current block (lo, hi, M): M
+    as its nonzero (row, column, value) triples, 1-5% of its entries."""
 
-    def __init__(self, dense: np.ndarray):
-        self.shape = dense.shape
-        self.rows, self.cols = np.nonzero(dense)
-        self.vals = dense[self.rows, self.cols]
+    def __init__(self, blk: Block):
+        self.lo, self.hi, m = blk
+        self.shape = m.shape
+        self.rows, self.cols = np.nonzero(m)
+        self.vals = m[self.rows, self.cols]
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.shape[0], x.shape[1]), dtype=complex)
-        np.add.at(out, self.rows, self.vals[:, None] * x[self.cols])
-        return out
-
-
-def _dense(m: "np.ndarray | _Sparse") -> np.ndarray:
-    if isinstance(m, _Sparse):
-        out = np.zeros(m.shape, dtype=complex)
-        out[m.rows, m.cols] = m.vals
-        return out
-    return m
+    def dense(self) -> Block:
+        m = np.zeros(self.shape, dtype=complex)
+        m[self.rows, self.cols] = self.vals
+        return self.lo, self.hi, m
 
 
 class _Graded:
@@ -204,7 +199,6 @@ class _Graded:
         out = np.zeros((self.cum(hi + 1) - base, terms[0][1][2].shape[1]),
                        dtype=complex)
         for c, (blo, bhi, m) in terms:
-            m = _dense(m)
             out[self.cum(blo) - base:self.cum(bhi + 1) - base] += (
                 m if c == 1 else c * m)
         return lo, hi, out
@@ -215,7 +209,6 @@ class _Graded:
         if blk is None:
             return None
         lo, hi, m = blk
-        m = _dense(m)
         base = self.cum(lo)
         parts = []
         for u in range(lo, hi + 1):
@@ -230,7 +223,7 @@ class _Graded:
         lo, hi, m = blk
         hi = max(min(hi, top), lo - 1)
         base = self.cum(lo)
-        return slice(base, self.cum(hi + 1)), _dense(m)[:self.cum(hi + 1) - base]
+        return slice(base, self.cum(hi + 1)), m[:self.cum(hi + 1) - base]
 
 
 _SECTOR = _Graded(lambda level: len(partitions(level)))
@@ -416,23 +409,22 @@ class Realization:
     """
 
     def __init__(self, params: RealizationParams, variant: str = "raw"):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        self.params = params
-        self.variant = variant
         self._currents = (_Current(params.q1, params.kappa),
                           _Current(params.q2, params.kappa))
         self._fields = field_table(variant, params.kappa, params.b)
-        self._blocks: Dict[Tuple, Optional[Block]] = {}
+        self._blocks: Dict[Tuple, Optional[_Sparse]] = {}
         self._families: Dict[Tuple, Optional[Block]] = {}
 
     def _block(self, spec: Tuple, level: int) -> Optional[Block]:
-        """The block of a mode on V_level, built on first use."""
+        """The block of a mode on V_level, built once, kept as a _Sparse."""
         key = (spec, level)
         if key not in self._blocks:
             kind, n = spec
-            self._blocks[key] = self._assemble(n, self._fields[kind], level)
-        return self._blocks[key]
+            blk = self._assemble(n, self._fields[kind], level)
+            self._blocks[key] = None if blk is None else _Sparse(blk)
+            del blk  # free the assembled array before a copy is decoded
+        stored = self._blocks[key]
+        return None if stored is None else stored.dense()
 
     def _then(self, spec: Tuple, blk: Optional[Block]) -> Optional[Block]:
         return _FOCK.compose(lambda u: self._block(spec, u), blk)
@@ -485,7 +477,7 @@ class Realization:
                         r += h
         lo = next((t for t in range(hi)
                    if out[_FOCK.cum(t):_FOCK.cum(t + 1)].any()), hi)
-        return lo, hi, _Sparse(out[_FOCK.cum(lo):])
+        return lo, hi, out[_FOCK.cum(lo):]
 
 
 @lru_cache(maxsize=1)
@@ -556,7 +548,7 @@ def check_w3_relations(variant: str, params: RealizationParams,
     comm = _FOCK.combine([(1, real._then(("L", 2), L(-2, 0))),
                           (-1, real._then(("L", -2), L(2, 0)))])
     def vev(blk):  # <O, X O> from the block of X on level 0
-        return complex(_dense(blk[2])[0, 0]) if blk and blk[0] == 0 else 0j
+        return complex(blk[2][0, 0]) if blk and blk[0] == 0 else 0j
 
     c_extracted = 2.0 * (vev(comm) - 4.0 * vev(L(0, 0)))
 
@@ -710,15 +702,15 @@ class CyclicGram:
     eigenvalues: np.ndarray
 
 
-
 def cyclic_gram(variant: str, params: RealizationParams, level: int,
                 margin: int = 2) -> CyclicGram:
     """Gram matrix of the cyclic subspace words of level <= level.
 
     The word vectors are the columns of V over the basis of levels <= level,
-    each built from the column of the word its leftmost mode acts on, and
-    the Gram is V^H diag(norm^2) V.  Eigenvalues are those of the Hermitian
-    part.
+    each built from the column of the word its leftmost mode acts on; the
+    words with the same leftmost mode and level are built together.  The
+    Gram is V^H diag(norm^2) V.  Eigenvalues are those of the Hermitian
+    part, all NaN when an entry of the Gram overflowed.
     """
     if level > params.cutoff - margin:
         raise CutoffExceeded(
@@ -726,20 +718,27 @@ def cyclic_gram(variant: str, params: RealizationParams, level: int,
     real = _realization(params, variant)
     words = [w for lev in range(level + 1) for w in enumerate_basis(lev)]
     column = {w: j for j, w in enumerate(words)}
-    vecs = np.zeros((_FOCK.cum(level + 1), len(words)), dtype=complex)
-    vecs[0, 0] = 1.0  # the empty word
+    # (mode, level it acts on) -> [(word column, column it acts on)]
+    groups: Dict[Tuple, List[Tuple[int, int]]] = {}
     for j, w in enumerate(words[1:], start=1):
         gen, n, rest = _leading(w)
-        src = vecs[:_FOCK.cum(rest.level + 1), column[rest], None]
-        blk = real._then((gen, n), (0, rest.level, src))
-        if blk is not None:  # None: a null vector such as L_-1 Omega
+        groups.setdefault((gen, n, rest.level), []).append((j, column[rest]))
+    vecs = np.zeros((_FOCK.cum(level + 1), len(words)), dtype=complex)
+    vecs[0, 0] = 1.0  # the empty word
+    for (gen, n, top), pairs in groups.items():  # by word level
+        cols, srcs = map(list, zip(*pairs))
+        blk = real._then((gen, n), (0, top, vecs[:_FOCK.cum(top + 1), srcs]))
+        if blk is not None:  # None: null vectors such as L_-1 Omega
             rows, m = _FOCK.rows_upto(blk, level)
-            vecs[rows, j] = m[:, 0]
+            vecs[rows, cols] = m
     vecs *= _norms_upto(level)[:, None]
     gram = vecs.conj().T @ vecs
     del vecs
     herm = gram.conj().T
     herm += gram
     herm *= 0.5
-    eigs = np.linalg.eigvalsh(herm)
+    # eigvalsh fails on an infinite entry and may give finite values for a
+    # NaN one; an overflowed Gram (a sum that is not finite) gets NaN
+    eigs = (np.linalg.eigvalsh(herm) if np.isfinite(herm.sum())
+            else np.full(len(words), np.nan))
     return CyclicGram(variant, level, words, gram, eigs)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,34 @@ def test_gram_cache_edited_entries_are_rebuilt(runner, tmp_path):
     assert path.read_text() == text
 
 
+def test_gram_entries_stay_within_the_cache_degree_cap():
+    for n in range(7):
+        entries = verma.gram_matrix(n).payload()["entries"]
+        assert cli._degrees_within(entries, 2 * n)
+    assert not cli._degrees_within(entries, 2 * 6 - 1)
+
+
+@pytest.mark.parametrize("entry", [
+    "c^1000000000",
+    "(h)/(22+5c)^1000000000",
+    "c" * 40,  # c^40 without an exponent
+    "c^2*h*c",
+])
+def test_gram_cache_degree_above_the_cap_is_rebuilt(runner, tmp_path, entry):
+    args = ["gram", "--level", "2", "--symbolic"]
+    first = runner(args)
+    path = cli._cache_path(tmp_path / "cache", 2)
+    text = path.read_text()
+    edited = json.loads(text)
+    edited["entries"][0][1] = entry
+    edited["sha256"] = cli._entries_sha256(edited["entries"])
+    path.write_text(json.dumps(edited))
+    second = runner(args)
+    assert second.exit_code == 0
+    assert second.stdout == first.stdout
+    assert path.read_text() == text
+
+
 def test_gram_unwritable_cache_still_answers(runner, tmp_path, monkeypatch):
     args = ["gram", "--level", "2", "--symbolic"]
     cached = runner(args)
@@ -189,6 +218,12 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     ["classify", "--c", "-1/0", "--h", "0", "--w", "0"],
     ["region", "--c", "2", "--h-max", "1", "--w-max", "1", "--res", "-3"],
     ["fz-check", "--q1", "-nan"],
+    # finite, but kappa^2 or eta^2 overflows
+    ["fz-check", "--kappa", "1e160"],
+    ["fz-check", "--kappa", "1e154"],
+    ["fz-check", "--kappa", "-1e154"],
+    ["vacuum-spectrum", "--kappa", "1e160", "--level", "1"],
+    ["fz-check", "--eta-im", "1e200"],
 ])
 def test_bad_arguments(runner, args):
     res = runner(args)
@@ -636,3 +671,13 @@ def test_vacuum_spectrum_nan_eigenvalue_fails(runner, monkeypatch):
     res = runner(["vacuum-spectrum", "--kappa", "1",
                   "--level", "2", "--cutoff", "6"])
     assert res.exit_code == 5
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_vacuum_spectrum_overflowed_gram_fails(runner):
+    # kappa^2 is finite, so the option is taken; the Gram overflows
+    res = runner(["vacuum-spectrum", "--kappa", "1e150",
+                  "--level", "2", "--cutoff", "4"])
+    assert res.exit_code == 5
+    assert math.isnan(json.loads(res.stdout)["minEigenvalue"])

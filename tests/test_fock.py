@@ -28,6 +28,18 @@ def params(**kw):
 # current modes and the Fock form
 # ---------------------------------------------------------------------------
 
+def test_blocks_are_dense_arrays():
+    real = Realization(params(kappa=0.7, q1=0.3), "vacuumModified")
+    for _ in range(2):  # built, then read back from the cache
+        for level, blk in ((3, real._block(("W", -2), 3)),
+                           (2, real._block(("L", 1), 2)),
+                           (2, real._assemble(-1, [(1.0, "T1k", "1")], 2))):
+            lo, hi, m = blk
+            assert type(m) is np.ndarray
+            assert m.shape == (fock._FOCK.cum(hi + 1) - fock._FOCK.cum(lo),
+                               fock._FOCK.dim(level))
+
+
 def test_current_commutator_on_vacuum():
     real = Realization(params())
     v = state_apply(real, ("a", 1, 1), state_apply(real, ("a", 1, -1), OM))
@@ -376,6 +388,21 @@ def test_cyclic_gram_needs_margin():
         cyclic_gram("vacuumModified", params(cutoff=4), 3)
 
 
+def test_overflowed_cyclic_gram_has_nan_eigenvalues():
+    # kappa^2 is finite, but the level-2 vectors square it again
+    with np.errstate(over="ignore", invalid="ignore"):
+        cg = cyclic_gram("vacuumModified", params(kappa=1e150, cutoff=4), 2)
+    assert len(cg.eigenvalues) == len(cg.words)
+    assert np.isnan(cg.eigenvalues).all()
+
+
+def test_unknown_variant_is_refused():
+    with pytest.raises(ValueError):
+        Realization(params(), "bogus")
+    with pytest.raises(ValueError):
+        cyclic_gram("bogus", params(), 2)
+
+
 def test_cross_oracle_agreement_single_point(engine):
     kap, q1, q2 = 1.0, 0.0, 1.0
     p = params(kappa=kap, q1=q1, q2=q2, cutoff=7)
@@ -533,7 +560,11 @@ def test_vacuum_gram_rank_is_the_w3_vacuum_character():
 
 def test_non_finite_coefficients_are_never_pruned():
     p = params(q1=float("nan"))
-    out = state_apply(Realization(p, "raw"), ("a", 1, 0), OM)
+    real = Realization(p, "raw")
+    # the first read builds the block, the second decodes the stored copy
+    for _ in range(2):
+        assert math.isnan(real._block(("L", 0), 0)[2][0, 0].real)
+    out = state_apply(real, ("a", 1, 0), OM)
     assert math.isnan(out[VACUUM_KEY].real)
     rep = check_w3_relations("raw", p, max_mode_index=1, max_level=1)
     assert math.isnan(rep["maxResidual"])
