@@ -3,7 +3,8 @@
 For 2 <= c <= 98 the answer is complete: unitary iff the first Kac
 determinant quantity f11(h,c) - w^2 is >= 0 (f11 in the normalization that
 matches the exact level-1 Gram determinant, det(Gram_1) = 9*(f11 - w^2)).
-For c > 98 only two one-sided witnesses apply: membership in the
+For c > 98 the vacuum h = w = 0 is unitary, as it is for 2 <= c <= 98;
+elsewhere only two one-sided witnesses apply: membership in the
 constructive two-current family region
 
     h >= (c-2)/24,  |w| <= sqrt(8/(198+45c)) * (2h - (c-2)/12)^(3/2)
@@ -121,11 +122,18 @@ def classify(c, h, w) -> UnitarityVerdict:
     else:
         quantity = detail["f11_minus_w2"] = f11(h, c) - w2
     bound_sq = constructive_bound_sq(c, h)
-    status, witness = _rule(c)(h, w, w2, quantity, bound_sq)
+    if c >= 2 and h == 0 and w == 0:
+        status, witness = _VACUUM
+    else:
+        status, witness = _rule(c)(h, w, w2, quantity, bound_sq)
     if witness is Witness.CONSTRUCTIVE_FAMILY:
         detail["constructive_bound_sq"] = bound_sq
     return UnitarityVerdict(status, witness, detail)
 
+
+# The vacuum h = w = 0 is unitary for every c >= 2, whichever range of c it
+# lies in; classify and region_scan decide it before the c-range rule.
+_VACUUM = (Status.UNITARY, Witness.VACUUM_THEOREM)
 
 # The criteria, one function per range of c.  Each maps (h, w, w2, quantity,
 # bound_sq) to (Status, Witness), where w2 = w^2, quantity = f11(h, c) - w^2
@@ -146,16 +154,16 @@ def _below_2(h, w, w2, quantity, bound_sq) -> tuple:
 
 
 def _classified(h, w, w2, quantity, bound_sq) -> tuple:
-    """2 <= c <= 98, where the criterion is complete."""
-    if h == 0 and w == 0:
-        return Status.UNITARY, Witness.VACUUM_THEOREM
+    """2 <= c <= 98 away from the vacuum, where the criterion is
+    complete."""
     if quantity >= 0:
         return Status.UNITARY, Witness.FIRST_KAC_DETERMINANT
     return Status.NOT_UNITARY, Witness.FIRST_KAC_DETERMINANT
 
 
 def _above_98(h, w, w2, quantity, bound_sq) -> tuple:
-    """c > 98: a partial answer from two one-sided witnesses."""
+    """c > 98 away from the vacuum: a partial answer from two one-sided
+    witnesses."""
     if quantity < 0:
         return Status.NOT_UNITARY, Witness.NECESSARY_CONDITION_FAILED
     if bound_sq is not None and w2 <= bound_sq:
@@ -203,10 +211,11 @@ def region_scan(c, h_range: tuple, w_range: tuple,
         if c < 2:
             cells = below
         else:
-            f11_hc, cells = f11(h, c), []
+            f11_hc, cells, h_zero = f11(h, c), [], h == 0
             for w, w2, w_text in columns:
                 quantity = f11_hc - w2
-                status, witness = rule(h, w, w2, quantity, bound_sq)
+                status, witness = (_VACUUM if h_zero and w == 0 else
+                                   rule(h, w, w2, quantity, bound_sq))
                 cells.append((w_text, status._value_, witness._value_,
                               str(quantity)))
         h_text = str(h)

@@ -272,9 +272,13 @@ def _level_cap(args) -> int:
 def cmd_gram(args):
     """Level-N Gram matrix of the canonical invariant form.
 
-    With --c/--h/--w the matrix and its determinant are computed exactly
-    over Q at that point; with none of them the symbolic matrix is printed.
-    Some but not all of the three is BadArguments.
+    With --c/--h/--w the matrix is built exactly at that point, over
+    Z[1/D] with D the lcm of the point's denominators, those of
+    16/(22+5c) and 720, and printed as reduced rationals; its determinant
+    is taken exactly, by fraction-free Bareiss elimination up to 40 rows
+    (levels 1-5) and multi-modularly above, the only path that loads
+    numpy.  With none of them the symbolic matrix is printed.  Some but not
+    all of the three is BadArguments.
     """
     from . import verma
     level, level_cap = args.level, _level_cap(args)
@@ -342,11 +346,13 @@ def _read_samples(path: str) -> list:
 def cmd_kac_verify(args):
     """Compare det(Gram_N) with the closed-form product at sample points.
 
-    At each point the Gram matrix is built over Q from the lower-level
-    Grams, and its determinant is taken exactly: modulo primes below 2^24,
-    rebuilt by the Chinese remainder theorem past Hadamard's bound.  The
-    verdict is ok iff the ratio det / product is the same positive rational
-    at every point.
+    At each point the Gram matrix is built from the lower-level Grams over
+    Z[1/D], D the lcm of the point's denominators, those of 16/(22+5c) and
+    720, and its determinant is taken exactly: by fraction-free Bareiss
+    elimination up to 40 rows (levels 1-5, no numpy), above that modulo
+    primes below 2^24, rebuilt by the Chinese remainder theorem past
+    Hadamard's bound.  The verdict is ok iff the ratio det / product is the
+    same positive rational at every point.
     """
     from . import kac
     if args.samples:

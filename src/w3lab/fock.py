@@ -732,13 +732,17 @@ def cyclic_gram(variant: str, params: RealizationParams, level: int,
             rows, m = _FOCK.rows_upto(blk, level)
             vecs[rows, cols] = m
     vecs *= _norms_upto(level)[:, None]
-    gram = vecs.conj().T @ vecs
-    del vecs
-    herm = gram.conj().T
-    herm += gram
-    herm *= 0.5
+    # an overflow is reported by the NaN eigenvalues below, not by numpy
+    # warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = vecs.conj().T @ vecs
+        del vecs
+        herm = gram.conj().T
+        herm += gram
+        herm *= 0.5
+        finite = np.isfinite(herm.sum())
     # eigvalsh fails on an infinite entry and may give finite values for a
     # NaN one; an overflowed Gram (a sum that is not finite) gets NaN
-    eigs = (np.linalg.eigvalsh(herm) if np.isfinite(herm.sum())
+    eigs = (np.linalg.eigvalsh(herm) if finite
             else np.full(len(words), np.nan))
     return CyclicGram(variant, level, words, gram, eigs)

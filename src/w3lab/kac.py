@@ -24,10 +24,9 @@ only the former is the true vanishing locus of the determinant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from . import verma
 from .classify import f11  # noqa: F401  (re-exported with the Kac names)
@@ -83,8 +82,7 @@ def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
 # the closed-form determinant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KacFactors:
+class KacFactors(NamedTuple):
     """Factor table (m, n, exponent) covering mn = k <= N with P2(N-k)."""
 
     level: int
@@ -104,9 +102,11 @@ class KacFactors:
 def kac_closed_form_exact(level: int, c, h, w) -> Fraction:
     """Exact rational closed-form product at a rational (c, h, w) point.
 
-    Raises PoleAtForbiddenCentralCharge at c = -22/5.
+    Raises PoleAtForbiddenCentralCharge at c = -22/5.  It runs over reduced
+    Fractions, not the engine's point ring, because ``_f_mn_ext`` mixes in
+    constants such as 1/192 whose denominators that ring need not hold.
     """
-    return _closed_form(level, verma.point_ring(c, h, w))
+    return _closed_form(level, verma.fraction_ring(c, h, w))
 
 
 def kac_closed_form_symbolic(level: int) -> ExactScalar:
@@ -143,8 +143,7 @@ def _closed_form(level: int, ring: "verma.Ring"):
 # comparison with the exact Gram determinant
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     level: int
     points: List[Tuple[Fraction, Fraction, Fraction]]
     ratios: List[Fraction]

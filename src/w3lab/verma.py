@@ -26,29 +26,37 @@ free-field realization.
 
 The rewriting Engine is parametric in its coefficient Ring.  Over SYMBOLIC
 the coefficients are ExactScalars, i.e. polynomials in c, 1/(22+5c), h, w;
-over point_ring(c, h, w) they are the Fractions those take at one rational
+over point_ring(c, h, w) they are the values those take at one rational
 point, which builds the Gram matrix at that point without the symbolic one.
-Each engine owns its memo, so results over different rings never mix.
+That ring is Z[1/D], with D the lcm of the denominators of c, h, w, b^2 and
+720: each value is n / D**k, never reduced, so its + and * take no gcd, and
+``gram_matrix`` reduces each entry to a Fraction once, at the end.
+``fraction_ring`` is Q at the point as reduced Fractions, for the closed-form
+Kac product.  Each engine owns its memo, so results over different rings
+never mix.
 Termination of the rewriting recurses on the grade
 g = 2*(number of L) + 3*(number of W), which strictly drops on every
 commutator byproduct, plus the number of out-of-order adjacent pairs, which
 drops on every swap.
 
 The symbolic determinant is an expansion in minors and never divides; the
-determinant over Q is taken multi-modularly (``w3lab.modular``).
+determinant over Q scales the rows to integers and hands them to
+``modular.integer_determinant`` (Bareiss up to 40 rows, multi-modular
+above).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO,
                     PoleAtForbiddenCentralCharge, parse_scalar, scalar)
+from .modular import integer_determinant
 
 
 class LevelTooLarge(ValueError):
@@ -59,22 +67,23 @@ class LevelTooLarge(ValueError):
 DEFAULT_LEVEL_CAP = 6
 
 
-@dataclass(frozen=True)
-class ModeWord:
+class ModeWord(namedtuple("ModeWord", ("lpart", "wpart"))):
     """Ordered word L_{-m1}...L_{-ml} W_{-n1}...W_{-nk} applied to Omega.
 
-    Both index tuples are weakly increasing positive integers.
+    Both index tuples are weakly increasing positive integers.  A tuple, so
+    that the hashing and equality of every memo and position lookup run in
+    C, and so do the ``lpart`` and ``wpart`` getters.
     """
 
-    lpart: Tuple[int, ...] = ()
-    wpart: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(m <= 0 for m in self.lpart) or any(n <= 0 for n in self.wpart):
+    def __new__(cls, lpart: Tuple[int, ...] = (),
+                wpart: Tuple[int, ...] = ()):
+        if any(m <= 0 for m in lpart) or any(n <= 0 for n in wpart):
             raise ValueError("mode indices must be positive")
-        if list(self.lpart) != sorted(self.lpart) or \
-           list(self.wpart) != sorted(self.wpart):
+        if list(lpart) != sorted(lpart) or list(wpart) != sorted(wpart):
             raise ValueError("mode indices must be weakly increasing")
+        return tuple.__new__(cls, (lpart, wpart))
 
     @property
     def level(self) -> int:
@@ -110,7 +119,9 @@ class Ring(NamedTuple):
 
     ``c``, ``h``, ``w`` and ``b2`` = 16/(22+5c) are the ring's values of the
     central charge, the two lowest weights and the [W, W] composite
-    coefficient; ``lift`` maps an int or Fraction into the ring.
+    coefficient; ``lift`` maps an int or Fraction into the ring, and
+    ``export`` maps a ring value to what ``gram_matrix`` and
+    ``Engine.inner_product`` return.
     """
 
     one: Any
@@ -120,14 +131,15 @@ class Ring(NamedTuple):
     w: Any
     b2: Any
     lift: Callable[[Any], Any]
+    export: Callable[[Any], Any] = lambda x: x
 
 
 # Polynomials in (c, h, w) over powers of (22+5c): the symbolic Gram.
 SYMBOLIC = Ring(ONE, ZERO, C, H, W, B_SQUARED, scalar)
 
 
-def point_ring(c_val, h_val, w_val) -> Ring:
-    """Q at a fixed rational point (c, h, w).
+def fraction_ring(c_val, h_val, w_val) -> Ring:
+    """Q at a fixed rational point (c, h, w), as reduced Fractions.
 
     Raises PoleAtForbiddenCentralCharge at c = -22/5, where b^2 has its pole.
     """
@@ -138,6 +150,72 @@ def point_ring(c_val, h_val, w_val) -> Ring:
             "b^2 = 16/(22+5c) has its pole at c = -22/5")
     return Ring(Fraction(1), Fraction(0), c_val, h_val, w_val,
                 Fraction(16) / den, Fraction)
+
+
+# The constants of ``bracket`` and ``lambda_terms`` have denominators 12,
+# 360, 30 and 10, all of which divide 720.
+_CONSTANT_DENOMINATOR = 720
+
+
+def point_ring(c_val, h_val, w_val) -> Ring:
+    """Z[1/D] at a fixed rational point (c, h, w): the engine's ring for
+    Gram matrices at a point.
+
+    D is the lcm of the denominators of c, h, w, b^2 and 720, so every
+    value the engine forms is n / D**k.  Values are kept in that form and
+    never reduced, so + and * take no gcd; ``export`` gives the reduced
+    Fraction.  ``lift`` raises ValueError on a denominator that does not
+    divide D.  Raises PoleAtForbiddenCentralCharge at c = -22/5.
+    """
+    exact = fraction_ring(c_val, h_val, w_val)
+    values = (exact.c, exact.h, exact.w, exact.b2)
+    base = math.lcm(_CONSTANT_DENOMINATOR, *(x.denominator for x in values))
+    powers = [1, base]  # powers[k] = D**k, extended on demand
+
+    def power(k: int) -> int:
+        while len(powers) <= k:
+            powers.append(powers[-1] * base)
+        return powers[k]
+
+    class Point:
+        """n / D**k, unreduced."""
+
+        __slots__ = ("n", "k")
+
+        def __init__(self, n: int, k: int):
+            self.n = n
+            self.k = k
+
+        def __add__(self, other):
+            k, j = self.k, other.k
+            if k == j:
+                return Point(self.n + other.n, k)
+            try:
+                if k > j:
+                    return Point(self.n + other.n * powers[k - j], k)
+                return Point(self.n * powers[j - k] + other.n, j)
+            except IndexError:
+                power(abs(k - j))
+                return self + other
+
+        def __mul__(self, other):
+            return Point(self.n * other.n, self.k + other.k)
+
+        def __bool__(self):
+            return self.n != 0
+
+    def lift(x) -> Point:
+        if isinstance(x, int):
+            return Point(x, 0)
+        scale, rest = divmod(base, x.denominator)
+        if rest:
+            raise ValueError(f"the denominator of {x} does not divide {base}")
+        return Point(x.numerator * scale, 1)
+
+    def export(x: Point) -> Fraction:
+        return Fraction(x.n, power(x.k))
+
+    return Ring(Point(1, 0), Point(0, 0), *map(lift, values), lift, export)
 
 
 def bracket(g1: str, m: int, g2: str, n: int,
@@ -301,19 +379,15 @@ class Engine:
 
         The left word is adjoined onto the right: its modes act with
         reversed order and negated indices, and the Omega-coefficient of the
-        fully reduced vector is the value of the form.
+        fully reduced vector is the value of the form, given as the ring's
+        ``export`` of it.
         """
-        zero = self.ring.zero
-        vec: VermaVector = {v: self.ring.one}
-        for m in u.lpart:
-            vec = self.apply_mode("L", m, vec)
-            if not vec:
-                return zero
-        for n in u.wpart:
-            vec = self.apply_mode("W", n, vec)
-            if not vec:
-                return zero
-        return vec.get(OMEGA, zero)
+        ring = self.ring
+        vec: VermaVector = {v: ring.one}
+        for gen, modes in (("L", u.lpart), ("W", u.wpart)):
+            for m in modes:
+                vec = self.apply_mode(gen, m, vec)
+        return ring.export(vec.get(OMEGA, ring.zero))
 
 
 def clear_cache() -> None:
@@ -361,8 +435,7 @@ def partitions(n: int) -> Tuple[Tuple[int, ...], ...]:
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """A Gram matrix over its basis; entries lie in the ring it was built in."""
 
     level: int
@@ -412,7 +485,8 @@ def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
     """Gram matrix of the canonical form at the given level, over ``ring``.
 
     Over SYMBOLIC the entries are ExactScalars in (c, h, w); over
-    ``point_ring(c, h, w)`` they are the Fractions those take at the point.
+    ``point_ring(c, h, w)`` they are the Fractions those take at the point,
+    each reduced once, by the ring's ``export``, after the build.
 
     The levels 0..level are built in turn on one engine, each from the
     lower ones through the adjoint of the leading mode: for u = X_{-m} u',
@@ -444,6 +518,10 @@ def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
                 entries[i][j] = entries[j][i] = acc
         grams.append(entries)
         positions.append({word: i for i, word in enumerate(basis)})
+    export = ring.export
+    for i, row in enumerate(entries):
+        for j in range(i + 1):
+            row[j] = entries[j][i] = export(row[j])
     return GramMatrix(level, basis, entries)
 
 
@@ -481,13 +559,11 @@ def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix.
 
     Each row is scaled to integers by the lcm of its denominators, the
-    integer determinant is taken multi-modularly
-    (``modular.integer_determinant``), and the result is divided by the
-    product of the scales.
+    integer determinant is taken by ``modular.integer_determinant``
+    (Bareiss elimination up to ``modular.BAREISS_MAX_N`` rows,
+    multi-modular above), and the result is divided by the product of the
+    scales.
     """
-    # imported here, not at the top: loading numpy before the rest of the
-    # package grows the peak RSS of every CLI command by about 0.7 MB
-    from .modular import integer_determinant
     ints = []
     scale = 1
     for row in rows:

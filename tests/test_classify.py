@@ -12,7 +12,7 @@ from w3lab.fock import RealizationParams
 from w3lab.kac import f11
 
 
-@pytest.mark.parametrize("c", [2, 10, 50, 98])
+@pytest.mark.parametrize("c", [2, 10, 50, 98, 99, 110, 150, 1000])
 def test_vacuum_is_unitary(c):
     v = classify(c, 0, 0)
     assert v.status == Status.UNITARY
@@ -114,6 +114,22 @@ def test_h_monotonicity_at_fixed_c_and_w():
             prev_unitary = status == Status.UNITARY
 
 
+@pytest.mark.parametrize("c", [Fraction(5), Fraction(110)])
+def test_region_scan_decides_the_vacuum(c):
+    rows = region_scan(c, (0, 1), (-1, 1), 3)
+    vacuum = [r for r in rows if r["h"] == "0" and r["w"] == "0"]
+    assert [(r["status"], r["witness"]) for r in vacuum] == [
+        ("Unitary", "VacuumTheorem")]
+    assert all(r["witness"] != "VacuumTheorem" for r in rows
+               if r not in vacuum)
+
+
+def test_vacuum_below_c2_stays_unknown():
+    assert classify(1, 0, 0).status == Status.UNKNOWN
+    assert {r["status"] for r in region_scan(1, (0, 1), (-1, 1), 3)} == {
+        "Unknown"}
+
+
 def test_vacuum_is_isolated_for_c_above_2():
     # unitary at (c, 0, 0) but not in a punctured neighbourhood along h
     assert classify(10, 0, 0).status == Status.UNITARY
@@ -196,6 +212,7 @@ def test_region_scan_rows_match_classify(c):
                                    else repr(float(bound_sq) ** 0.5)),
         }
     if c == 110:
-        assert witnesses == {Witness.NECESSARY_CONDITION_FAILED,
+        assert witnesses == {Witness.VACUUM_THEOREM,
+                             Witness.NECESSARY_CONDITION_FAILED,
                              Witness.CONSTRUCTIVE_FAMILY,
                              Witness.OUT_OF_CLASSIFIED_REGION}

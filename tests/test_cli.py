@@ -604,10 +604,16 @@ def _modules_loaded_by(args, tmp_path) -> set:
     return set(res.stdout.splitlines()[-1].split())
 
 
+def _numpy_modules(loaded: set) -> set:
+    return {m for m in loaded if m.split(".")[0] == "numpy"}
+
+
 def test_exact_commands_start_without_numpy(tmp_path):
     """Each command in its own fresh interpreter: the light ones load no
     heavy module, and the symbolic Gram loads the Verma engine but no
-    numpy."""
+    numpy.  Exact determinants of at most modular.BAREISS_MAX_N rows (the
+    Grams of levels 1-5) load neither numpy nor dataclasses; the level-6
+    Gram (65 rows) takes the multi-modular path, which loads numpy."""
     for args in LIGHT_COMMANDS:
         loaded = _modules_loaded_by(args, tmp_path)
         assert "w3lab.cli" in loaded
@@ -616,7 +622,18 @@ def test_exact_commands_start_without_numpy(tmp_path):
     loaded = _modules_loaded_by(["gram", "--level", "2", "--symbolic"],
                                 tmp_path)
     assert "w3lab.verma" in loaded
-    assert {m for m in loaded if m.split(".")[0] == "numpy"} == set()
+    assert _numpy_modules(loaded) == set()
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps([["225/7", "21/8", "5/16"],
+                                   ["155/7", "17/8", "-3/16"]]))
+    kac_verify = ["kac-verify", "--samples", str(samples), "--level"]
+    for args in (kac_verify + ["5"],
+                 ["gram", "--level", "5", "--c", "225/7", "--h", "21/8",
+                  "--w", "5/16"]):
+        loaded = _modules_loaded_by(args, tmp_path)
+        assert {"w3lab.verma", "w3lab.modular"} <= loaded, args
+        assert _numpy_modules(loaded) | (loaded & {"dataclasses"}) == set()
+    assert "numpy" in _modules_loaded_by(kac_verify + ["6"], tmp_path)
 
 
 @pytest.mark.parametrize("args", LIGHT_COMMANDS[1:])
@@ -673,11 +690,22 @@ def test_vacuum_spectrum_nan_eigenvalue_fails(runner, monkeypatch):
     assert res.exit_code == 5
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+OVERFLOWING_SPECTRUM = ["vacuum-spectrum", "--kappa", "1e150",
+                        "--level", "2", "--cutoff", "4"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_vacuum_spectrum_overflowed_gram_fails(runner):
     # kappa^2 is finite, so the option is taken; the Gram overflows
-    res = runner(["vacuum-spectrum", "--kappa", "1e150",
-                  "--level", "2", "--cutoff", "4"])
+    res = runner(OVERFLOWING_SPECTRUM)
     assert res.exit_code == 5
+    assert math.isnan(json.loads(res.stdout)["minEigenvalue"])
+
+
+def test_vacuum_spectrum_overflow_writes_nothing_to_stderr(tmp_path):
+    res = subprocess.run([sys.executable, "-m", "w3lab.cli",
+                          *OVERFLOWING_SPECTRUM], capture_output=True,
+                         text=True, env=_child_env(tmp_path), timeout=120)
+    assert res.returncode == 5
+    assert res.stderr == ""
     assert math.isnan(json.loads(res.stdout)["minEigenvalue"])

@@ -11,8 +11,8 @@ from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.verma import (GramMatrix, LevelTooLarge, ModeWord, OMEGA,
                          determinant, determinant_at, enumerate_basis,
-                         gram_matrix, point_ring, rational_determinant,
-                         SYMBOLIC, bracket, Engine)
+                         fraction_ring, gram_matrix, point_ring,
+                         rational_determinant, SYMBOLIC, bracket, Engine)
 
 L1 = ModeWord((1,), ())
 L2 = ModeWord((2,), ())
@@ -366,9 +366,42 @@ def test_engine_memos_do_not_mix(grams):
         grams[3].evaluate(*a)
 
 
+def _random_points(rng, count):
+    """Rational points with negative c, c = 0, h = 0, w = 0 and large
+    denominators among them."""
+    def q():
+        den = rng.choice([1, 2, 7, 12, 360, 10 ** 9 + 7, 2 ** 61 - 1])
+        return Fraction(rng.randint(-50 * den, 50 * den), den)
+    pts = [(Fraction(0), q(), q()), (q(), Fraction(0), q()),
+           (q(), q(), Fraction(0)), (Fraction(-7, 3), q(), q())]
+    pts += [(q(), q(), q()) for _ in range(count - len(pts))]
+    return [p for p in pts if 22 + 5 * p[0]]
+
+
+def test_point_ring_gram_matches_symbolic_at_random_points(grams):
+    symbolic = dict(grams)
+    symbolic[4] = gram_matrix(4)
+    for pt in _random_points(random.Random(16), 8):
+        for n in range(5):
+            at = gram_matrix(n, ring=point_ring(*pt)).entries
+            assert at == symbolic[n].evaluate(*pt), (n, pt)
+            assert all(type(x) is Fraction for row in at for x in row)
+
+
+def test_point_ring_lift():
+    ring = point_ring(Fraction(225, 7), Fraction(21, 8), Fraction(5, 16))
+    for q in (Fraction(-3, 10), Fraction(1, 360), 5, Fraction(5, 112)):
+        assert ring.export(ring.lift(q)) == q
+    # D = lcm(720, 7, 16, 1279), as b^2 = 112/1279: no 11 and no 2^5
+    for q in (Fraction(1, 11), Fraction(1, 32)):
+        with pytest.raises(ValueError):
+            ring.lift(q)
+
+
 def test_point_ring_rejects_pole():
-    with pytest.raises(PoleAtForbiddenCentralCharge):
-        point_ring(Fraction(-22, 5), 0, 0)
+    for ring in (point_ring, fraction_ring):
+        with pytest.raises(PoleAtForbiddenCentralCharge):
+            ring(Fraction(-22, 5), 0, 0)
 
 
 def _cofactor_det(m):
@@ -446,18 +479,54 @@ def _bareiss_z(m):
     return sign * m[n - 1][n - 1]
 
 
+# the entry point, which picks a method by size, and both methods directly
+DETERMINANTS = (modular.integer_determinant, modular.bareiss_determinant,
+                modular.multimodular_determinant)
+
+
+def _det(m):
+    """The determinant every method gives; they must all agree."""
+    values = {f(m) for f in DETERMINANTS}
+    assert len(values) == 1, (m, values)
+    return values.pop()
+
+
 def _check_integer_determinant(m):
-    assert modular.integer_determinant(m) == _bareiss_z(m), m
+    assert _det(m) == _bareiss_z(m), m
+
+
+def _random_integer_matrix(rng, n):
+    bound = rng.choice([1, 3, 2 ** 31, 2 ** 100, 2 ** 600])
+    return [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0
+             for _ in range(n)] for _ in range(n)]
 
 
 def test_integer_determinant_random_matrices():
     rng = random.Random(5)
     for _ in range(150):
-        n = rng.randint(1, 10)
-        bound = rng.choice([1, 3, 2 ** 31, 2 ** 100, 2 ** 600])
-        m = [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0
-              for _ in range(n)] for _ in range(n)]
-        _check_integer_determinant(m)
+        _check_integer_determinant(_random_integer_matrix(
+            rng, rng.randint(1, 12)))
+
+
+def test_determinant_methods_against_cofactor_expansion():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(5):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            assert _det(m) == _cofactor_det(m), m
+
+
+@pytest.mark.parametrize("n", [modular.BAREISS_MAX_N,
+                               modular.BAREISS_MAX_N + 1])
+def test_determinant_methods_at_the_size_rule(n):
+    rng = random.Random(n)
+    _check_integer_determinant(_random_integer_matrix(rng, n))
+    singular = _random_integer_matrix(rng, n)
+    singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[1])]
+    assert _det(singular) == 0
+    # a zero pivot at every step: the anti-diagonal permutation
+    flip = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+    assert _det(flip) == (-1) ** (n * (n - 1) // 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,27 +541,26 @@ def test_integer_determinant_cases():
     p = int(modular.primes(1)[0])
     q = int(modular.primes(10)[-1])
     # singular: a repeated row, a zero row, a zero column
-    assert modular.integer_determinant([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
-    assert modular.integer_determinant([[0, 0], [7, 1]]) == 0
-    assert modular.integer_determinant([[0, 5], [0, 9]]) == 0
+    assert _det([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
+    assert _det([[0, 0], [7, 1]]) == 0
+    assert _det([[0, 5], [0, 9]]) == 0
     # negative determinants, small and past one chunk of primes
-    assert modular.integer_determinant([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 1], [1, 0]]) == -1
     big = [[0, 2 ** 700], [3 ** 500, 1]]
-    assert modular.integer_determinant(big) == -(2 ** 700) * 3 ** 500
+    assert _det(big) == -(2 ** 700) * 3 ** 500
     # the first column vanishes modulo the first prime only
-    assert modular.integer_determinant([[p, 1], [2 * p, 3]]) == p
-    assert modular.integer_determinant([[p, 1, 0], [3 * p, 1, 1],
-                                       [5 * p, 0, 2]]) == _bareiss_z(
-        [[p, 1, 0], [3 * p, 1, 1], [5 * p, 0, 2]])
+    assert _det([[p, 1], [2 * p, 3]]) == p
+    _check_integer_determinant([[p, 1, 0], [3 * p, 1, 1], [5 * p, 0, 2]])
     # the pivot is 0 modulo the first prime only, so only it swaps rows
-    assert modular.integer_determinant([[p, 1], [1, 1]]) == p - 1
+    assert _det([[p, 1], [1, 1]]) == p - 1
     # zero leading pivots force row swaps for every prime
     _check_integer_determinant([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
     _check_integer_determinant([[0, 0, 1], [0, 2, 3], [4, 5, 6]])
-    # 1 x 1
-    assert modular.integer_determinant([[-5]]) == -5
-    assert modular.integer_determinant([[0]]) == 0
-    assert modular.integer_determinant([[-(2 ** 300)]]) == -(2 ** 300)
+    # 0 x 0 and 1 x 1
+    assert _det([]) == 1
+    assert _det([[-5]]) == -5
+    assert _det([[0]]) == 0
+    assert _det([[-(2 ** 300)]]) == -(2 ** 300)
     # |det| above the product of the first ten primes
     product = 1
     for r in modular.primes(10).tolist():
