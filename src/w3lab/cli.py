@@ -17,13 +17,11 @@ the exception's class name.  Each command imports what it uses, so
 ``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
 and no third-party package.
 
-Only the symbolic output of ``gram`` (``--symbolic``, or no point given)
-reads and writes the Gram cache under $W3LAB_CACHE_DIR, one file per level,
-which stores the sha256 of its entries.  A cache file that does not parse,
-fails that hash, holds an exponent above twice its level or does not hold
-that level's Gram is rebuilt and overwritten.  ``kac-verify`` and
-``gram --c/--h/--w`` build the Gram matrix directly over Q at each point
-and never touch the cache.
+The symbolic ``gram`` (``--symbolic``, or no point given) always builds
+its Gram and writes it under $W3LAB_CACHE_DIR, one file per level with the
+sha256 of its entries.  No command reads that file, so it cannot change a
+result.  ``kac-verify`` and ``gram --c/--h/--w`` build the Gram matrix
+directly over Q at each point and never touch the cache.
 """
 
 from __future__ import annotations
@@ -102,63 +100,20 @@ def _entries_sha256(entries: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# a term that names a variable twice: str(ExactScalar) never writes one,
-# and parse_scalar adds up the exponents; ';' joins the entries.  A string,
-# so that only a cache read compiles it
-_REPEATED_VARIABLE = r"c[^-+;c]*c|h[^-+;h]*h|w[^-+;w]*w"
-
-
-def _degrees_within(entries: list, cap: int) -> bool:
-    """Whether no exponent in the entry strings is above ``cap`` and no
-    term names a variable twice.  Parsing a scalar takes time quadratic in
-    its degree in c; the level-N Gram stays within c^N, h^2N, w^N and
-    (22+5c)^N."""
-    text = ";".join(s for row in entries for s in row)
-    return (not re.search(_REPEATED_VARIABLE, text)
-            and max(map(int, re.findall(r"\^(\d+)", text)), default=0) <= cap)
-
-
-def _read_cached(path, level: int):
-    """The Gram stored at ``path``, or None when the file is missing, does
-    not parse, fails its entries' sha256, has a degree above 2 * ``level``
-    (checked before its entries are parsed), or does not hold the
-    level-``level`` Gram over its basis."""
+def _symbolic_gram(level: int, level_cap: int) -> dict:
+    """The ``GramMatrix.payload`` of the symbolic Gram at ``level``, built
+    under ``level_cap`` and written atomically to the cache, as that payload
+    plus the sha256 of its entries.  The file is never read back: only the
+    benchmark's explore_warm set-up (benchmarks/passes.py) looks for it.  A
+    cache directory that cannot be made or written is skipped."""
     from . import verma
-    try:
-        text = path.read_text()
-        payload = json.loads(text)
-        if (payload["sha256"] != _entries_sha256(payload["entries"])
-                or not _degrees_within(payload["entries"], 2 * level)):
-            return None
-        g = verma.GramMatrix.from_json(text)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            IndexError):
-        return None
-    d = len(g.basis)
-    if (g.level != level or g.basis != verma.enumerate_basis(level)
-            or len(g.entries) != d or any(len(row) != d for row in g.entries)):
-        return None
-    return g
-
-
-def _gram_cached(level: int, level_cap: int) -> dict:
-    """The ``GramMatrix.payload`` of the symbolic Gram at ``level``, from
-    the cache when a valid file is there; otherwise built under
-    ``level_cap`` and written atomically, as that payload plus the sha256 of
-    its entries.  A cache directory that cannot be made or written disables
-    caching."""
-    from . import verma
-    verma.check_level(level, level_cap)
-    path = _cache_path(_cache_dir(), level)
-    g = _read_cached(path, level)
-    if g is not None:
-        return g.payload()
     payload = verma.gram_matrix(level, level_cap).payload()
     stored = dict(payload, sha256=_entries_sha256(payload["entries"]))
     try:
-        _atomic_write(path, json.dumps(stored, indent=2))
+        _atomic_write(_cache_path(_cache_dir(), level),
+                      json.dumps(stored, indent=2))
     except OSError:
-        pass  # caching disabled
+        pass  # the answer does not depend on the file
     return payload
 
 
@@ -277,8 +232,10 @@ def cmd_gram(args):
     16/(22+5c) and 720, and printed as reduced rationals; its determinant
     is taken exactly, by fraction-free Bareiss elimination up to 40 rows
     (levels 1-5) and multi-modularly above, the only path that loads
-    numpy.  With none of them the symbolic matrix is printed.  Some but not
-    all of the three is BadArguments.
+    numpy.  With none of them the symbolic matrix is built, printed and
+    written to $W3LAB_CACHE_DIR, which is never read.  Some but not all of
+    the three, a point with --symbolic, and a point with --format pretty
+    are BadArguments.
     """
     from . import verma
     level, level_cap = args.level, _level_cap(args)
@@ -286,8 +243,12 @@ def cmd_gram(args):
     given = sum(v is not None for v in point)
     if given not in (0, 3):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
-    if args.symbolic or not given:
-        payload = _gram_cached(level, level_cap)
+    if given and args.symbolic:
+        _fail(1, "BadArguments", "--symbolic takes no --c/--h/--w")
+    if given and args.format != "json":
+        _fail(1, "BadArguments", "a Gram at a point is printed as json only")
+    if not given:
+        payload = _symbolic_gram(level, level_cap)
         if args.format == "json":
             print(json.dumps(payload, indent=2))
         else:
@@ -409,9 +370,8 @@ def cmd_fz_check(args):
     report = {
         "variant": variant,
         "params": {"kappa": kappa, "q1": q1, "q2": q2, "cutoff": cutoff},
-        "relations": {k: relations[k] for k in
-                      ("maxResidual", "worstCase", "centralCharge")},
-        "automorphismIdentity": {"maxResidual": auto["maxResidual"]},
+        "relations": relations,
+        "automorphismIdentity": auto,
         "rhoOde": {"maxResidual": max(abs(float(v)) for v in ode.values())},
     }
     failures = []
@@ -425,8 +385,7 @@ def cmd_fz_check(args):
         failures.append("rhoOde")
     if variant == "vacuumModified":
         weak = fock.check_weak_symmetry(params, max_mode, max_level)
-        report["weakSymmetry"] = {k: weak[k] for k in (
-            "maxPairDefect", "maxTripleDefect", "unpairedControlDefect")}
+        report["weakSymmetry"] = weak
         if not _within(WEAK_SYMMETRY_TOL, weak["maxPairDefect"],
                        weak["maxTripleDefect"]):
             failures.append("weakSymmetry")

@@ -553,11 +553,6 @@ def check_w3_relations(variant: str, params: RealizationParams,
     c_extracted = 2.0 * (vev(comm) - 4.0 * vev(L(0, 0)))
 
     return {
-        "check": "w3_relations",
-        "variant": variant,
-        "params": {"kappa": params.kappa, "q1": params.q1, "q2": params.q2},
-        "maxModeIndex": max_mode_index,
-        "maxLevel": max_level,
         "maxResidual": worst["residual"],
         "worstCase": {"pair": worst["pair"], "kind": worst["kind"]},
         "centralCharge": {"extracted": c_extracted.real,
@@ -575,9 +570,8 @@ def check_automorphism_identity(kappa: float, eta: complex,
 
     Both sides act on current 1 only, so the residual over the states of
     level <= max_level is its largest entry over sector-1 levels <=
-    max_level; the worst key is reported with an empty sector 2.  Mode
-    -max_mode_index maps level max_level to max_level + max_mode_index,
-    which must not exceed the cutoff.
+    max_level.  Mode -max_mode_index maps level max_level to max_level +
+    max_mode_index, which must not exceed the cutoff.
     """
     if max_level + max_mode_index > cutoff:
         raise CutoffExceeded("max_level + max_mode_index must be <= cutoff")
@@ -586,29 +580,16 @@ def check_automorphism_identity(kappa: float, eta: complex,
 
     twisted = _Current(0.0, kappa, shift)
     plain = _Current(0.0, kappa)
-    worst = 0.0
-    worst_case = None
-    for n in range(-max_mode_index, max_mode_index + 1):
-        for s in range(max_level + 1):
-            r = _SECTOR.combine([
-                (1, twisted.block("T1k", n, s)),
-                (-0.5, plain.block("j2", n, s)),
-                (-kappa, plain.block("jp", n, s)),
-                (-eta, plain.block("a", n, s)),
-                (-(kappa ** 2 + eta ** 2) / 2.0 if n == 0 else 0,
-                 plain.block("1", 0, s))])
-            res = _max_abs(r)
-            if _severity(res) > _severity(worst):
-                col = int(np.argmax(np.max(np.abs(r[2]), axis=0)))
-                worst = res
-                worst_case = {"mode": n,
-                              "key": repr((partitions(s)[col], ()))}
-    return {
-        "check": "automorphism_identity",
-        "params": {"kappa": kappa, "eta": repr(eta)},
-        "maxResidual": worst,
-        "worstCase": worst_case,
-    }
+    residuals = [_max_abs(_SECTOR.combine([
+        (1, twisted.block("T1k", n, s)),
+        (-0.5, plain.block("j2", n, s)),
+        (-kappa, plain.block("jp", n, s)),
+        (-eta, plain.block("a", n, s)),
+        (-(kappa ** 2 + eta ** 2) / 2.0 if n == 0 else 0,
+         plain.block("1", 0, s))]))
+        for n in range(-max_mode_index, max_mode_index + 1)
+        for s in range(max_level + 1)]
+    return {"maxResidual": max(residuals, key=_severity, default=0.0)}
 
 
 def solve_w_triple(n1: int, n2: int, n3: int) -> Tuple[float, float]:
@@ -666,8 +647,6 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
     # negative control: a bare L_n is not weakly adjointable once kappa != 0
     control = [defect("L", (n,), (1.0,)) for n in range(1, max_mode_index + 1)]
     return {
-        "check": "weak_symmetry",
-        "params": {"kappa": params.kappa, "q1": params.q1, "q2": params.q2},
         "maxPairDefect": max(pairs, key=_severity, default=0.0),
         "maxTripleDefect": max(triples, key=_severity, default=0.0),
         "unpairedControlDefect": max(control, key=_severity, default=0.0),
@@ -693,6 +672,10 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
 # cyclic Gram matrices
 # ---------------------------------------------------------------------------
 
+# the cyclic Gram at level N asks for a cutoff of at least N + CYCLIC_MARGIN
+CYCLIC_MARGIN = 2
+
+
 @dataclass
 class CyclicGram:
     variant: str
@@ -702,8 +685,8 @@ class CyclicGram:
     eigenvalues: np.ndarray
 
 
-def cyclic_gram(variant: str, params: RealizationParams, level: int,
-                margin: int = 2) -> CyclicGram:
+def cyclic_gram(variant: str, params: RealizationParams,
+                level: int) -> CyclicGram:
     """Gram matrix of the cyclic subspace words of level <= level.
 
     The word vectors are the columns of V over the basis of levels <= level,
@@ -712,9 +695,9 @@ def cyclic_gram(variant: str, params: RealizationParams, level: int,
     Gram is V^H diag(norm^2) V.  Eigenvalues are those of the Hermitian
     part, all NaN when an entry of the Gram overflowed.
     """
-    if level > params.cutoff - margin:
+    if level > params.cutoff - CYCLIC_MARGIN:
         raise CutoffExceeded(
-            f"cyclic level {level} needs cutoff >= {level + margin}")
+            f"cyclic level {level} needs cutoff >= {level + CYCLIC_MARGIN}")
     real = _realization(params, variant)
     words = [w for lev in range(level + 1) for w in enumerate_basis(lev)]
     column = {w: j for j, w in enumerate(words)}

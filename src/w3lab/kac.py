@@ -29,8 +29,8 @@ from functools import lru_cache
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from . import verma
-from .classify import f11  # noqa: F401  (re-exported with the Kac names)
-from .exact import ExactScalar
+from .classify import _check_pole, f11  # noqa: F401  (f11 re-exported)
+from .exact import B_SQUARED, C, H, ONE, W, ExactScalar
 
 
 class DegenerateSample(ValueError):
@@ -106,30 +106,32 @@ def kac_closed_form_exact(level: int, c, h, w) -> Fraction:
     Fractions, not the engine's point ring, because ``_f_mn_ext`` mixes in
     constants such as 1/192 whose denominators that ring need not hold.
     """
-    return _closed_form(level, verma.fraction_ring(c, h, w))
+    c, h, w = map(Fraction, (c, h, w))
+    _check_pole(c, "b^2 = 16/(22+5c) has its pole")
+    return _closed_form(level, Fraction(1), c, h, w, 1 / (22 + 5 * c))
 
 
 def kac_closed_form_symbolic(level: int) -> ExactScalar:
     """The closed-form product as an ExactScalar in (c, h, w)."""
-    return _closed_form(level, verma.SYMBOLIC)
+    return _closed_form(level, ONE, C, H, W, B_SQUARED * Fraction(1, 16))
 
 
-def _closed_form(level: int, ring: "verma.Ring"):
-    """The closed-form product over a Verma coefficient ring.
+def _closed_form(level: int, one, c, h, w, inv_den):
+    """The closed-form product from the values ``one``, c, h, w and
+    ``inv_den`` = 1/(22+5c), all Fractions or all ExactScalars.
 
-    Each f_mn carries 1/(22+5c) = b^2/16, which the ring holds.  An m != n
-    factor is paired with its conjugate f_nm: with (5c+22) f_mn = x + y
-    sqrt(D), f_mn f_nm = (x^2 - y^2 D) b^4/256 and f_mn + f_nm = 2x b^2/16,
-    so the pair's factor f_mn f_nm - w^2 (f_mn + f_nm) + w^4 stays inside
-    the ring.  On the diagonal m = n, y = 0.
+    Each f_mn carries 1/(22+5c).  An m != n factor is paired with its
+    conjugate f_nm: with (5c+22) f_mn = x + y sqrt(D), f_mn f_nm =
+    (x^2 - y^2 D)/(22+5c)^2 and f_mn + f_nm = 2x/(22+5c), so the pair's
+    factor f_mn f_nm - w^2 (f_mn + f_nm) + w^4 is rational in c, h, w.  On
+    the diagonal m = n, y = 0.
     """
-    w2 = ring.w * ring.w
-    inv_den = ring.b2 * ring.lift(Fraction(1, 16))
-    acc = ring.one
+    w2 = w * w
+    acc = one
     for m, n, e in KacFactors.at_level(level).factors:
         if m > n:
             continue
-        x, y, D = _f_mn_ext(m, n, ring.h, ring.c)
+        x, y, D = _f_mn_ext(m, n, h, c)
         if m == n:
             fac = x * inv_den - w2
         else:
@@ -189,7 +191,8 @@ def compare_with_gram(level: int,
     for (cv, hv, wv) in pts:
         cf = kac_closed_form_exact(level, cv, hv, wv)
         if cf == 0:
-            raise DegenerateSample(f"closed form vanishes at {(cv, hv, wv)}")
+            raise DegenerateSample(
+                f"closed form vanishes at c={cv}, h={hv}, w={wv}")
         closed_forms.append(cf)
     ratios: List[Fraction] = []
     for pt, cf in zip(pts, closed_forms):

@@ -30,10 +30,8 @@ over point_ring(c, h, w) they are the values those take at one rational
 point, which builds the Gram matrix at that point without the symbolic one.
 That ring is Z[1/D], with D the lcm of the denominators of c, h, w, b^2 and
 720: each value is n / D**k, never reduced, so its + and * take no gcd, and
-``gram_matrix`` reduces each entry to a Fraction once, at the end.
-``fraction_ring`` is Q at the point as reduced Fractions, for the closed-form
-Kac product.  Each engine owns its memo, so results over different rings
-never mix.
+``gram_matrix`` reduces each entry to a Fraction once, at the end.  Each
+engine owns its memo, so results over different rings never mix.
 Termination of the rewriting recurses on the grade
 g = 2*(number of L) + 3*(number of W), which strictly drops on every
 commutator byproduct, plus the number of out-of-order adjacent pairs, which
@@ -54,8 +52,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
-from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO,
-                    PoleAtForbiddenCentralCharge, parse_scalar, scalar)
+from .classify import _check_pole
+from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, parse_scalar,
+                    scalar)
 from .modular import integer_determinant
 
 
@@ -138,20 +137,6 @@ class Ring(NamedTuple):
 SYMBOLIC = Ring(ONE, ZERO, C, H, W, B_SQUARED, scalar)
 
 
-def fraction_ring(c_val, h_val, w_val) -> Ring:
-    """Q at a fixed rational point (c, h, w), as reduced Fractions.
-
-    Raises PoleAtForbiddenCentralCharge at c = -22/5, where b^2 has its pole.
-    """
-    c_val, h_val, w_val = Fraction(c_val), Fraction(h_val), Fraction(w_val)
-    den = 22 + 5 * c_val
-    if den == 0:
-        raise PoleAtForbiddenCentralCharge(
-            "b^2 = 16/(22+5c) has its pole at c = -22/5")
-    return Ring(Fraction(1), Fraction(0), c_val, h_val, w_val,
-                Fraction(16) / den, Fraction)
-
-
 # The constants of ``bracket`` and ``lambda_terms`` have denominators 12,
 # 360, 30 and 10, all of which divide 720.
 _CONSTANT_DENOMINATOR = 720
@@ -167,8 +152,9 @@ def point_ring(c_val, h_val, w_val) -> Ring:
     Fraction.  ``lift`` raises ValueError on a denominator that does not
     divide D.  Raises PoleAtForbiddenCentralCharge at c = -22/5.
     """
-    exact = fraction_ring(c_val, h_val, w_val)
-    values = (exact.c, exact.h, exact.w, exact.b2)
+    c_val, h_val, w_val = map(Fraction, (c_val, h_val, w_val))
+    _check_pole(c_val, "b^2 = 16/(22+5c) has its pole")
+    values = (c_val, h_val, w_val, 16 / (22 + 5 * c_val))
     base = math.lcm(_CONSTANT_DENOMINATOR, *(x.denominator for x in values))
     powers = [1, base]  # powers[k] = D**k, extended on demand
 
