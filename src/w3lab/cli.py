@@ -3,9 +3,11 @@ vacuum-spectrum.
 
 All payloads are JSON or RFC-4180 CSV on stdout; structured errors go to
 stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
-3 level too large, 4 Kac-comparison deviation, 5 residual/positivity failure,
-6 cutoff exceeded; bad arguments, argparse's usage errors among them, exit 1
-with error "BadArguments".
+3 level too large, 4 Kac-comparison deviation, 5 residual failure or a
+non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's usage
+errors among them, exit 1 with error "BadArguments".  The vacuum spectrum
+is PSD by construction, so only a non-finite one fails; the paper's
+identity of that Gram with the canonical form is item 3 of ROADMAP.md.
 
 Options are parsed by argparse with the standard library alone.  Type
 callables check every value (exact rationals, finite floats, a kappa and an
@@ -48,12 +50,11 @@ EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2, "LevelTooLarge": 3,
 # bump when the serialized Gram layout changes; part of the cache key
 FORMAT_VERSION = "gram-json-2"
 
-# fz-check pass bounds and the vacuum-spectrum default
+# fz-check pass bounds
 RELATION_TOL = 1e-9
 AUTOMORPHISM_TOL = 1e-10
 WEAK_SYMMETRY_TOL = 1e-9
 ZERO_VECTOR_TOL = 1e-12
-PSD_TOL = 1e-8
 
 
 def _fail(code: int, kind: str, message: str):
@@ -158,14 +159,6 @@ def _finite_square(scale: float):
 
 
 KAPPA = _finite_square(12.0)
-
-
-def _positive(text: str) -> float:
-    """A finite float above 0."""
-    val = _finite(text)
-    if val <= 0:
-        raise argparse.ArgumentTypeError(f"{val} is not above 0")
-    return val
 
 
 def _at_least(low: int):
@@ -389,6 +382,11 @@ def cmd_fz_check(args):
         if not _within(WEAK_SYMMETRY_TOL, weak["maxPairDefect"],
                        weak["maxTripleDefect"]):
             failures.append("weakSymmetry")
+        # the negative control: at kappa != 0 a bare L_n must show a defect,
+        # else (no mode reached, or a NaN) the checks above proved nothing
+        control = weak["unpairedControlDefect"]
+        if kappa != 0 and not control > WEAK_SYMMETRY_TOL:
+            failures.append("weakSymmetryControl")
         if q1 == 0 and q2 == 0:
             zv = fock.zero_vector_norms(params)
             report["zeroVectors"] = zv
@@ -407,9 +405,13 @@ def cmd_fz_check(args):
 def cmd_vacuum_spectrum(args):
     """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
 
-    The spectrum counts as positive semidefinite down to a tolerance
-    relative to its largest eigenvalue, because float roundoff in the
-    eigensolver scales with it.
+    The Gram is V^H diag(norm^2) V with positive Fock norms, so it is
+    positive semidefinite by construction and a negative eigenvalue is
+    roundoff; no tolerance is applied to the spectrum.  The command exits
+    5 only when the spectrum is not finite, as when the Gram overflows.
+    The paper's identity, that this Gram is the canonical invariant form
+    at c = 2 + 12 kappa^2 and h = w = 0, is not checked here (item 3 of
+    ROADMAP.md).
     """
     from . import fock
     params = fock.RealizationParams(kappa=args.kappa, cutoff=args.cutoff)
@@ -424,9 +426,7 @@ def cmd_vacuum_spectrum(args):
         "minEigenvalue": eigs[0],
     }
     print(json.dumps(payload, indent=2))
-    # numpy's min/max propagate a NaN eigenvalue, which then fails
-    lo, hi = float(cg.eigenvalues.min()), float(cg.eigenvalues.max())
-    if not _within(args.psd_tol * max(1.0, hi), -lo):
+    if not all(map(math.isfinite, eigs)):
         sys.exit(EXIT_RESIDUAL)
 
 
@@ -482,7 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=KAPPA, default=1.0)
     p.add_argument("--q1", type=_finite, default=0.0)
     p.add_argument("--q2", type=_finite, default=0.0)
-    p.add_argument("--cutoff", type=int, default=9)
+    p.add_argument("--cutoff", type=NONNEGATIVE, default=9)
     p.add_argument("--max-mode", type=NONNEGATIVE, default=3)
     p.add_argument("--max-level", type=NONNEGATIVE, default=2)
     p.add_argument("--eta-im", type=_finite_square(1.0), default=0.0,
@@ -491,10 +491,7 @@ def build_parser() -> _Parser:
     p = command("vacuum-spectrum", cmd_vacuum_spectrum)
     p.add_argument("--kappa", type=KAPPA, required=True)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
-    p.add_argument("--cutoff", type=int, default=8)
-    p.add_argument("--psd-tol", type=_positive, default=PSD_TOL,
-                   help="exit 5 when the smallest eigenvalue is below "
-                        "-PSD_TOL * max(1, largest eigenvalue); default 1e-8")
+    p.add_argument("--cutoff", type=NONNEGATIVE, default=8)
     return parser
 
 

@@ -678,8 +678,6 @@ CYCLIC_MARGIN = 2
 
 @dataclass
 class CyclicGram:
-    variant: str
-    level: int
     words: List[ModeWord]
     gram: np.ndarray
     eigenvalues: np.ndarray
@@ -692,8 +690,12 @@ def cyclic_gram(variant: str, params: RealizationParams,
     The word vectors are the columns of V over the basis of levels <= level,
     each built from the column of the word its leftmost mode acts on; the
     words with the same leftmost mode and level are built together.  The
-    Gram is V^H diag(norm^2) V.  Eigenvalues are those of the Hermitian
-    part, all NaN when an entry of the Gram overflowed.
+    Gram is V^H diag(norm^2) V, Hermitian and, the Fock norms being
+    positive, positive semidefinite by construction: a negative eigenvalue
+    is roundoff.  The eigenvalues are all NaN when the Gram overflowed.
+    What carries the paper's vacuum argument is the identity of the
+    vacuumModified Gram with the canonical form at h = w = 0, which only
+    the tests check (item 3 of ROADMAP.md).
     """
     if level > params.cutoff - CYCLIC_MARGIN:
         raise CutoffExceeded(
@@ -720,12 +722,10 @@ def cyclic_gram(variant: str, params: RealizationParams,
     with np.errstate(over="ignore", invalid="ignore"):
         gram = vecs.conj().T @ vecs
         del vecs
-        herm = gram.conj().T
-        herm += gram
-        herm *= 0.5
-        finite = np.isfinite(herm.sum())
-    # eigvalsh fails on an infinite entry and may give finite values for a
-    # NaN one; an overflowed Gram (a sum that is not finite) gets NaN
-    eigs = (np.linalg.eigvalsh(herm) if finite
+        finite = np.isfinite(gram.sum())
+    # eigvalsh reads one triangle.  It fails on an infinite entry and may
+    # give finite values for a NaN one; an overflowed Gram (a sum that is
+    # not finite) gets NaN
+    eigs = (np.linalg.eigvalsh(gram) if finite
             else np.full(len(words), np.nan))
-    return CyclicGram(variant, level, words, gram, eigs)
+    return CyclicGram(words, gram, eigs)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -247,6 +248,9 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     ["fz-check", "--kappa", "-1e154"],
     ["vacuum-spectrum", "--kappa", "1e160", "--level", "1"],
     ["fz-check", "--eta-im", "1e200"],
+    # a negative cutoff is a bad value, not a guard that trips (exit 6)
+    ["fz-check", "--cutoff", "-1"],
+    ["vacuum-spectrum", "--kappa", "1", "--level", "0", "--cutoff", "-1"],
 ])
 def test_bad_arguments(runner, args):
     res = runner(args)
@@ -514,6 +518,19 @@ def test_fz_check_ok(runner):
     assert payload["weakSymmetry"]["unpairedControlDefect"] > 1e-3
 
 
+def test_fz_check_weak_symmetry_control_must_show_a_defect(runner):
+    # at --max-level 0 every defect is 0.0, the bare L_n's too, so the pair
+    # and triple checks tell nothing apart
+    res = runner(["fz-check", "--kappa", "1", "--max-level", "0"])
+    assert res.exit_code == 5
+    payload = json.loads(res.stdout)
+    assert payload["weakSymmetry"]["unpairedControlDefect"] == 0.0
+    assert payload["failures"] == ["weakSymmetryControl"]
+    # at kappa = 0 a bare L_n is weakly adjointable: there is no control
+    res = runner(["fz-check", "--kappa", "0", "--max-level", "0"])
+    assert res.exit_code == 0, res.stdout
+
+
 def test_fz_check_cutoff_guard(runner):
     res = runner(["fz-check", "--cutoff", "5", "--max-mode", "3",
                   "--max-level", "3"])
@@ -552,28 +569,16 @@ def test_vacuum_spectrum_margin_guard(runner):
     assert res.exit_code == 6
 
 
-def test_vacuum_spectrum_psd_failure_exit(runner):
-    # an absurdly tight tolerance turns float noise into a reported failure
-    res = runner(["vacuum-spectrum", "--kappa", "1",
-                  "--level", "4", "--cutoff", "7",
-                  "--psd-tol", "1e-16"])
-    assert res.exit_code == 5
-
-
-def test_vacuum_spectrum_tolerance_scales_with_largest_eigenvalue(runner):
-    # eigenvalues reach ~3e10 here; the smallest is -5e-6 from roundoff
-    res = runner(["vacuum-spectrum", "--kappa", "1",
-                  "--level", "8", "--cutoff", "10"])
-    assert res.exit_code == 0
-    payload = json.loads(res.stdout)
-    assert payload["minEigenvalue"] < -1e-8
-
-
-def test_vacuum_spectrum_rejects_nonpositive_tolerance(runner):
+def test_vacuum_spectrum_has_no_psd_tol(runner):
+    # the spectrum is PSD by construction, so there is no tolerance to set
     res = runner(["vacuum-spectrum", "--kappa", "1",
                   "--level", "2", "--cutoff", "6",
-                  "--psd-tol", "-1"])
+                  "--psd-tol", "1e-8"])
     assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+    res = runner(["vacuum-spectrum", "--help"])
+    assert res.exit_code == 0
+    assert "--cutoff" in res.stdout and "--psd-tol" not in res.stdout
 
 
 @pytest.mark.parametrize("args", [
@@ -584,10 +589,6 @@ def test_vacuum_spectrum_rejects_nonpositive_tolerance(runner):
     ["fz-check", "--eta-im", "nan"],
     ["vacuum-spectrum", "--kappa", "nan", "--level", "1", "--cutoff", "4"],
     ["vacuum-spectrum", "--kappa", "inf", "--level", "1", "--cutoff", "4"],
-    ["vacuum-spectrum", "--kappa", "1", "--level", "1", "--cutoff", "4",
-     "--psd-tol", "nan"],
-    ["vacuum-spectrum", "--kappa", "1", "--level", "1", "--cutoff", "4",
-     "--psd-tol", "inf"],
 ])
 def test_non_finite_fock_inputs_rejected(runner, args):
     res = runner(args)
@@ -675,6 +676,19 @@ def test_light_commands_run_on_the_standard_library_alone(runner, tmp_path,
                                   W3LAB_CACHE_DIR=str(tmp_path / "cache")))
     assert res.returncode == 0, res.stderr
     assert res.stdout.decode() == runner(args).stdout
+
+
+def test_every_option_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    options = {name for sub in commands.choices.values()
+               for a in sub._actions for name in a.option_strings
+               if name.startswith("--")}
+    assert {"--cutoff", "--h-min", "--w-min"} <= options
+    # "--c" must not be found inside "--cutoff"
+    assert sorted(name for name in options if not re.search(
+        re.escape(name) + r"(?![\w-])", readme)) == []
 
 
 def test_variant_choices_are_fock_variants():

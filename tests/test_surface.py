@@ -43,7 +43,8 @@ REMOVED = {
                    "vacuum_state", "word_state", "_leftmost"],
     "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
                   "RationalParam", "FiniteFloat", "RATIONAL", "FINITE",
-                  "_read_cached", "_degrees_within", "_REPEATED_VARIABLE"],
+                  "_read_cached", "_degrees_within", "_REPEATED_VARIABLE",
+                  "PSD_TOL", "_positive"],
 }
 
 
@@ -70,6 +71,8 @@ def test_removed_members_are_gone():
         assert not hasattr(exact.ExactScalar, name), name
     assert not hasattr(verma.ModeWord, "grade")
     assert not hasattr(fock.CyclicGram, "to_csv")
+    for name in ("variant", "level"):
+        assert name not in fock.CyclicGram.__dataclass_fields__, name
     assert "shift1" not in inspect.signature(fock.Realization).parameters
     assert not hasattr(fock.Realization, "_a_state")
     assert not hasattr(fock.Realization, "_state_apply")
