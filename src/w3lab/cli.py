@@ -17,7 +17,8 @@ and a value that starts with '-' (-5/16, -1e-3) is a value.  One table,
 ``EXIT_CODES``, maps library errors to exit codes; the JSON error kind is
 the exception's class name.  Each command imports what it uses, so
 ``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
-and no third-party package.
+and no third-party package.  As a process (``entry``) a command runs
+without cyclic garbage collection and skips interpreter teardown.
 
 The symbolic ``gram`` (``--symbolic``, or no point given) always builds
 its Gram and writes it under $W3LAB_CACHE_DIR, one file per level with the
@@ -29,6 +30,7 @@ directly over Q at each point and never touch the cache.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -222,13 +224,15 @@ def cmd_gram(args):
 
     With --c/--h/--w the matrix is built exactly at that point, over
     Z[1/D] with D the lcm of the point's denominators, those of
-    16/(22+5c) and 720, and printed as reduced rationals; its determinant
-    is taken exactly, by fraction-free Bareiss elimination up to 40 rows
-    (levels 1-5) and multi-modularly above, the only path that loads
-    numpy.  With none of them the symbolic matrix is built, printed and
-    written to $W3LAB_CACHE_DIR, which is never read.  Some but not all of
-    the three, a point with --symbolic, and a point with --format pretty
-    are BadArguments.
+    16/(22+5c) and 720, and printed as reduced rationals.  Its determinant
+    is taken exactly: the rows are scaled to integers, the gcd of each
+    column and then of each row is divided out (and multiplied back), and
+    the reduced matrix goes to fraction-free Bareiss elimination up to 40
+    rows (levels 1-5) and to multi-modular elimination above, the only
+    path that loads numpy.  With none of them the symbolic matrix is
+    built, printed and written to $W3LAB_CACHE_DIR, which is never read.
+    Some but not all of the three, a point with --symbolic, and a point
+    with --format pretty are BadArguments.
     """
     from . import verma
     level, level_cap = args.level, _level_cap(args)
@@ -302,11 +306,13 @@ def cmd_kac_verify(args):
 
     At each point the Gram matrix is built from the lower-level Grams over
     Z[1/D], D the lcm of the point's denominators, those of 16/(22+5c) and
-    720, and its determinant is taken exactly: by fraction-free Bareiss
-    elimination up to 40 rows (levels 1-5, no numpy), above that modulo
-    primes below 2^24, rebuilt by the Chinese remainder theorem past
-    Hadamard's bound.  The verdict is ok iff the ratio det / product is the
-    same positive rational at every point.
+    720.  Its determinant is taken exactly: the rows are scaled to
+    integers, the gcd of each column and then of each row is divided out
+    (and multiplied back), and the reduced matrix goes to fraction-free
+    Bareiss elimination up to 40 rows (levels 1-5, no numpy) and above that
+    is taken modulo primes below 2^24, rebuilt by the Chinese remainder
+    theorem past Hadamard's bound.  The verdict is ok iff the ratio
+    det / product is the same positive rational at every point.
     """
     from . import kac
     if args.samples:
@@ -351,10 +357,15 @@ VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
 
 def cmd_fz_check(args):
-    """Aggregate residual report for the chosen realization."""
+    """Aggregate residual report for the chosen realization.
+
+    Without --cutoff the cutoff is max-level + 2 * max-mode, the least the
+    relation sweep needs; an explicit --cutoff below that exits 6.
+    """
     from . import fock
     variant, kappa, q1, q2 = args.variant, args.kappa, args.q1, args.q2
-    cutoff, max_mode, max_level = args.cutoff, args.max_mode, args.max_level
+    max_mode, max_level = args.max_mode, args.max_level
+    cutoff = max_level + 2 * max_mode if args.cutoff is None else args.cutoff
     params = fock.RealizationParams(kappa=kappa, q1=q1, q2=q2, cutoff=cutoff)
     relations = fock.check_w3_relations(variant, params, max_mode, max_level)
     auto = fock.check_automorphism_identity(kappa, complex(0, args.eta_im),
@@ -411,10 +422,13 @@ def cmd_vacuum_spectrum(args):
     5 only when the spectrum is not finite, as when the Gram overflows.
     The paper's identity, that this Gram is the canonical invariant form
     at c = 2 + 12 kappa^2 and h = w = 0, is not checked here (item 3 of
-    ROADMAP.md).
+    ROADMAP.md).  Without --cutoff the cutoff is level + 2, the least the
+    cyclic Gram needs; an explicit --cutoff below that exits 6.
     """
     from . import fock
-    params = fock.RealizationParams(kappa=args.kappa, cutoff=args.cutoff)
+    cutoff = (args.level + fock.CYCLIC_MARGIN if args.cutoff is None
+              else args.cutoff)
+    params = fock.RealizationParams(kappa=args.kappa, cutoff=cutoff)
     cg = fock.cyclic_gram("vacuumModified", params, args.level)
     eigs = sorted(float(x) for x in cg.eigenvalues)
     payload = {
@@ -482,7 +496,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=KAPPA, default=1.0)
     p.add_argument("--q1", type=_finite, default=0.0)
     p.add_argument("--q2", type=_finite, default=0.0)
-    p.add_argument("--cutoff", type=NONNEGATIVE, default=9)
+    p.add_argument("--cutoff", type=NONNEGATIVE,
+                   help="default: max-level + 2 * max-mode")
     p.add_argument("--max-mode", type=NONNEGATIVE, default=3)
     p.add_argument("--max-level", type=NONNEGATIVE, default=2)
     p.add_argument("--eta-im", type=_finite_square(1.0), default=0.0,
@@ -491,14 +506,16 @@ def build_parser() -> _Parser:
     p = command("vacuum-spectrum", cmd_vacuum_spectrum)
     p.add_argument("--kappa", type=KAPPA, required=True)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
-    p.add_argument("--cutoff", type=NONNEGATIVE, default=8)
+    p.add_argument("--cutoff", type=NONNEGATIVE, help="default: level + 2")
     return parser
 
 
 def main(argv=None) -> None:
     """Run one command; ``argv`` defaults to the process arguments.  A
     library exception named in ``EXIT_CODES`` ends the command with that
-    code and a JSON error."""
+    code and a JSON error.  ``main`` leaves the garbage collector alone
+    and ends no process, so it can run in-process; ``entry`` wraps it for
+    the command line."""
     args = build_parser().parse_args(argv)
     try:
         args.run(args)
@@ -508,5 +525,40 @@ def main(argv=None) -> None:
         _fail(EXIT_CODES[type(e).__name__], type(e).__name__, str(e))
 
 
+def _stdout_closed() -> int:
+    """Exit code 1 for a reader that closed stdout (``| head``): stdout is
+    pointed at devnull, so nothing more is written to the closed pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
+def entry(argv=None):
+    """The ``w3lab`` console script and ``python -m w3lab.cli``: run one
+    command as the whole life of this process.
+
+    Cyclic garbage collection is off (the commands make almost no cycles,
+    so its passes only cost time), and after flushing stdout and stderr the
+    process ends with ``os._exit``, skipping interpreter teardown.  A
+    closed stdout ends the command with exit 1 and an empty stderr, not a
+    BrokenPipeError traceback; any other uncaught exception propagates.
+    """
+    gc.disable()
+    try:
+        main(argv)
+        code = 0
+    except SystemExit as e:
+        code = 0 if e.code is None else e.code
+    except BrokenPipeError:
+        code = _stdout_closed()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

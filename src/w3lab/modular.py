@@ -7,8 +7,10 @@ numpy.  Above that it is taken modulo many primes below 2^24, each by
 Gaussian elimination in numpy int64 with the primes side by side, and
 rebuilt by the Chinese remainder theorem; Hadamard's bound fixes how many
 primes are needed, so that result is exact and deterministic too.  numpy is
-imported only on the multi-modular path.  ``verma`` uses
-``integer_determinant`` for determinants over Q.
+imported only on the multi-modular path.  ``verma.rational_determinant``
+uses ``integer_determinant`` for determinants over Q, on its rows scaled to
+integers with each column's and each row's gcd divided out (the content
+reduction), so the matrices it hands to this module have content 1.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ import math
 from functools import lru_cache
 from typing import List
 
-# The size rule, from the measured crossover on the scaled Grams at one
-# point (2 cores, CPython 3.11, numpy already loaded): Bareiss 1.8 ms vs
-# multi-modular 2.2 ms at n = 20, 29 vs 15 ms at n = 36, 0.75 vs 0.095 s
-# at n = 65.  Importing numpy alone costs 0.07-0.16 s, which the
-# multi-modular path pays once per process, so Bareiss wins up to about
-# n = 40; that covers the Grams of levels 1-5 (dimension 2, 5, 10, 20, 36).
+# The size rule, from the measured crossover on the content-reduced point
+# Grams at (225/7, 21/8, 5/16) (2 cores, CPython 3.11, numpy already
+# loaded, median of 9 or 3): Bareiss 1.9-2.4 ms vs multi-modular 3.3-3.9 ms
+# at n = 20, 26-28 vs 19-20 ms at n = 36, 0.47-0.52 vs 0.14-0.15 s at
+# n = 65 (without the content reduction: 51 vs 21 ms at n = 36, 1.05 vs
+# 0.16 s at n = 65).  Importing numpy alone costs 0.13-0.18 s, which the
+# multi-modular path pays once per process, so in a process without numpy
+# Bareiss wins up to about n = 40; that covers the Grams of levels 1-5
+# (dimension 2, 5, 10, 20, 36).  A process that has already loaded numpy
+# would gain 7-8 ms at n = 36 from the other path.
 BAREISS_MAX_N = 40
 
 # Primes for the multi-modular determinant lie in (2^23, 2^24): each carries

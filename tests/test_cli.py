@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -749,3 +750,114 @@ def test_vacuum_spectrum_overflow_writes_nothing_to_stderr(tmp_path):
     assert res.returncode == 5
     assert res.stderr == ""
     assert math.isnan(json.loads(res.stdout)["minEigenvalue"])
+
+
+def test_default_cutoffs_follow_the_request(runner):
+    """Without --cutoff the Fock guards take the least cutoff the request
+    needs, so no default option trips exit 6; an explicit one that is too
+    small still does."""
+    res = runner(["vacuum-spectrum", "--kappa", "1", "--level", "7"])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["level"] == 7
+    res = runner(["fz-check", "--max-mode", "4"])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["params"]["cutoff"] == 2 + 2 * 4
+    assert runner(["fz-check", "--max-mode", "4",
+                   "--cutoff", "9"]).exit_code == 6
+    assert runner(["vacuum-spectrum", "--kappa", "1", "--level", "7",
+                   "--cutoff", "8"]).exit_code == 6
+
+
+def _run_module(args, cache, **kwargs):
+    return subprocess.run([sys.executable, "-m", "w3lab.cli", *args],
+                          env=_child_env(cache), timeout=120, **kwargs)
+
+
+DEGENERATE_SAMPLES = [["2", "2", "4/3"], ["10", "2", "0"]]
+
+
+@pytest.mark.parametrize("args, code, error", [
+    (["classify", "--c", "50", "--h", "1", "--w", "0"], 0, None),
+    (["classify", "--c", "x", "--h", "1", "--w", "0"], 1, "BadArguments"),
+    (["classify", "--c", "-22/5", "--h", "0", "--w", "0"], 2,
+     "PoleAtForbiddenCentralCharge"),
+    (["gram", "--level", "7", "--c", "3", "--h", "1", "--w", "0"], 3,
+     "LevelTooLarge"),
+    (["kac-verify", "--level", "1", "--samples", "SAMPLES"], 4,
+     "DegenerateSample"),
+    (["fz-check", "--kappa", "1", "--max-level", "0"], 5, None),
+    (["vacuum-spectrum", "--kappa", "1", "--level", "6", "--cutoff", "7"], 6,
+     "CutoffExceeded"),
+])
+def test_process_exit_codes_match_main(runner, tmp_path, args, code, error):
+    """Each documented exit code as a process (``entry``: no cyclic GC, a
+    hard exit after flushing) gives the code, stdout and stderr that
+    ``main`` gives in-process."""
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(DEGENERATE_SAMPLES))
+    args = [str(samples) if a == "SAMPLES" else a for a in args]
+    res = _run_module(args, tmp_path / "cache", capture_output=True,
+                      text=True)
+    assert res.returncode == code, res.stderr
+    want = runner(args)
+    assert (res.returncode, res.stdout, res.stderr) == tuple(want)
+    if error is None:
+        assert res.stderr == ""
+    else:
+        assert json.loads(res.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--c", "50", "--h", "1", "--w", "0"],
+    ["gram", "--level", "5", "--symbolic"],
+])
+def test_closed_stdout_ends_quietly(tmp_path, args):
+    """A reader that closed stdout (``| head -c 50``) ends the command with
+    exit 1 and an empty stderr, not a BrokenPipeError traceback.  The
+    pipe's read end is closed before the command starts, so every write to
+    it fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _run_module(args, tmp_path, stdout=write_end,
+                          stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (1, b"")
+
+
+def test_symbolic_gram_written_to_a_file_is_pinned(tmp_path):
+    """The process ends with os._exit, so everything it printed must have
+    been flushed first: the whole level-5 Gram reaches the file."""
+    out = tmp_path / "gram.json"
+    with open(out, "wb") as fh:
+        res = _run_module(["gram", "--level", "5", "--symbolic"],
+                          tmp_path / "cache", stdout=fh)
+    assert res.returncode == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SYMBOLIC_GRAM_SHA256[5]
+
+
+def test_main_in_process_keeps_the_collector_on(runner):
+    import gc
+    assert gc.isenabled()
+    assert runner(["classify", "--c", "50", "--h", "1", "--w", "0"]
+                  ).exit_code == 0
+    assert runner(["classify", "--c", "x", "--h", "1", "--w", "0"]
+                  ).exit_code == 1
+    assert gc.isenabled()
+
+
+def test_console_script_is_the_module_entry():
+    """``[project.scripts] w3lab`` names the function that ``python -m
+    w3lab.cli`` calls, so both run a command the same way."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["w3lab"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    [call] = [node.value for node in guard.body]
+    assert isinstance(call, ast.Call) and call.args == []
+    assert target == f"w3lab.cli:{call.func.id}"

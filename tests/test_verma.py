@@ -427,6 +427,53 @@ def test_rational_determinant_against_cofactor_expansion():
                                  [Fraction(0), Fraction(2)]]) == 0
 
 
+def _unreduced_determinant(rows):
+    """The route that keeps the content: each row scaled to integers by the
+    lcm of its denominators, Bareiss over Z, divided by the scales."""
+    scaled, scale = [], 1
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        scaled.append([int(x * s) for x in row])
+        scale *= s
+    return Fraction(_bareiss_z(scaled) if scaled else 1, scale)
+
+
+def _random_rational_matrix(rng, n):
+    """Signed rationals whose rows and columns share factors, with a zero
+    row or a zero column now and then."""
+    cols = [rng.choice([1, 2, 6, 35, 2 ** 40]) for _ in range(n)]
+    rows = [Fraction(rng.choice([1, 3, 10]), rng.choice([1, 4, 9]))
+            for _ in range(n)]
+    m = [[r * c * Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+          for c in cols] for r in rows]
+    if n and rng.random() < 0.25:
+        m[rng.randrange(n)] = [Fraction(0)] * n
+    if n and rng.random() < 0.25:
+        j = rng.randrange(n)
+        for row in m:
+            row[j] = Fraction(0)
+    return m
+
+
+@pytest.mark.parametrize("n", list(range(13)) + [modular.BAREISS_MAX_N,
+                                                 modular.BAREISS_MAX_N + 1])
+def test_rational_determinant_divides_out_the_content(n):
+    """Dividing out the column and row gcds changes no determinant: against
+    the route that keeps them, and cofactor expansion up to 6 rows, on both
+    sides of the Bareiss / multi-modular size rule."""
+    rng = random.Random(n)
+    for trial in range(8 if n <= 12 else 2):
+        m = _random_rational_matrix(rng, n)
+        if n and trial == 0:
+            m[-1] = [Fraction(0)] * n
+        det = rational_determinant([row[:] for row in m])
+        assert det == _unreduced_determinant(m)
+        if 1 <= n <= 6:
+            assert det == _cofactor_det(m)
+        if n == 0:
+            assert det == 1
+
+
 # ---------------------------------------------------------------------------
 # the recursive Gram build against the pairwise inner products
 # ---------------------------------------------------------------------------
