@@ -52,7 +52,9 @@ EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2, "LevelTooLarge": 3,
 # bump when the serialized Gram layout changes; part of the cache key
 FORMAT_VERSION = "gram-json-2"
 
-# fz-check pass bounds
+# fz-check pass bounds; RELATION_TOL bounds the residuals relative to the
+# relations' scale and the central-charge error relative to |c|, each
+# scale taken at least 1
 RELATION_TOL = 1e-9
 AUTOMORPHISM_TOL = 1e-10
 WEAK_SYMMETRY_TOL = 1e-9
@@ -379,9 +381,13 @@ def cmd_fz_check(args):
         "rhoOde": {"maxResidual": max(abs(float(v)) for v in ode.values())},
     }
     failures = []
-    if not _within(RELATION_TOL, relations["maxResidual"]):
+    # roundoff grows with the blocks compared, which grow with kappa
+    if not _within(RELATION_TOL * max(1.0, relations["scale"]),
+                   relations["maxResidual"]):
         failures.append("relations")
-    if not _within(RELATION_TOL, relations["centralCharge"]["error"]):
+    if not _within(RELATION_TOL * max(1.0, abs(relations["centralCharge"]
+                                                ["expected"])),
+                   relations["centralCharge"]["error"]):
         failures.append("centralCharge")
     if not _within(AUTOMORPHISM_TOL, auto["maxResidual"]):
         failures.append("automorphismIdentity")

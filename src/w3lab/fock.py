@@ -497,8 +497,11 @@ def check_w3_relations(variant: str, params: RealizationParams,
 
     For all |m|, |n| <= max_mode_index and every source level <= max_level,
     builds the block of ([X_m, Y_n] - RHS) and reports its largest entry
-    magnitude, i.e. the largest coefficient over all basis states.  Also
-    extracts the central charge from the vacuum expectation of [L_2, L_-2].
+    magnitude, i.e. the largest coefficient over all basis states.  The
+    ``scale`` is the largest entry of the blocks so compared (X_m Y_n,
+    Y_n X_m and each RHS term with its coefficient); roundoff in a residual
+    grows with it.  Also extracts the central charge from the vacuum
+    expectation of [L_2, L_-2].
     """
     if max_level + 2 * max_mode_index > params.cutoff:
         raise CutoffExceeded("max_level + 2*max_mode_index must be <= cutoff")
@@ -506,6 +509,7 @@ def check_w3_relations(variant: str, params: RealizationParams,
     c_val = params.central_charge
     ring = Ring(1.0, 0.0, c_val, 0.0, 0.0, params.b ** 2, float)
     worst = {"residual": 0.0, "pair": None, "kind": None}
+    scale = 0.0
     lambdas: Dict[Tuple[int, int], Optional[Block]] = {}
 
     def L(n, lev):
@@ -540,6 +544,8 @@ def check_w3_relations(variant: str, params: RealizationParams,
                              (-1, real._then((y, n), field(x, m, lev)))]
                     terms += [(-coef, field(kind, idx, lev))
                               for coef, kind, idx in bracket(x, m, y, n, ring)]
+                    scale = max(scale, *(abs(coef) * _max_abs(blk)
+                                         for coef, blk in terms))
                     res = _max_abs(_FOCK.combine(terms))
                     if _severity(res) > _severity(worst["residual"]):
                         worst.update(residual=res, pair=(m, n), kind=x + y)
@@ -554,6 +560,7 @@ def check_w3_relations(variant: str, params: RealizationParams,
 
     return {
         "maxResidual": worst["residual"],
+        "scale": scale,
         "worstCase": {"pair": worst["pair"], "kind": worst["kind"]},
         "centralCharge": {"extracted": c_extracted.real,
                           "expected": c_val,

@@ -438,11 +438,24 @@ class GramMatrix(NamedTuple):
                 for row in self.entries]
 
     def payload(self) -> dict:
-        """The object ``to_json`` writes: level, basis labels, entry strings."""
+        """The object ``to_json`` writes: level, basis labels, entry strings.
+
+        ``gram_matrix`` mirrors its entries, so entry (j, i) is the object
+        at (i, j): each distinct object is written once and its string
+        reused.
+        """
+        texts: Dict[int, str] = {}
+
+        def text(e) -> str:
+            s = texts.get(id(e))
+            if s is None:
+                s = texts[id(e)] = str(e)
+            return s
+
         return {
             "level": self.level,
             "basis": [w.label() for w in self.basis],
-            "entries": [[str(e) for e in row] for row in self.entries],
+            "entries": [[text(e) for e in row] for row in self.entries],
         }
 
     def to_json(self) -> str:

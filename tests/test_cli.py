@@ -479,6 +479,7 @@ SYMBOLIC_GRAM_SHA256 = {
     3: "469096f142cc5b0c07a67afc1053b3eedaa58492af65334ff16663232b9fff8d",
     4: "15abd341f2f13dd1dac65c03cbcbff44b3515f28367141f15ea4dfada339df81",
     5: "803da616ac918d100227b85fe923cd53f586c3b0bf8af668b6b8251ccdf84380",
+    6: "760e162ec6627f25389dd54f99c3b4e8a1a95c37a6469927be21baf7e1af7e6c",
 }
 
 
@@ -530,6 +531,36 @@ def test_fz_check_weak_symmetry_control_must_show_a_defect(runner):
     # at kappa = 0 a bare L_n is weakly adjointable: there is no control
     res = runner(["fz-check", "--kappa", "0", "--max-level", "0"])
     assert res.exit_code == 0, res.stdout
+
+
+FZ_SWEEP = ["fz-check", "--max-mode", "3", "--max-level", "3"]
+
+
+def test_fz_check_relations_bound_scales_with_the_blocks(runner):
+    """At kappa = 1000 the largest residual is roundoff of about 6e-8, far
+    above an absolute 1e-9 but some 1e-16 of the blocks compared."""
+    res = runner(FZ_SWEEP + ["--kappa", "1000"])
+    assert res.exit_code == 0, res.stdout
+    relations = json.loads(res.stdout)["relations"]
+    assert relations["maxResidual"] > 1e-9
+    assert relations["maxResidual"] < 1e-15 * relations["scale"]
+
+
+@pytest.mark.parametrize("kappa", ["1", "1000"])
+def test_fz_check_fails_a_wrong_structure_constant(runner, monkeypatch,
+                                                   kappa):
+    """The L-coefficient of [W_m, W_n] set to 1/31 in place of 1/30."""
+    real_bracket = fock.bracket
+
+    def mutated(g1, m, g2, n, ring):
+        return [(coef * 30 / 31 if g1 == g2 == "W" and kind == "L" else coef,
+                 kind, idx)
+                for coef, kind, idx in real_bracket(g1, m, g2, n, ring)]
+
+    monkeypatch.setattr(fock, "bracket", mutated)
+    res = runner(FZ_SWEEP + ["--kappa", kappa])
+    assert res.exit_code == 5
+    assert json.loads(res.stdout)["failures"] == ["relations"]
 
 
 def test_fz_check_cutoff_guard(runner):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -143,3 +144,143 @@ def test_pow():
     assert (H ** 0) == ONE
     with pytest.raises(ValueError):
         H ** -1
+
+
+# ---------------------------------------------------------------------------
+# differential test against a Fraction-dict reference
+# ---------------------------------------------------------------------------
+#
+# The reference is a Laurent polynomial in (d, h, w), d = 22+5c, as a dict
+# from exponents to nonzero reduced Fractions: one canonical form per value.
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, q in b.items():
+        out[m] = out.get(m, 0) + q
+    return {m: q for m, q in out.items() if q}
+
+
+def ref_mul(a, b):
+    out = {}
+    for (e1, i1, j1), p in a.items():
+        for (e2, i2, j2), q in b.items():
+            m = (e1 + e2, i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + p * q
+    return {m: q for m, q in out.items() if q}
+
+
+def ref_pow(a, n):
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_evaluate(a, c, h, w):
+    """The value as a sum of Fraction powers and products."""
+    d = 22 + 5 * Fraction(c)
+    return sum((q * d ** e * Fraction(h) ** i * Fraction(w) ** j
+                for (e, i, j), q in a.items()), Fraction(0))
+
+
+def ref_c_form(a):
+    """(terms, k): the numerator in (c, h, w) over (22+5c)^k, k the least
+    power, by the binomial expansion of d^n = (5c + 22)^n."""
+    k = max(0, -min((e for e, _, _ in a), default=0))
+    out = {}
+    for (e, i, j), q in a.items():
+        n = e + k
+        for r in range(n + 1):
+            m = (r, i, j)
+            out[m] = out.get(m, 0) + q * math.comb(n, r) * 5 ** r * 22 ** (n - r)
+    return {m: q for m, q in out.items() if q}, k
+
+
+def as_ref(x):
+    """The reference form of an ExactScalar, read off its integer
+    numerators and common denominator."""
+    return {m: Fraction(n, x._den) for m, n in x._n.items()}
+
+
+def from_ref(a, rng):
+    """The ExactScalar of ``a`` over a random multiple of the least common
+    denominator, so that equal values come with unequal denominators."""
+    den = math.lcm(*(q.denominator for q in a.values())) * rng.choice(
+        (1, 2, 7, 720, 720 ** 2))
+    return ExactScalar._of({m: int(q * den) for m, q in a.items()}, den)
+
+
+def rand_ref(rng, max_terms=4):
+    """Random Laurent terms with d-powers -3..2 and denominators that do
+    and do not divide 720."""
+    out = {}
+    for _ in range(rng.randint(0, max_terms)):
+        m = (rng.randint(-3, 2), rng.randint(0, 2), rng.randint(0, 2))
+        out[m] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5, 7, 11, 720)))
+    return {m: q for m, q in out.items() if q}
+
+
+def test_ring_operations_match_the_fraction_reference():
+    rng = random.Random(2024)
+    for _ in range(400):
+        a, b = rand_ref(rng), rand_ref(rng)
+        x, y = from_ref(a, rng), from_ref(b, rng)
+        assert as_ref(x + y) == ref_add(a, b)
+        assert as_ref(x - y) == ref_add(a, {m: -q for m, q in b.items()})
+        assert as_ref(-x) == {m: -q for m, q in a.items()}
+        assert as_ref(x * y) == ref_mul(a, b)
+        assert as_ref(x ** 3) == ref_pow(a, 3)
+        assert as_ref(x + 3) == ref_add(a, {(0, 0, 0): Fraction(3)})
+        assert as_ref(Fraction(1, 7) * x) == ref_mul(a, {(0, 0, 0):
+                                                       Fraction(1, 7)})
+        assert bool(x) == bool(a)
+        assert (x == y) == (a == b)
+        # the same value over another denominator
+        again = from_ref(a, rng)
+        assert again == x and hash(again) == hash(x)
+
+
+def test_products_that_cancel_are_zero():
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = rand_ref(rng), rand_ref(rng)
+        x, y = from_ref(a, rng), from_ref(b, rng)
+        for z in ((x + y) * (x - y) - (x * x - y * y), x * y - y * x,
+                  x * (y - y), x - from_ref(a, rng)):
+            assert not z and z == ZERO and hash(z) == hash(ZERO)
+            assert as_ref(z) == {} and z.denom_power == 0
+            assert str(z) == "0" and parse_scalar(str(z)) == ZERO
+    assert scalar(Fraction(1, 7)) * 7 == ONE
+    assert scalar(Fraction(1, 11)) - Fraction(1, 11) == ZERO
+
+
+def test_c_form_and_text_match_the_fraction_reference():
+    rng = random.Random(99)
+    for _ in range(300):
+        a = ref_mul(rand_ref(rng), rand_ref(rng))
+        x = from_ref(a, rng)
+        terms, k = ref_c_form(a)
+        assert x.terms == terms
+        assert x.denom_power == k
+        assert str(x) == str(ExactScalar(terms, k))
+        back = parse_scalar(str(x))
+        assert as_ref(back) == a
+        assert back == x and hash(back) == hash(x)
+
+
+def test_evaluate_matches_the_fraction_formula():
+    """Sums over one common denominator agree with the sum of Fraction
+    powers at random rational points, c = -22/5 included."""
+    rng = random.Random(5)
+    for trial in range(300):
+        a = rand_ref(rng)
+        x = from_ref(a, rng)
+        c = (Fraction(-22, 5) if trial % 5 == 0
+             else Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
+        h = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        w = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if 22 + 5 * c == 0 and x.denom_power:
+            with pytest.raises(PoleAtForbiddenCentralCharge):
+                x.evaluate(c, h, w)
+        else:
+            assert x.evaluate(c, h, w) == ref_evaluate(a, c, h, w)

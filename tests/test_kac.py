@@ -259,6 +259,8 @@ def test_compare_with_gram_levels_4_and_5():
 def test_symbolic_closed_form_identity(grams):
     assert verma.determinant(grams[1]) == scalar(9) * kac_closed_form_symbolic(1)
     assert verma.determinant(grams[2]) == scalar(104976) * kac_closed_form_symbolic(2)
+    assert (verma.determinant(grams[3])
+            == scalar(650717652052224) * kac_closed_form_symbolic(3))
 
 
 def test_symbolic_closed_form_matches_exact_at_level_3():

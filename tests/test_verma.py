@@ -666,3 +666,26 @@ def test_gram_level1_golden_json(grams):
         '  ]\n}'
     )
     assert grams[1].to_json() == expect
+
+
+def test_payload_formats_each_mirrored_entry_once(grams):
+    """``gram_matrix`` puts one object at (i, j) and (j, i), so the payload
+    formats at most n(n+1)/2 entries, each distinct object once."""
+    formatted = []
+
+    class Counted:
+        def __init__(self, entry):
+            self.entry = entry
+
+        def __str__(self):
+            formatted.append(self)
+            return str(self.entry)
+
+    g = grams[3]
+    wrapped = {}
+    entries = [[wrapped.setdefault(id(e), Counted(e)) for e in row]
+               for row in g.entries]
+    payload = GramMatrix(g.level, g.basis, entries).payload()
+    assert payload["entries"] == [[str(e) for e in row] for row in g.entries]
+    n = g.dimension
+    assert len(formatted) == len(wrapped) <= n * (n + 1) // 2
