@@ -122,48 +122,24 @@ def classify(c, h, w) -> UnitarityVerdict:
     else:
         quantity = detail["f11_minus_w2"] = f11(h, c) - w2
     bound_sq = constructive_bound_sq(c, h)
-    if c >= 2 and h == 0 and w == 0:
-        status, witness = _VACUUM
-    else:
-        status, witness = _rule(c)(h, w, w2, quantity, bound_sq)
+    status, witness = _verdict(c, h, w, w2, quantity, bound_sq)
     if witness is Witness.CONSTRUCTIVE_FAMILY:
         detail["constructive_bound_sq"] = bound_sq
     return UnitarityVerdict(status, witness, detail)
 
 
-# The vacuum h = w = 0 is unitary for every c >= 2, whichever range of c it
-# lies in; classify and region_scan decide it before the c-range rule.
-_VACUUM = (Status.UNITARY, Witness.VACUUM_THEOREM)
-
-# The criteria, one function per range of c.  Each maps (h, w, w2, quantity,
-# bound_sq) to (Status, Witness), where w2 = w^2, quantity = f11(h, c) - w^2
-# and bound_sq = constructive_bound_sq(c, h); classify and region_scan both
-# call them, region_scan with w2 and f11 taken once per column and row.
-
-def _rule(c: Fraction):
-    """The criterion that holds at central charge c != -22/5."""
+def _verdict(c, h, w, w2, quantity, bound_sq) -> tuple:
+    """The criterion at (c, h, w) as (Status, Witness), with w2 = w^2,
+    quantity = f11(h, c) - w^2 (unread below c = 2) and bound_sq =
+    constructive_bound_sq(c, h); region_scan passes w2 and f11 taken once
+    per column and row."""
     if c < 2:
-        return _below_2
-    return _classified if c <= 98 else _above_98
-
-
-def _below_2(h, w, w2, quantity, bound_sq) -> tuple:
-    """c < 2: the coset criterion is out of scope, so the verdict reads
-    none of its inputs (quantity is None here)."""
-    return Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION
-
-
-def _classified(h, w, w2, quantity, bound_sq) -> tuple:
-    """2 <= c <= 98 away from the vacuum, where the criterion is
-    complete."""
-    if quantity >= 0:
-        return Status.UNITARY, Witness.FIRST_KAC_DETERMINANT
-    return Status.NOT_UNITARY, Witness.FIRST_KAC_DETERMINANT
-
-
-def _above_98(h, w, w2, quantity, bound_sq) -> tuple:
-    """c > 98 away from the vacuum: a partial answer from two one-sided
-    witnesses."""
+        return Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION
+    if h == 0 and w == 0:
+        return Status.UNITARY, Witness.VACUUM_THEOREM
+    if c <= 98:
+        status = Status.UNITARY if quantity >= 0 else Status.NOT_UNITARY
+        return status, Witness.FIRST_KAC_DETERMINANT
     if quantity < 0:
         return Status.NOT_UNITARY, Witness.NECESSARY_CONDITION_FAILED
     if bound_sq is not None and w2 <= bound_sq:
@@ -198,10 +174,10 @@ def region_scan(c, h_range: tuple, w_range: tuple,
     steps = [Fraction(j, resolution - 1) for j in range(resolution)]
     columns = [(w, w * w, str(w))
                for w in (w0 + (w1 - w0) * t for t in steps)]
-    rule, c_text, rows = _rule(c), str(c), []
+    c_text, rows = str(c), []
     if c < 2:
         # _value_ is the plain attribute behind Enum's slower value property
-        status, witness = rule(None, None, None, None, None)
+        status, witness = _verdict(c, None, None, None, None, None)
         below = [(w_text, status._value_, witness._value_, "")
                  for _, _, w_text in columns]
     for t in steps:
@@ -211,11 +187,10 @@ def region_scan(c, h_range: tuple, w_range: tuple,
         if c < 2:
             cells = below
         else:
-            f11_hc, cells, h_zero = f11(h, c), [], h == 0
+            f11_hc, cells = f11(h, c), []
             for w, w2, w_text in columns:
                 quantity = f11_hc - w2
-                status, witness = (_VACUUM if h_zero and w == 0 else
-                                   rule(h, w, w2, quantity, bound_sq))
+                status, witness = _verdict(c, h, w, w2, quantity, bound_sq)
                 cells.append((w_text, status._value_, witness._value_,
                               str(quantity)))
         h_text = str(h)

@@ -3,11 +3,12 @@ vacuum-spectrum.
 
 All payloads are JSON or RFC-4180 CSV on stdout; structured errors go to
 stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
-3 level too large, 4 Kac-comparison deviation, 5 residual failure or a
-non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's usage
-errors among them, exit 1 with error "BadArguments".  The vacuum spectrum
-is PSD by construction, so only a non-finite one fails; the paper's
-identity of that Gram with the canonical form is item 3 of ROADMAP.md.
+3 level above --level-cap, 4 Kac-comparison deviation, 5 residual failure
+or a non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's
+usage errors among them, exit 1 with error "BadArguments".  The vacuum
+spectrum is PSD by construction, so only a non-finite one fails; the
+paper's identity of that Gram with the canonical form is item 3 of
+ROADMAP.md.
 
 Options are parsed by argparse with the standard library alone.  Type
 callables check every value (exact rationals, finite floats, a kappa and an
@@ -15,16 +16,13 @@ eta whose squares are finite, nonnegative levels, a resolution of at least
 2, an existing samples file), option names must be spelled out in full,
 and a value that starts with '-' (-5/16, -1e-3) is a value.  One table,
 ``EXIT_CODES``, maps library errors to exit codes; the JSON error kind is
-the exception's class name.  Each command imports what it uses, so
-``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
-and no third-party package.  As a process (``entry``) a command runs
-without cyclic garbage collection and skips interpreter teardown.
-
-The symbolic ``gram`` (``--symbolic``, or no point given) always builds
-its Gram and writes it under $W3LAB_CACHE_DIR, one file per level with the
-sha256 of its entries.  No command reads that file, so it cannot change a
-result.  ``kac-verify`` and ``gram --c/--h/--w`` build the Gram matrix
-directly over Q at each point and never touch the cache.
+the exception's class name.  The level cap (exit 3) is the CLI's own
+budget on its input, not a library error.  Each command imports what it
+uses, so ``classify`` and ``region`` load none of the Verma, Kac or Fock
+machinery and no third-party package.  As a process (``entry``) a command
+runs without cyclic garbage collection and skips interpreter teardown.
+The Gram cache that the symbolic ``gram`` writes is described at
+``cmd_gram``; no command reads it.
 """
 
 from __future__ import annotations
@@ -46,8 +44,11 @@ EXIT_RESIDUAL = 5
 
 # library exceptions by class name, so that the table needs no import of
 # the modules that raise them; the class name is also the JSON error kind
-EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2, "LevelTooLarge": 3,
+EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2,
               "DegenerateSample": EXIT_DEVIATION, "CutoffExceeded": 6}
+
+# --level-cap's default: P2(level)^2 exact reductions stay desk-sized
+LEVEL_CAP = 6
 
 # bump when the serialized Gram layout changes; part of the cache key
 FORMAT_VERSION = "gram-json-2"
@@ -105,14 +106,14 @@ def _entries_sha256(entries: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _symbolic_gram(level: int, level_cap: int) -> dict:
-    """The ``GramMatrix.payload`` of the symbolic Gram at ``level``, built
-    under ``level_cap`` and written atomically to the cache, as that payload
-    plus the sha256 of its entries.  The file is never read back: only the
+def _symbolic_gram(level: int) -> dict:
+    """The ``GramMatrix.payload`` of the symbolic Gram at ``level``, written
+    atomically to the cache as that payload plus the sha256 of its
+    entries.  The file is never read back: only the
     benchmark's explore_warm set-up (benchmarks/passes.py) looks for it.  A
     cache directory that cannot be made or written is skipped."""
     from . import verma
-    payload = verma.gram_matrix(level, level_cap).payload()
+    payload = verma.gram_matrix(level).payload()
     stored = dict(payload, sha256=_entries_sha256(payload["entries"]))
     try:
         _atomic_write(_cache_path(_cache_dir(), level),
@@ -209,12 +210,13 @@ class _Parser(argparse.ArgumentParser):
         _fail(1, "BadArguments", message)
 
 
-def _level_cap(args) -> int:
-    """--level-cap, or verma's default; the parser leaves it None so that
-    building the parser does not import verma."""
-    from . import verma
-    cap = args.level_cap
-    return verma.DEFAULT_LEVEL_CAP if cap is None else cap
+def _check_level(args) -> None:
+    """End the command with exit 3 when --level is above --level-cap; it
+    runs after the usage checks, before a pole or a degenerate sample."""
+    if args.level > args.level_cap:
+        _fail(3, "LevelTooLarge", f"level {args.level} exceeds cap "
+              f"{args.level_cap}; raise level_cap if the P2(level)^2 exact "
+              "reductions are genuinely wanted")
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +239,7 @@ def cmd_gram(args):
     with --format pretty are BadArguments.
     """
     from . import verma
-    level, level_cap = args.level, _level_cap(args)
-    point = (args.c, args.h, args.w)
+    level, point = args.level, (args.c, args.h, args.w)
     given = sum(v is not None for v in point)
     if given not in (0, 3):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
@@ -246,17 +247,16 @@ def cmd_gram(args):
         _fail(1, "BadArguments", "--symbolic takes no --c/--h/--w")
     if given and args.format != "json":
         _fail(1, "BadArguments", "a Gram at a point is printed as json only")
+    _check_level(args)
     if not given:
-        payload = _symbolic_gram(level, level_cap)
+        payload = _symbolic_gram(level)
         if args.format == "json":
             print(json.dumps(payload, indent=2))
         else:
             for label, row in zip(payload["basis"], payload["entries"]):
                 print(f"{label:16s} " + "  ".join(row))
         return
-    # the level cap is reported before a pole, as on the symbolic path
-    verma.check_level(level, level_cap)
-    g = verma.gram_matrix(level, level_cap, verma.point_ring(*point))
+    g = verma.gram_matrix(level, verma.point_ring(*point))
     payload = {
         "level": level,
         "point": {"c": str(args.c), "h": str(args.h), "w": str(args.w)},
@@ -325,7 +325,8 @@ def cmd_kac_verify(args):
         _fail(1, "BadArguments", "give --samples FILE or --random K")
     if len(pts) < 2:
         _fail(1, "BadArguments", "need at least 2 sample points")
-    rep = kac.compare_with_gram(args.level, pts, level_cap=_level_cap(args))
+    _check_level(args)
+    rep = kac.compare_with_gram(args.level, pts)
     print(rep.to_json())
     if rep.verdict != "ok":
         sys.exit(EXIT_DEVIATION)
@@ -405,9 +406,12 @@ def cmd_fz_check(args):
         if kappa != 0 and not control > WEAK_SYMMETRY_TOL:
             failures.append("weakSymmetryControl")
         if q1 == 0 and q2 == 0:
+            # each norm sums terms of size kappa that cancel
             zv = fock.zero_vector_norms(params)
-            report["zeroVectors"] = zv
-            if not _within(ZERO_VECTOR_TOL, *zv.values()):
+            scale = fock.zero_vector_scales(params)
+            report["zeroVectors"] = dict(zv, scale=scale)
+            if not all(_within(ZERO_VECTOR_TOL * max(1.0, scale[k]), v)
+                       for k, v in zv.items()):
                 failures.append("zeroVectors")
     report["failures"] = failures
     print(json.dumps(report, indent=2))
@@ -474,7 +478,7 @@ def build_parser() -> _Parser:
         p.add_argument(name, type=_rational)
     p.add_argument("--symbolic", action="store_true",
                    help="print symbolic entries")
-    p.add_argument("--level-cap", type=NONNEGATIVE)
+    p.add_argument("--level-cap", type=NONNEGATIVE, default=LEVEL_CAP)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
 
     p = command("kac-verify", cmd_kac_verify)
@@ -483,7 +487,7 @@ def build_parser() -> _Parser:
                    help="JSON file: list of [c, h, w] rationals as strings")
     p.add_argument("--random", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level-cap", type=NONNEGATIVE)
+    p.add_argument("--level-cap", type=NONNEGATIVE, default=LEVEL_CAP)
 
     p = command("classify", cmd_classify)
     for name in ("--c", "--h", "--w"):

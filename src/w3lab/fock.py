@@ -660,6 +660,9 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
     }
 
 
+_ZERO_MODES = (("L", -1), ("W", -1), ("W", -2))
+
+
 def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
     """Norms of L_{-1} O, W_{-1} O, W_{-2} O in the vacuumModified realization.
 
@@ -668,11 +671,20 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
     """
     real = _realization(params, "vacuumModified")
     out = {}
-    for f, n in (("L", -1), ("W", -1), ("W", -2)):
+    for f, n in _ZERO_MODES:
         rows, m = _FOCK.rows_upto(real._block((f, n), 0), -n)
         out[f"{f}{n}"] = float(np.linalg.norm(_norms_upto(-n)[rows]
                                               * m[:, 0]))
     return out
+
+
+def zero_vector_scales(params: RealizationParams) -> Dict[str, float]:
+    """Per norm of ``zero_vector_norms``, the largest entry of the terms its
+    image sums, O under each of the mode's field-table rows; roundoff in
+    the norm grows with it."""
+    real = _realization(params, "vacuumModified")
+    return {f"{f}{n}": max(_max_abs(real._assemble(n, [row], 0))
+                           for row in real._fields[f]) for f, n in _ZERO_MODES}
 
 
 # ---------------------------------------------------------------------------

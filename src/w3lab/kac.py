@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from . import verma
-from .classify import _check_pole, f11  # noqa: F401  (f11 re-exported)
+from .classify import _check_pole
 from .exact import B_SQUARED, C, H, ONE, W, ExactScalar
 
 
@@ -169,24 +169,21 @@ class ComparisonReport(NamedTuple):
 def compare_with_gram(level: int,
                       sample_points: Sequence[Tuple],
                       tol: object = None,
-                      gram: "verma.GramMatrix | None" = None,
-                      level_cap: int = verma.DEFAULT_LEVEL_CAP
+                      gram: "verma.GramMatrix | None" = None
                       ) -> ComparisonReport:
     """Ratio det(Gram_N at point) / closed_form(N at point) across points.
 
     With a symbolic ``gram`` the determinant is taken of its value at each
     point.  Without one, the Gram matrix is built directly over Q at each
-    point by the point engine, under ``level_cap``.  Both sides are exact
-    rationals, so the verdict is exact: "ok" iff every ratio equals the
-    first and that ratio is positive.  The relative spread is reported as a
-    float, 0.0 whenever the formula holds.  ``tol`` is not read; the slot
-    stays for callers that pass ``gram`` after it by position.
+    point by the point engine.  Both sides are exact rationals, so the
+    verdict is exact: "ok" iff every ratio equals the first and that ratio
+    is positive.  The relative spread is reported as a float, 0.0 whenever
+    the formula holds.  ``tol`` is not read; the slot stays for callers
+    that pass ``gram`` after it by position.
     """
     pts = [tuple(Fraction(x) for x in p) for p in sample_points]
     if len(pts) < 2:
         raise ValueError("need at least 2 sample points")
-    if gram is None:
-        verma.check_level(level, level_cap)
     closed_forms: List[Fraction] = []
     for (cv, hv, wv) in pts:
         cf = kac_closed_form_exact(level, cv, hv, wv)
@@ -197,8 +194,7 @@ def compare_with_gram(level: int,
     ratios: List[Fraction] = []
     for pt, cf in zip(pts, closed_forms):
         if gram is None:
-            rows = verma.gram_matrix(level, level_cap,
-                                     verma.point_ring(*pt)).entries
+            rows = verma.gram_matrix(level, verma.point_ring(*pt)).entries
             det = verma.rational_determinant(rows)
         else:
             det = verma.determinant_at(gram, *pt)

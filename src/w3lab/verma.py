@@ -35,7 +35,8 @@ engine owns its memo, so results over different rings never mix.
 Termination of the rewriting recurses on the grade
 g = 2*(number of L) + 3*(number of W), which strictly drops on every
 commutator byproduct, plus the number of out-of-order adjacent pairs, which
-drops on every swap.
+drops on every swap.  ``gram_matrix`` builds any level it is asked for;
+the level cap is the CLI's budget on its input.
 
 The symbolic determinant is an expansion in minors and never divides; the
 determinant over Q scales the rows to integers, divides each column's and
@@ -57,14 +58,6 @@ from .classify import _check_pole
 from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, parse_scalar,
                     scalar)
 from .modular import integer_determinant
-
-
-class LevelTooLarge(ValueError):
-    """Requested Gram level exceeds the configured symbolic-size guard."""
-
-
-# Soft guard: P2(level)^2 exact reductions must stay desk-sized, in any ring.
-DEFAULT_LEVEL_CAP = 6
 
 
 class ModeWord(namedtuple("ModeWord", ("lpart", "wpart"))):
@@ -433,30 +426,25 @@ class GramMatrix(NamedTuple):
     def dimension(self) -> int:
         return len(self.basis)
 
+    def _map_once(self, f: Callable[[Any], Any]) -> List[List[Any]]:
+        """f of every entry, taken once per distinct entry object:
+        ``gram_matrix`` puts one object at (i, j) and (j, i)."""
+        done: Dict[int, Any] = {}
+        for row in self.entries:
+            for e in row:
+                if id(e) not in done:
+                    done[id(e)] = f(e)
+        return [[done[id(e)] for e in row] for row in self.entries]
+
     def evaluate(self, c_val, h_val, w_val) -> List[List[Fraction]]:
-        return [[e.evaluate(c_val, h_val, w_val) for e in row]
-                for row in self.entries]
+        return self._map_once(lambda e: e.evaluate(c_val, h_val, w_val))
 
     def payload(self) -> dict:
-        """The object ``to_json`` writes: level, basis labels, entry strings.
-
-        ``gram_matrix`` mirrors its entries, so entry (j, i) is the object
-        at (i, j): each distinct object is written once and its string
-        reused.
-        """
-        texts: Dict[int, str] = {}
-
-        def text(e) -> str:
-            s = texts.get(id(e))
-            if s is None:
-                s = texts[id(e)] = str(e)
-            return s
-
-        return {
-            "level": self.level,
-            "basis": [w.label() for w in self.basis],
-            "entries": [[text(e) for e in row] for row in self.entries],
-        }
+        """The object ``to_json`` writes: level, basis labels, entry
+        strings."""
+        return {"level": self.level,
+                "basis": [w.label() for w in self.basis],
+                "entries": self._map_once(str)}
 
     def to_json(self) -> str:
         return json.dumps(self.payload(), indent=2)
@@ -472,16 +460,7 @@ class GramMatrix(NamedTuple):
         )
 
 
-def check_level(level: int, level_cap: int = DEFAULT_LEVEL_CAP) -> None:
-    """Raise LevelTooLarge when a Gram build above the cap is requested."""
-    if level > level_cap:
-        raise LevelTooLarge(
-            f"level {level} exceeds cap {level_cap}; raise level_cap if the "
-            f"P2(level)^2 exact reductions are genuinely wanted")
-
-
-def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
-                ring: Ring = SYMBOLIC) -> GramMatrix:
+def gram_matrix(level: int, ring: Ring = SYMBOLIC) -> GramMatrix:
     """Gram matrix of the canonical form at the given level, over ``ring``.
 
     Over SYMBOLIC the entries are ExactScalars in (c, h, w); over
@@ -495,7 +474,6 @@ def gram_matrix(level: int, level_cap: int = DEFAULT_LEVEL_CAP,
     computed for j <= i and mirrored.  ``Engine.inner_product`` computes the
     same entries pairwise.
     """
-    check_level(level, level_cap)
     engine = Engine(ring)
     zero = ring.zero
     basis, entries = [OMEGA], [[ring.one]]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from w3lab import fock, kac, verma
-from w3lab.classify import Status, classify
+from w3lab.classify import Status, classify, f11
 
 
 def report(num: int, ok: bool, text: str):
@@ -25,7 +25,7 @@ def region_points(count: int, seed: int):
     while len(pts) < count:
         c = Fraction(rng.randint(3, 97)) + Fraction(rng.randint(0, 9), 10)
         h = Fraction(rng.randint(1, 60), rng.randint(1, 6))
-        cap = kac.f11(h, c)
+        cap = f11(h, c)
         if cap <= 0:
             continue
         w = Fraction(int(rng.uniform(-0.9, 0.9) * float(cap) ** 0.5 * 997),
@@ -202,12 +202,12 @@ def test_criterion_9_first_level_normalization(grams):
         # point on the f11 boundary
         h = (c - 2 + 18 * (5 * c + 22) * t * t) / 32
         w = 2 * h * t
-        assert kac.f11(h, c) == w * w
+        assert f11(h, c) == w * w
         on_locus_ok &= verma.determinant_at(g1, c, h, w) == 0
         # point on the half-size variant's boundary
         h2 = (c - 2 + 9 * (5 * c + 22) * t * t) / 32
         w2 = h2 * t
-        assert kac.f11(h2, c) / 2 == w2 * w2
+        assert f11(h2, c) / 2 == w2 * w2
         if verma.determinant_at(g1, c, h2, w2) != 0:
             off_locus_nonzero += 1
         samples += 1

@@ -6,10 +6,9 @@ import pytest
 from w3lab.classify import (Status, Witness, classify,
                             constructive_bound_sq,
                             discrete_series_index, region_scan,
-                            region_scan_csv)
+                            f11, region_scan_csv)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.fock import RealizationParams
-from w3lab.kac import f11
 
 
 @pytest.mark.parametrize("c", [2, 10, 50, 98, 99, 110, 150, 1000])
@@ -78,6 +77,17 @@ def test_exact_boundary_counts_as_unitary():
     assert f11(2, 2) == Fraction(16, 9)
     v = classify(2, 2, Fraction(4, 3))
     assert v.status == Status.UNITARY
+    assert v.detail["f11_minus_w2"] == 0
+
+
+def test_c98_boundary_is_in_the_classified_range():
+    # f11(3, 98) = 0 exactly, and h = 3 is below the constructive family's
+    # (c-2)/24 = 4, so only the 2 <= c <= 98 rule makes this point Unitary
+    assert f11(3, 98) == 0
+    assert constructive_bound_sq(Fraction(98), Fraction(3)) is None
+    v = classify(98, 3, 0)
+    assert (v.status, v.witness) == (Status.UNITARY,
+                                     Witness.FIRST_KAC_DETERMINANT)
     assert v.detail["f11_minus_w2"] == 0
 
 

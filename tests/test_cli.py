@@ -69,11 +69,20 @@ def test_kac_verify_requires_point_source(runner):
     assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
+def _level_error(level, cap):
+    """The one stderr line of a level above --level-cap."""
+    return json.dumps({"error": "LevelTooLarge", "message":
+                       f"level {level} exceeds cap {cap}; raise level_cap "
+                       f"if the P2(level)^2 exact reductions are genuinely "
+                       f"wanted"}) + "\n"
+
+
 def test_gram_level_too_large(runner):
     res = runner(["gram", "--level", "7"])
     assert res.exit_code == 3
     err = json.loads(res.stderr)
     assert err["error"] == "LevelTooLarge"
+    assert res.stderr == _level_error(7, 6)
 
 
 def test_gram_pole_exit(runner):
@@ -119,6 +128,7 @@ def test_gram_cached_level_above_cap_is_refused(runner, tmp_path):
     res = runner(["gram", "--level", "7"])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"] == "LevelTooLarge"
+    assert res.stderr == _level_error(7, 6)
 
 
 def test_gram_cache_file_stores_the_entries_sha256(runner, tmp_path):
@@ -204,8 +214,7 @@ def test_exit_codes_name_the_library_exceptions():
     # turn its exit code into a traceback
     assert set(cli.EXIT_CODES) == {
         exact.PoleAtForbiddenCentralCharge.__name__,
-        verma.LevelTooLarge.__name__, kac.DegenerateSample.__name__,
-        fock.CutoffExceeded.__name__}
+        kac.DegenerateSample.__name__, fock.CutoffExceeded.__name__}
 
 
 def test_point_commands_leave_the_cache_alone(runner, tmp_path):
@@ -332,6 +341,41 @@ def test_kac_verify_level_cap(runner):
     res = runner(["kac-verify", "--level", "7", "--random", "2"])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"] == "LevelTooLarge"
+    assert res.stderr == _level_error(7, 6)
+
+
+@pytest.mark.parametrize("args, level, cap", [
+    (["gram", "--level", "9", "--level-cap", "8"], 9, 8),
+    (["gram", "--level", "9", "--level-cap", "8", "--c", "10", "--h", "2",
+      "--w", "0"], 9, 8),
+    (["kac-verify", "--level", "9", "--level-cap", "8", "--random", "2"],
+     9, 8),
+    (["gram", "--level", "7", "--c", "3", "--h", "1", "--w", "0"], 7, 6),
+], ids=["gram-symbolic", "gram-point", "kac-verify", "gram-point-default"])
+def test_level_guard(runner, args, level, cap):
+    """The CLI's level cap: exit 3, nothing on stdout, and the one JSON
+    error line on stderr."""
+    res = runner(args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == _level_error(level, cap)
+
+
+def test_level_guard_comes_before_a_pole_or_a_degenerate_sample(
+        runner, tmp_path):
+    res = runner(["gram", "--level", "7", "--c", "-22/5", "--h", "0",
+                  "--w", "0"])
+    assert (res.exit_code, res.stderr) == (3, _level_error(7, 6))
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(DEGENERATE_SAMPLES))
+    res = runner(["kac-verify", "--level", "7", "--samples", str(samples)])
+    assert (res.exit_code, res.stderr) == (3, _level_error(7, 6))
+    # under the cap the same inputs reach the pole and the degenerate sample
+    res = runner(["gram", "--level", "1", "--c", "-22/5", "--h", "0",
+                  "--w", "0"])
+    assert res.exit_code == 2
+    res = runner(["kac-verify", "--level", "1", "--samples", str(samples)])
+    assert res.exit_code == 4
 
 
 def test_kac_verify_rejects_nonpositive_tolerance(runner):
@@ -561,6 +605,41 @@ def test_fz_check_fails_a_wrong_structure_constant(runner, monkeypatch,
     res = runner(FZ_SWEEP + ["--kappa", kappa])
     assert res.exit_code == 5
     assert json.loads(res.stdout)["failures"] == ["relations"]
+
+
+def test_fz_check_zero_vector_bound_scales_with_the_terms(runner):
+    """At kappa = 10^4 the W_-2 O norm is roundoff of terms about 10^4 in
+    size that cancel; each norm is bounded relative to its own terms."""
+    res = runner(FZ_SWEEP + ["--kappa", "10000"])
+    assert res.exit_code == 0, res.stdout
+    zv = json.loads(res.stdout)["zeroVectors"]
+    assert zv["scale"]["W-1"] == pytest.approx(5477.2256, rel=1e-6)
+    assert zv["scale"]["W-2"] == pytest.approx(10954.451, rel=1e-6)
+    for key in ("L-1", "W-1", "W-2"):
+        assert zv[key] <= cli.ZERO_VECTOR_TOL * max(1.0, zv["scale"][key])
+    # at kappa = 1 every scale is below 1, so the bound stays absolute
+    res = runner(FZ_SWEEP + ["--kappa", "1"])
+    assert res.exit_code == 0, res.stdout
+    assert max(json.loads(res.stdout)["zeroVectors"]["scale"].values()) < 1
+
+
+@pytest.mark.parametrize("kappa", ["1", "10000"])
+def test_fz_check_zero_vectors_fail_with_rho_sign_flipped(runner, kappa):
+    real_rho = fock.rho_coefficient
+    fock._realization.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock, "rho_coefficient", lambda n: -real_rho(n))
+            res = runner(FZ_SWEEP + ["--kappa", kappa])
+    finally:
+        # the realization cache holds blocks built with the flipped sign
+        fock._realization.cache_clear()
+    assert res.exit_code == 5
+    payload = json.loads(res.stdout)
+    assert "zeroVectors" in payload["failures"]
+    zv = payload["zeroVectors"]
+    assert max(zv["W-1"], zv["W-2"]) > 1e6 * cli.ZERO_VECTOR_TOL * max(
+        1.0, *zv["scale"].values())
 
 
 def test_fz_check_cutoff_guard(runner):

@@ -444,7 +444,7 @@ def test_nonvacuum_twisted_form_is_not_the_canonical_one(engine):
     h, w = p.lowest_weights("vacuumModified")
     c = p.central_charge
     # the canonical form at these weights is indefinite already at level 1
-    from w3lab.kac import f11
+    from w3lab.classify import f11
     from fractions import Fraction
     assert f11(Fraction(h.real), Fraction(c)) - Fraction(w.real) ** 2 < 0
     cg = cyclic_gram("vacuumModified", p, 2)

@@ -6,9 +6,10 @@ import pytest
 
 import kac_reference as ref
 from w3lab import kac, verma
+from w3lab.classify import f11
 from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
 from w3lab.kac import (ComparisonReport, DegenerateSample,
-                       KacFactors, compare_with_gram, f11,
+                       KacFactors, compare_with_gram,
                        kac_closed_form_exact, kac_closed_form_symbolic, p2)
 from w3lab.kac import _f_mn_ext
 

@@ -30,10 +30,17 @@ REMOVED = {
               "determinant_at", "enumerate_basis", "gram_matrix"],
     "w3lab.kac": ["AlphaInvariants", "_f_sum", "f_mn", "f_mm",
                   "kac_closed_form", "f_pair_product", "f11_alt",
-                  "alpha_pm_squared", "_f_mn_complex", "_as_real", "IM_TOL"],
-    "w3lab.classify": ["constructive_family_contains"],
+                  "alpha_pm_squared", "_f_mn_complex", "_as_real", "IM_TOL",
+                  # f11 has one home, w3lab.classify
+                  "f11"],
+    "w3lab.classify": ["constructive_family_contains",
+                       # one _verdict decides every range of c
+                       "_rule", "_below_2", "_classified", "_above_98",
+                       "_VACUUM"],
     "w3lab.verma": ["Mode", "apply", "apply_mode", "apply_lambda",
-                    "inner_product", "_bareiss", "fraction_ring"],
+                    "inner_product", "_bareiss", "fraction_ring",
+                    # the level cap is the CLI's (cli.LEVEL_CAP)
+                    "LevelTooLarge", "DEFAULT_LEVEL_CAP", "check_level"],
     "w3lab.exact": ["BigRational", "_poly_exact_div", "_divide_poly_by_den",
                     "_scale_by_den", "_DEN_CONST", "_DEN_LIN"],
     "w3lab.fock": ["ModeOperator", "current_mode", "normal_power_mode",
@@ -44,7 +51,7 @@ REMOVED = {
     "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
                   "RationalParam", "FiniteFloat", "RATIONAL", "FINITE",
                   "_read_cached", "_degrees_within", "_REPEATED_VARIABLE",
-                  "PSD_TOL", "_positive"],
+                  "PSD_TOL", "_positive", "_level_cap"],
 }
 
 
@@ -78,6 +85,10 @@ def test_removed_members_are_gone():
     assert not hasattr(fock.Realization, "_state_apply")
     assert "eta" not in fock.RealizationParams.__dataclass_fields__
     assert "margin" not in inspect.signature(fock.cyclic_gram).parameters
+    from w3lab import kac
+    assert "level_cap" not in inspect.signature(verma.gram_matrix).parameters
+    assert "level_cap" not in inspect.signature(
+        kac.compare_with_gram).parameters
 
 
 def _harness_uses():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from w3lab import kac, modular
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
-from w3lab.verma import (GramMatrix, LevelTooLarge, ModeWord, OMEGA,
+from w3lab.verma import (GramMatrix, ModeWord, OMEGA,
                          determinant, determinant_at, enumerate_basis,
                          gram_matrix, point_ring,
                          rational_determinant, SYMBOLIC, bracket, Engine)
@@ -354,6 +354,24 @@ def test_point_engine_matches_symbolic_evaluation(grams):
             assert at.entries == g.evaluate(*pt), (n, pt)
 
 
+def test_evaluate_takes_each_mirrored_entry_once(grams, monkeypatch):
+    calls = []
+    real = ExactScalar.evaluate
+
+    def counted(self, *pt):
+        calls.append(self)
+        return real(self, *pt)
+
+    monkeypatch.setattr(ExactScalar, "evaluate", counted)
+    values = grams[3].evaluate(*POINTS[1])
+    d = grams[3].dimension
+    assert d == 10
+    assert len(calls) <= d * (d + 1) // 2
+    monkeypatch.undo()
+    assert values == [[e.evaluate(*POINTS[1]) for e in row]
+                      for row in grams[3].entries]
+
+
 def test_engine_memos_do_not_mix(grams):
     """Point, point, symbolic, point in a row: each is still right."""
     a, b = POINTS[0], POINTS[1]
@@ -638,13 +656,10 @@ def test_rational_determinant_of_point_grams_matches_bareiss():
                 _bareiss_z(scaled), scale)
 
 
-def test_level_guard():
-    with pytest.raises(LevelTooLarge):
-        gram_matrix(7)
-    with pytest.raises(LevelTooLarge):
-        gram_matrix(9, level_cap=8)
-    with pytest.raises(LevelTooLarge):
-        gram_matrix(7, ring=point_ring(10, 2, 0))
+def test_gram_matrix_builds_any_level():
+    # the level cap is the CLI's budget on its input, not the library's
+    g = gram_matrix(7, ring=point_ring(10, 2, 0))
+    assert g.dimension == len(g.entries) == 110
 
 
 def test_gram_json_round_trip(grams):
