@@ -112,8 +112,8 @@ def classify(c, h, w) -> UnitarityVerdict:
     c, h, w = _as_fraction(c), _as_fraction(h), _as_fraction(w)
     _check_pole(c, "classification")
     detail: dict = {"c": c, "h": h, "w": w}
-    w2, quantity = w * w, None
-    if c < 2:
+    w2, quantity, c_range = w * w, None, _c_range(c)
+    if c_range == "below 2":
         m = discrete_series_index(c)
         if m is not None:
             detail["discrete_series_m"] = m
@@ -122,22 +122,28 @@ def classify(c, h, w) -> UnitarityVerdict:
     else:
         quantity = detail["f11_minus_w2"] = f11(h, c) - w2
     bound_sq = constructive_bound_sq(c, h)
-    status, witness = _verdict(c, h, w, w2, quantity, bound_sq)
+    status, witness = _verdict(c_range, h, w, w2, quantity, bound_sq)
     if witness is Witness.CONSTRUCTIVE_FAMILY:
         detail["constructive_bound_sq"] = bound_sq
     return UnitarityVerdict(status, witness, detail)
 
 
-def _verdict(c, h, w, w2, quantity, bound_sq) -> tuple:
-    """The criterion at (c, h, w) as (Status, Witness), with w2 = w^2,
-    quantity = f11(h, c) - w^2 (unread below c = 2) and bound_sq =
-    constructive_bound_sq(c, h); region_scan passes w2 and f11 taken once
-    per column and row."""
-    if c < 2:
+def _c_range(c: Fraction) -> str:
+    """The range of c the criterion turns on: "below 2", "classified"
+    (2 <= c <= 98) or "above 98"."""
+    return "below 2" if c < 2 else "classified" if c <= 98 else "above 98"
+
+
+def _verdict(c_range, h, w, w2, quantity, bound_sq) -> tuple:
+    """The criterion at (c, h, w) as (Status, Witness), with c_range =
+    _c_range(c), w2 = w^2, quantity = f11(h, c) - w^2 (unread below c = 2)
+    and bound_sq = constructive_bound_sq(c, h); region_scan passes the
+    range taken once per scan, w2 and f11 once per column and row."""
+    if c_range == "below 2":
         return Status.UNKNOWN, Witness.OUT_OF_CLASSIFIED_REGION
     if h == 0 and w == 0:
         return Status.UNITARY, Witness.VACUUM_THEOREM
-    if c <= 98:
+    if c_range == "classified":
         status = Status.UNITARY if quantity >= 0 else Status.NOT_UNITARY
         return status, Witness.FIRST_KAC_DETERMINANT
     if quantity < 0:
@@ -174,23 +180,24 @@ def region_scan(c, h_range: tuple, w_range: tuple,
     steps = [Fraction(j, resolution - 1) for j in range(resolution)]
     columns = [(w, w * w, str(w))
                for w in (w0 + (w1 - w0) * t for t in steps)]
-    c_text, rows = str(c), []
-    if c < 2:
+    c_text, rows, c_range = str(c), [], _c_range(c)
+    if c_range == "below 2":
         # _value_ is the plain attribute behind Enum's slower value property
-        status, witness = _verdict(c, None, None, None, None, None)
+        status, witness = _verdict(c_range, None, None, None, None, None)
         below = [(w_text, status._value_, witness._value_, "")
                  for _, _, w_text in columns]
     for t in steps:
         h = h0 + (h1 - h0) * t
         bound_sq = constructive_bound_sq(c, h)
         bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
-        if c < 2:
+        if c_range == "below 2":
             cells = below
         else:
             f11_hc, cells = f11(h, c), []
             for w, w2, w_text in columns:
                 quantity = f11_hc - w2
-                status, witness = _verdict(c, h, w, w2, quantity, bound_sq)
+                status, witness = _verdict(c_range, h, w, w2, quantity,
+                                           bound_sq)
                 cells.append((w_text, status._value_, witness._value_,
                               str(quantity)))
         h_text = str(h)

@@ -407,11 +407,9 @@ def cmd_fz_check(args):
             failures.append("weakSymmetryControl")
         if q1 == 0 and q2 == 0:
             # each norm sums terms of size kappa that cancel
-            zv = fock.zero_vector_norms(params)
-            scale = fock.zero_vector_scales(params)
-            report["zeroVectors"] = dict(zv, scale=scale)
-            if not all(_within(ZERO_VECTOR_TOL * max(1.0, scale[k]), v)
-                       for k, v in zv.items()):
+            zv = report["zeroVectors"] = fock.zero_vector_norms(params)
+            if not all(_within(ZERO_VECTOR_TOL * max(1.0, s), zv[k])
+                       for k, s in zv["scale"].items()):
                 failures.append("zeroVectors")
     report["failures"] = failures
     print(json.dumps(report, indent=2))
@@ -432,15 +430,15 @@ def cmd_vacuum_spectrum(args):
     5 only when the spectrum is not finite, as when the Gram overflows.
     The paper's identity, that this Gram is the canonical invariant form
     at c = 2 + 12 kappa^2 and h = w = 0, is not checked here (item 3 of
-    ROADMAP.md).  Without --cutoff the cutoff is level + 2, the least the
+    ROADMAP.md).  Without --cutoff the cutoff is the level, the least the
     cyclic Gram needs; an explicit --cutoff below that exits 6.
     """
     from . import fock
-    cutoff = (args.level + fock.CYCLIC_MARGIN if args.cutoff is None
-              else args.cutoff)
+    cutoff = args.level if args.cutoff is None else args.cutoff
     params = fock.RealizationParams(kappa=args.kappa, cutoff=cutoff)
     cg = fock.cyclic_gram("vacuumModified", params, args.level)
-    eigs = sorted(float(x) for x in cg.eigenvalues)
+    # eigvalsh returns them in ascending order
+    eigs = [float(x) for x in cg.eigenvalues]
     payload = {
         "kappa": args.kappa,
         "centralCharge": params.central_charge,
@@ -516,7 +514,7 @@ def build_parser() -> _Parser:
     p = command("vacuum-spectrum", cmd_vacuum_spectrum)
     p.add_argument("--kappa", type=KAPPA, required=True)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
-    p.add_argument("--cutoff", type=NONNEGATIVE, help="default: level + 2")
+    p.add_argument("--cutoff", type=NONNEGATIVE, help="default: --level")
     return parser
 
 

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,17 +123,9 @@ def _split_offsets(level: int) -> Tuple[int, ...]:
          for l1 in range(level + 1)), initial=0))
 
 
-@lru_cache(maxsize=None)
-def level_norms(level: int) -> np.ndarray:
-    """Fock norms squared of the basis vectors of V_level (read-only)."""
-    out = np.array([key_norm_sq(k) for k in level_keys(level)])
-    out.setflags(write=False)
-    return out
-
-
 def _norms_upto(top: int) -> np.ndarray:
     """Fock norms, not squared, of the basis vectors of V_0 + ... + V_top."""
-    return np.sqrt(np.concatenate([level_norms(t) for t in range(top + 1)]))
+    return np.sqrt([key_norm_sq(k) for k in basis_keys(top)])
 
 
 def basis_keys(max_level: int) -> List[BiKey]:
@@ -663,37 +655,30 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
 _ZERO_MODES = (("L", -1), ("W", -1), ("W", -2))
 
 
-def zero_vector_norms(params: RealizationParams) -> Dict[str, float]:
-    """Norms of L_{-1} O, W_{-1} O, W_{-2} O in the vacuumModified realization.
+def zero_vector_norms(params: RealizationParams) -> Dict[str, Any]:
+    """Norms of L_{-1} O, W_{-1} O, W_{-2} O in the vacuumModified realization,
+    keyed "L-1", "W-1", "W-2", and under "scale" the same keys to each
+    norm's roundoff scale.
 
     All three vanish when q1 = q2 = 0.  Each is the image of O under the
-    mode's level-0 block, weighted by the Fock norms of its rows.
+    mode's level-0 block, weighted by the Fock norms of its rows.  Its
+    scale is the largest entry of the terms that image sums, O under each
+    of the mode's field-table rows; roundoff in the norm grows with it.
     """
     real = _realization(params, "vacuumModified")
-    out = {}
+    out, scale = {}, {}
     for f, n in _ZERO_MODES:
         rows, m = _FOCK.rows_upto(real._block((f, n), 0), -n)
-        out[f"{f}{n}"] = float(np.linalg.norm(_norms_upto(-n)[rows]
-                                              * m[:, 0]))
-    return out
-
-
-def zero_vector_scales(params: RealizationParams) -> Dict[str, float]:
-    """Per norm of ``zero_vector_norms``, the largest entry of the terms its
-    image sums, O under each of the mode's field-table rows; roundoff in
-    the norm grows with it."""
-    real = _realization(params, "vacuumModified")
-    return {f"{f}{n}": max(_max_abs(real._assemble(n, [row], 0))
-                           for row in real._fields[f]) for f, n in _ZERO_MODES}
+        key = f"{f}{n}"
+        out[key] = float(np.linalg.norm(_norms_upto(-n)[rows] * m[:, 0]))
+        scale[key] = max(_max_abs(real._assemble(n, [row], 0))
+                         for row in real._fields[f])
+    return dict(out, scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # cyclic Gram matrices
 # ---------------------------------------------------------------------------
-
-# the cyclic Gram at level N asks for a cutoff of at least N + CYCLIC_MARGIN
-CYCLIC_MARGIN = 2
-
 
 @dataclass
 class CyclicGram:
@@ -714,11 +699,11 @@ def cyclic_gram(variant: str, params: RealizationParams,
     is roundoff.  The eigenvalues are all NaN when the Gram overflowed.
     What carries the paper's vacuum argument is the identity of the
     vacuumModified Gram with the canonical form at h = w = 0, which only
-    the tests check (item 3 of ROADMAP.md).
+    the tests check (item 3 of ROADMAP.md).  The cutoff must be at least
+    the level, the highest level the word vectors reach.
     """
-    if level > params.cutoff - CYCLIC_MARGIN:
-        raise CutoffExceeded(
-            f"cyclic level {level} needs cutoff >= {level + CYCLIC_MARGIN}")
+    if level > params.cutoff:
+        raise CutoffExceeded(f"cyclic level {level} needs cutoff >= {level}")
     real = _realization(params, variant)
     words = [w for lev in range(level + 1) for w in enumerate_basis(lev)]
     column = {w: j for j, w in enumerate(words)}

@@ -82,21 +82,10 @@ def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
 # the closed-form determinant
 # ---------------------------------------------------------------------------
 
-class KacFactors(NamedTuple):
+def kac_factors(level: int) -> Tuple[Tuple[int, int, int], ...]:
     """Factor table (m, n, exponent) covering mn = k <= N with P2(N-k)."""
-
-    level: int
-    factors: Tuple[Tuple[int, int, int], ...]
-
-    @staticmethod
-    def at_level(level: int) -> "KacFactors":
-        facs = []
-        for k in range(1, level + 1):
-            e = p2(level - k)
-            for m in range(1, k + 1):
-                if k % m == 0:
-                    facs.append((m, k // m, e))
-        return KacFactors(level, tuple(facs))
+    return tuple((m, k // m, p2(level - k)) for k in range(1, level + 1)
+                 for m in range(1, k + 1) if k % m == 0)
 
 
 def kac_closed_form_exact(level: int, c, h, w) -> Fraction:
@@ -128,7 +117,7 @@ def _closed_form(level: int, one, c, h, w, inv_den):
     """
     w2 = w * w
     acc = one
-    for m, n, e in KacFactors.at_level(level).factors:
+    for m, n, e in kac_factors(level):
         if m > n:
             continue
         x, y, D = _f_mn_ext(m, n, h, c)

@@ -305,16 +305,14 @@ class Engine:
 
         ring = self.ring
         out: VermaVector = {}
-        if not word.lpart and not word.wpart:
-            if n < 0:
-                out = {_prepended(gen, n, word): ring.one}
-            elif n == 0:
+        if n < 0 and _may_prepend(gen, n, word):
+            out = {_prepended(gen, n, word): ring.one}
+        elif word == OMEGA:
+            if n == 0:
                 weight = ring.h if gen == "L" else ring.w
                 if weight:
                     out = {OMEGA: weight}
             # positive modes annihilate Omega
-        elif n < 0 and _may_prepend(gen, n, word):
-            out = {_prepended(gen, n, word): ring.one}
         else:
             g1, i1, rest = _leading(word)
             # K_nu K_mu rest = K_mu (K_nu rest) + [K_nu, K_mu] rest
@@ -394,7 +392,7 @@ def enumerate_basis(level: int) -> List[ModeWord]:
     words = [ModeWord(lpart[::-1], wpart[::-1])
              for n in range(level + 1)
              for lpart in partitions(n) for wpart in partitions(level - n)]
-    words.sort(key=lambda w: (w.lpart, w.wpart), reverse=True)
+    words.sort(reverse=True)
     return words
 
 

@@ -617,6 +617,10 @@ def test_fz_check_zero_vector_bound_scales_with_the_terms(runner):
     assert zv["scale"]["W-2"] == pytest.approx(10954.451, rel=1e-6)
     for key in ("L-1", "W-1", "W-2"):
         assert zv[key] <= cli.ZERO_VECTOR_TOL * max(1.0, zv["scale"][key])
+    # the library reports the scales the command prints
+    norms = fock.zero_vector_norms(fock.RealizationParams(kappa=10000.0,
+                                                          cutoff=8))
+    assert norms["scale"] == zv["scale"]
     # at kappa = 1 every scale is below 1, so the bound stays absolute
     res = runner(FZ_SWEEP + ["--kappa", "1"])
     assert res.exit_code == 0, res.stdout
@@ -674,10 +678,19 @@ def test_vacuum_spectrum_above_98(runner):
     assert payload["minEigenvalue"] >= -1e-8
 
 
-def test_vacuum_spectrum_margin_guard(runner):
+def test_vacuum_spectrum_cutoff_guard(runner):
     res = runner(["vacuum-spectrum", "--kappa", "1",
-                  "--level", "6", "--cutoff", "7"])
+                  "--level", "6", "--cutoff", "5"])
     assert res.exit_code == 6
+
+
+def test_vacuum_spectrum_cutoff_at_the_level_suffices(runner):
+    """The cyclic Gram reaches no level above its own, so a cutoff equal
+    to the level gives the spectrum a larger one gives."""
+    args = ["vacuum-spectrum", "--kappa", "1", "--level", "6", "--cutoff"]
+    res = runner(args + ["6"])
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == runner(args + ["8"]).stdout
 
 
 def test_vacuum_spectrum_has_no_psd_tol(runner):
@@ -875,7 +888,7 @@ def test_default_cutoffs_follow_the_request(runner):
     assert runner(["fz-check", "--max-mode", "4",
                    "--cutoff", "9"]).exit_code == 6
     assert runner(["vacuum-spectrum", "--kappa", "1", "--level", "7",
-                   "--cutoff", "8"]).exit_code == 6
+                   "--cutoff", "6"]).exit_code == 6
 
 
 def _run_module(args, cache, **kwargs):
@@ -896,7 +909,7 @@ DEGENERATE_SAMPLES = [["2", "2", "4/3"], ["10", "2", "0"]]
     (["kac-verify", "--level", "1", "--samples", "SAMPLES"], 4,
      "DegenerateSample"),
     (["fz-check", "--kappa", "1", "--max-level", "0"], 5, None),
-    (["vacuum-spectrum", "--kappa", "1", "--level", "6", "--cutoff", "7"], 6,
+    (["vacuum-spectrum", "--kappa", "1", "--level", "6", "--cutoff", "5"], 6,
      "CutoffExceeded"),
 ])
 def test_process_exit_codes_match_main(runner, tmp_path, args, code, error):

@@ -8,9 +8,9 @@ import kac_reference as ref
 from w3lab import kac, verma
 from w3lab.classify import f11
 from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
-from w3lab.kac import (ComparisonReport, DegenerateSample,
-                       KacFactors, compare_with_gram,
-                       kac_closed_form_exact, kac_closed_form_symbolic, p2)
+from w3lab.kac import (ComparisonReport, DegenerateSample, compare_with_gram,
+                       kac_closed_form_exact, kac_closed_form_symbolic,
+                       kac_factors, p2)
 from w3lab.kac import _f_mn_ext
 
 
@@ -124,9 +124,9 @@ def test_f_mn_pole():
 
 
 def test_kac_factors_cover_divisor_pairs():
-    kf = KacFactors.at_level(3)
-    assert set(kf.factors) == {(1, 1, p2(2)), (1, 2, p2(1)), (2, 1, p2(1)),
-                               (1, 3, p2(0)), (3, 1, p2(0))}
+    assert set(kac_factors(3)) == {(1, 1, p2(2)), (1, 2, p2(1)),
+                                   (2, 1, p2(1)), (1, 3, p2(0)),
+                                   (3, 1, p2(0))}
 
 
 def test_closed_form_level0_and_1():
@@ -145,7 +145,7 @@ def test_closed_form_exact_vs_float():
         for (c, h, w) in pts:
             ex = kac_closed_form_exact(lev, c, h, w)
             fl = complex(1)
-            for m, n, e in KacFactors.at_level(lev).factors:
+            for m, n, e in kac_factors(lev):
                 fl *= (ref.f_mn(m, n, float(h), float(c)) - float(w) ** 2) ** e
             assert abs(fl.imag) <= 1e-10 * (1 + abs(fl.real))
             assert abs(fl.real - float(ex)) <= 1e-9 * (1 + abs(float(ex)))
@@ -203,7 +203,7 @@ def _product_constant(level):
     """C_N = prod (3mn)^(2 P2(N-mn)): each Kac factor carries its own
     9m^2n^2."""
     return math.prod((3 * m * n) ** (2 * e)
-                     for m, n, e in KacFactors.at_level(level).factors)
+                     for m, n, e in kac_factors(level))
 
 
 def test_compare_rejects_degenerate_sample(grams):

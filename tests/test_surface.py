@@ -32,7 +32,9 @@ REMOVED = {
                   "kac_closed_form", "f_pair_product", "f11_alt",
                   "alpha_pm_squared", "_f_mn_complex", "_as_real", "IM_TOL",
                   # f11 has one home, w3lab.classify
-                  "f11"],
+                  "f11",
+                  # the factor table is the plain function kac_factors
+                  "KacFactors"],
     "w3lab.classify": ["constructive_family_contains",
                        # one _verdict decides every range of c
                        "_rule", "_below_2", "_classified", "_above_98",
@@ -47,7 +49,11 @@ REMOVED = {
                    "fz_field_mode", "rho_coefficients", "State",
                    "VACUUM_KEY", "PRUNE_TOL", "_level_index", "key_level",
                    "state_inner", "state_norm", "state_prune",
-                   "vacuum_state", "word_state", "_leftmost"],
+                   "vacuum_state", "word_state", "_leftmost",
+                   # the cyclic Gram needs a cutoff of its level, no margin
+                   "CYCLIC_MARGIN",
+                   # zero_vector_norms reports the scales under "scale"
+                   "zero_vector_scales", "level_norms"],
     "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
                   "RationalParam", "FiniteFloat", "RATIONAL", "FINITE",
                   "_read_cached", "_degrees_within", "_REPEATED_VARIABLE",
