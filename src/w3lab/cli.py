@@ -21,8 +21,8 @@ budget on its input, not a library error.  Each command imports what it
 uses, so ``classify`` and ``region`` load none of the Verma, Kac or Fock
 machinery and no third-party package.  As a process (``entry``) a command
 runs without cyclic garbage collection and skips interpreter teardown.
-The Gram cache that the symbolic ``gram`` writes is described at
-``cmd_gram``; no command reads it.
+The symbolic ``gram`` writes the JSON it prints to a cache file,
+described at ``cmd_gram``; no command reads it.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2,
 # --level-cap's default: P2(level)^2 exact reductions stay desk-sized
 LEVEL_CAP = 6
 
-# bump when the serialized Gram layout changes; part of the cache key
-FORMAT_VERSION = "gram-json-2"
-
 # fz-check pass bounds; RELATION_TOL bounds the residuals relative to the
 # relations' scale and the central-charge error relative to |c|, each
 # scale taken at least 1
@@ -73,10 +70,13 @@ def _within(tol: float, *values: float) -> bool:
     return all(v <= tol for v in values)
 
 
-def _cache_dir():
+def _cache_path(level: int):
+    """Where the symbolic ``gram`` writes its JSON: gram-{level}-symbolic.json
+    in $W3LAB_CACHE_DIR, by default ~/.cache/w3lab."""
     from pathlib import Path
     default = os.path.join(os.path.expanduser("~"), ".cache", "w3lab")
-    return Path(os.environ.get("W3LAB_CACHE_DIR", default))
+    return Path(os.environ.get("W3LAB_CACHE_DIR", default),
+                f"gram-{level}-symbolic.json")
 
 
 def _atomic_write(path, text: str) -> None:
@@ -91,36 +91,6 @@ def _atomic_write(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _cache_path(cache, level: int):
-    import hashlib
-    key = hashlib.sha256(f"{FORMAT_VERSION}:{level}".encode()).hexdigest()[:16]
-    return cache / f"gram-{level}-{key}.json"
-
-
-def _entries_sha256(entries: list) -> str:
-    """sha256 of a Gram's entry strings, written as compact JSON."""
-    import hashlib
-    text = json.dumps(entries, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _symbolic_gram(level: int) -> dict:
-    """The ``GramMatrix.payload`` of the symbolic Gram at ``level``, written
-    atomically to the cache as that payload plus the sha256 of its
-    entries.  The file is never read back: only the
-    benchmark's explore_warm set-up (benchmarks/passes.py) looks for it.  A
-    cache directory that cannot be made or written is skipped."""
-    from . import verma
-    payload = verma.gram_matrix(level).payload()
-    stored = dict(payload, sha256=_entries_sha256(payload["entries"]))
-    try:
-        _atomic_write(_cache_path(_cache_dir(), level),
-                      json.dumps(stored, indent=2))
-    except OSError:
-        pass  # the answer does not depend on the file
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +204,9 @@ def cmd_gram(args):
     the reduced matrix goes to fraction-free Bareiss elimination up to 40
     rows (levels 1-5) and to multi-modular elimination above, the only
     path that loads numpy.  With none of them the symbolic matrix is
-    built, printed and written to $W3LAB_CACHE_DIR, which is never read.
+    built and printed, and its JSON, what --format json prints, is written
+    to gram-N-symbolic.json in $W3LAB_CACHE_DIR (skipped when that fails);
+    no command reads it.
     Some but not all of the three, a point with --symbolic, and a point
     with --format pretty are BadArguments.
     """
@@ -249,9 +221,14 @@ def cmd_gram(args):
         _fail(1, "BadArguments", "a Gram at a point is printed as json only")
     _check_level(args)
     if not given:
-        payload = _symbolic_gram(level)
+        payload = verma.gram_matrix(level).payload()
+        text = json.dumps(payload, indent=2) + "\n"
+        try:
+            _atomic_write(_cache_path(level), text)
+        except OSError:
+            pass  # the answer does not depend on the file
         if args.format == "json":
-            print(json.dumps(payload, indent=2))
+            sys.stdout.write(text)
         else:
             for label, row in zip(payload["basis"], payload["entries"]):
                 print(f"{label:16s} " + "  ".join(row))
@@ -291,16 +268,23 @@ def _random_region_points(k: int, seed: int):
 
 
 def _read_samples(path: str) -> list:
-    """[c, h, w] rows of rationals from a JSON file."""
+    """[c, h, w] rows of rationals from a JSON file: an array of arrays of
+    three numbers or strings each."""
     try:
         with open(path) as fh:
             rows = json.load(fh)
-        pts = [tuple(Fraction(str(x)) for x in row) for row in rows]
-    except (OSError, ValueError, TypeError, ZeroDivisionError) as e:
+    except (OSError, ValueError) as e:
         _fail(1, "BadArguments", f"unreadable samples file: {e}")
-    if any(len(p) != 3 for p in pts):
-        _fail(1, "BadArguments", "each sample must be [c, h, w]")
-    return pts
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == 3
+            and all(type(x) in (int, float, str) for x in row)
+            for row in rows)):
+        _fail(1, "BadArguments", "samples must be a JSON array of [c, h, w] "
+              "arrays of numbers or strings")
+    try:
+        return [tuple(Fraction(str(x)) for x in row) for row in rows]
+    except (ValueError, ZeroDivisionError) as e:
+        _fail(1, "BadArguments", f"unreadable samples file: {e}")
 
 
 def cmd_kac_verify(args):
@@ -319,12 +303,10 @@ def cmd_kac_verify(args):
     from . import kac
     if args.samples:
         pts = _read_samples(args.samples)
-    elif args.random:
-        pts = _random_region_points(args.random, args.seed)
+        if len(pts) < 2:
+            _fail(1, "BadArguments", "need at least 2 sample points")
     else:
-        _fail(1, "BadArguments", "give --samples FILE or --random K")
-    if len(pts) < 2:
-        _fail(1, "BadArguments", "need at least 2 sample points")
+        pts = _random_region_points(args.random, args.seed)
     _check_level(args)
     rep = kac.compare_with_gram(args.level, pts)
     print(rep.to_json())
@@ -481,9 +463,11 @@ def build_parser() -> _Parser:
 
     p = command("kac-verify", cmd_kac_verify)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
-    p.add_argument("--samples", type=_existing_file,
-                   help="JSON file: list of [c, h, w] rationals as strings")
-    p.add_argument("--random", type=int, default=0)
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--samples", type=_existing_file,
+                        help="JSON file: list of [c, h, w] rationals as "
+                        "strings")
+    points.add_argument("--random", type=_at_least(2))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level-cap", type=NONNEGATIVE, default=LEVEL_CAP)
 

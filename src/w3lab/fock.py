@@ -49,12 +49,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .verma import (ModeWord, Ring, _leading, bracket, enumerate_basis,
-                    lambda_terms, partitions)
+from .verma import (BiKey, ModeWord, Ring, _leading, bracket, enumerate_basis,
+                    lambda_terms, level_keys, partitions)
 
 VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
-BiKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 # (lowest target level, highest target level, stacked matrix)
 Block = Tuple[int, int, np.ndarray]
 
@@ -102,13 +101,6 @@ def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 # bases
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def level_keys(level: int) -> Tuple[BiKey, ...]:
-    """The bicolored-partition keys of one total level, sector-1-major."""
-    return tuple((p1, p2) for l1 in range(level + 1)
-                 for p1 in partitions(l1) for p2 in partitions(level - l1))
-
 
 @lru_cache(maxsize=None)
 def _sector_index(level: int) -> Dict[Tuple[int, ...], int]:
@@ -317,7 +309,6 @@ class RealizationParams:
     q1: float = 0.0
     q2: float = 0.0
     cutoff: int = 12
-    b_sign: int = 1
 
     @property
     def central_charge(self) -> float:
@@ -325,7 +316,7 @@ class RealizationParams:
 
     @property
     def b(self) -> float:
-        return self.b_sign * 4.0 / math.sqrt(22.0 + 5.0 * self.central_charge)
+        return 4.0 / math.sqrt(22.0 + 5.0 * self.central_charge)
 
     def lowest_weights(self, variant: str) -> Tuple[complex, complex]:
         """(h, w) of the common lowest weight vector for the chosen variant."""

@@ -381,19 +381,29 @@ def clear_cache() -> None:
 # canonical basis
 # ---------------------------------------------------------------------------
 
+# a bicolored partition: (first color's parts, second color's parts)
+BiKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def level_keys(level: int) -> Tuple[BiKey, ...]:
+    """The bicolored partitions of one level, first-color-major: they key
+    the Fock basis and make the canonical basis."""
+    return tuple((p1, p2) for l1 in range(level + 1)
+                 for p1 in partitions(l1) for p2 in partitions(level - l1))
+
+
 def enumerate_basis(level: int) -> List[ModeWord]:
     """All ordered words of the given level, in a fixed deterministic order.
 
+    The words are the level's bicolored partitions, L parts then W parts.
     The order is descending lexicographic on (lpart, wpart), which puts the
     all-L words first and the all-W words last.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    words = [ModeWord(lpart[::-1], wpart[::-1])
-             for n in range(level + 1)
-             for lpart in partitions(n) for wpart in partitions(level - n)]
-    words.sort(reverse=True)
-    return words
+    return sorted((ModeWord(lpart[::-1], wpart[::-1])
+                   for lpart, wpart in level_keys(level)), reverse=True)
 
 
 @lru_cache(maxsize=None)

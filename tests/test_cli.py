@@ -100,7 +100,7 @@ def test_gram_cache_truncated_file_is_rebuilt(runner, tmp_path):
     args = ["gram", "--level", "2", "--symbolic"]
     first = runner(args)
     assert first.exit_code == 0
-    path = cli._cache_path(tmp_path / "cache", 2)
+    path = cli._cache_path(2)
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
     second = runner(args)
@@ -109,21 +109,19 @@ def test_gram_cache_truncated_file_is_rebuilt(runner, tmp_path):
     assert path.read_text() == text
 
 
-def test_gram_cache_wrong_level_is_rebuilt(runner, tmp_path):
+def test_gram_cache_wrong_level_is_rebuilt(runner):
     first = runner(["gram", "--level", "1", "--symbolic"])
-    cache = tmp_path / "cache"
-    cli._cache_path(cache, 2).write_text(
-        cli._cache_path(cache, 1).read_text())
+    cli._cache_path(2).write_text(cli._cache_path(1).read_text())
     res = runner(["gram", "--level", "2", "--symbolic"])
     assert res.exit_code == 0
     assert json.loads(res.stdout)["level"] == 2
     assert res.stdout != first.stdout
 
 
-def test_gram_cached_level_above_cap_is_refused(runner, tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    cli._cache_path(cache, 7).write_text(
+def test_gram_cached_level_above_cap_is_refused(runner):
+    path = cli._cache_path(7)
+    path.parent.mkdir()
+    path.write_text(
         json.dumps({"level": 7, "basis": [], "entries": []}))
     res = runner(["gram", "--level", "7"])
     assert res.exit_code == 3
@@ -131,24 +129,26 @@ def test_gram_cached_level_above_cap_is_refused(runner, tmp_path):
     assert res.stderr == _level_error(7, 6)
 
 
-def test_gram_cache_file_stores_the_entries_sha256(runner, tmp_path):
-    assert runner(["gram", "--level", "1"]).exit_code == 0
-    payload = json.loads(cli._cache_path(tmp_path / "cache", 1).read_text())
-    assert payload["sha256"] == cli._entries_sha256(payload["entries"])
+def test_gram_cache_file_holds_the_printed_json(runner):
+    printed = runner(["gram", "--level", "1"]).stdout
+    assert cli._cache_path(1).read_text() == printed
+    # the pretty format prints a table, and the file still holds the JSON
+    cli._cache_path(1).unlink()
+    res = runner(["gram", "--level", "1", "--format", "pretty"])
+    assert res.exit_code == 0 and res.stdout != printed
+    assert cli._cache_path(1).read_text() == printed
 
 
-def test_gram_cache_rehashed_edited_entries_never_reach_the_output(
-        runner, tmp_path):
+def test_gram_cache_rehashed_edited_entries_never_reach_the_output(runner):
     # an edit that keeps the file consistent with itself: the entries still
-    # parse, form the level-2 Gram's shape and match the stored sha256
+    # parse and form the level-2 Gram's shape
     args = ["gram", "--level", "2", "--symbolic"]
     first = runner(args)
-    path = cli._cache_path(tmp_path / "cache", 2)
+    path = cli._cache_path(2)
     text = path.read_text()
     edited = json.loads(text)
     assert edited["entries"][1][1] != "0"
     edited["entries"][1][1] = "0"
-    edited["sha256"] = cli._entries_sha256(edited["entries"])
     path.write_text(json.dumps(edited, indent=2))
     assert verma.GramMatrix.from_json(path.read_text()).level == 2
     second = runner(args)
@@ -158,10 +158,10 @@ def test_gram_cache_rehashed_edited_entries_never_reach_the_output(
     assert path.read_text() == text
 
 
-def test_gram_cache_edited_entries_are_rebuilt(runner, tmp_path):
+def test_gram_cache_edited_entries_are_rebuilt(runner):
     args = ["gram", "--level", "2", "--symbolic"]
     first = runner(args)
-    path = cli._cache_path(tmp_path / "cache", 2)
+    path = cli._cache_path(2)
     text = path.read_text()
     edited = json.loads(text)
     assert edited["entries"][0][1] != "0"
@@ -181,14 +181,13 @@ def test_gram_cache_edited_entries_are_rebuilt(runner, tmp_path):
     "c" * 40,  # c^40 without an exponent
     "c^2*h*c",
 ])
-def test_gram_cache_degree_above_the_cap_is_rebuilt(runner, tmp_path, entry):
+def test_gram_cache_degree_above_the_cap_is_rebuilt(runner, entry):
     args = ["gram", "--level", "2", "--symbolic"]
     first = runner(args)
-    path = cli._cache_path(tmp_path / "cache", 2)
+    path = cli._cache_path(2)
     text = path.read_text()
     edited = json.loads(text)
     edited["entries"][0][1] = entry
-    edited["sha256"] = cli._entries_sha256(edited["entries"])
     path.write_text(json.dumps(edited))
     second = runner(args)
     assert second.exit_code == 0
@@ -301,6 +300,34 @@ def test_kac_verify_samples_file(runner, tmp_path):
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
     assert payload["constant"] == "104976"
+
+
+@pytest.mark.parametrize("rows", [
+    # each string would be iterated digit by digit into a point
+    ["345", "678"],
+    {"345": 1, "678": 2},
+    [["10", "2", True], ["3", "1/24", "0"]],
+    [["10", "2", "1/7"], "3,1/24,0"],
+])
+def test_kac_verify_rejects_a_malformed_samples_file(runner, tmp_path, rows):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps(rows))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+def test_kac_verify_takes_samples_or_random_not_both(runner, tmp_path):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([["10", "2", "1/7"], ["3", "1/24", "0"]]))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f),
+                  "--random", "2"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "BadArguments",
+        "message": "argument --random: not allowed with argument --samples"}
 
 
 def test_kac_verify_degenerate_sample_exit(runner, tmp_path):
@@ -518,7 +545,7 @@ REGION_SHA256 = {
 
 # sha256 of `gram --level N --symbolic`: the printed symbolic form, on an
 # empty cache and again over the file the first run wrote, is pinned byte
-# for byte
+# for byte, and so is that file
 SYMBOLIC_GRAM_SHA256 = {
     3: "469096f142cc5b0c07a67afc1053b3eedaa58492af65334ff16663232b9fff8d",
     4: "15abd341f2f13dd1dac65c03cbcbff44b3515f28367141f15ea4dfada339df81",
@@ -534,6 +561,8 @@ def test_symbolic_gram_is_pinned(runner, level):
         assert res.exit_code == 0
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == SYMBOLIC_GRAM_SHA256[level]
+        stored = cli._cache_path(level).read_bytes()
+        assert hashlib.sha256(stored).hexdigest() == SYMBOLIC_GRAM_SHA256[level]
 
 
 @pytest.mark.parametrize("c", sorted(REGION_SHA256))
@@ -959,6 +988,23 @@ def test_symbolic_gram_written_to_a_file_is_pinned(tmp_path):
     assert res.returncode == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SYMBOLIC_GRAM_SHA256[5]
+
+
+def test_benchmark_explore_warm_setup_finds_the_cached_gram(tmp_path,
+                                                           monkeypatch):
+    """The benchmark's own explore_warm set-up primes the cache through the
+    CLI and looks for gram-5-*.json there, so a change to the cache file's
+    name or place fails here before it fails a benchmark run."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import passes
+    p = passes.setup("explore_warm", 1, tmp_path)
+    try:
+        [path] = p.cache.glob("gram-5-*.json")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == SYMBOLIC_GRAM_SHA256[5]
+    finally:
+        passes.teardown(p)
 
 
 def test_main_in_process_keeps_the_collector_on(runner):

@@ -491,17 +491,18 @@ def test_virasoro_only_gram_block_diagonal_across_levels():
                     assert abs(state_inner(va, vb)) < 1e-10
 
 
-def test_b_sign_flip_leaves_spectrum_invariant():
+def test_q2_flip_leaves_spectrum_invariant():
+    # q2 -> -q2 is the automorphism J2 -> -J2, which flips the sign of W
     base = params(kappa=0.8, q1=0.3, q2=0.7, cutoff=6)
-    flipped = RealizationParams(kappa=0.8, q1=0.3, q2=0.7, cutoff=6,
-                                b_sign=-1)
-    g1 = cyclic_gram("unitaryFamily", base, 3)
-    g2 = cyclic_gram("unitaryFamily", flipped, 3)
-    assert np.allclose(g1.eigenvalues, g2.eigenvalues, atol=1e-10)
-    # entries agree up to the diagonal sign flip on odd-W words
-    signs = np.array([(-1.0) ** len(w.wpart) for w in g1.words])
-    assert np.allclose(g1.gram, signs[:, None] * g2.gram * signs[None, :],
-                       atol=1e-10)
+    flipped = params(kappa=0.8, q1=0.3, q2=-0.7, cutoff=6)
+    for variant in fock.VARIANTS:
+        g1 = cyclic_gram(variant, base, 3)
+        g2 = cyclic_gram(variant, flipped, 3)
+        assert np.allclose(g1.eigenvalues, g2.eigenvalues, atol=1e-10)
+        # entries agree up to the diagonal sign flip on odd-W words
+        signs = np.array([(-1.0) ** len(w.wpart) for w in g1.words])
+        assert np.allclose(g1.gram, signs[:, None] * g2.gram * signs[None, :],
+                           atol=1e-10), variant
 
 
 def test_word_state_matches_mode_composition():

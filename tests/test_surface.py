@@ -57,7 +57,9 @@ REMOVED = {
     "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
                   "RationalParam", "FiniteFloat", "RATIONAL", "FINITE",
                   "_read_cached", "_degrees_within", "_REPEATED_VARIABLE",
-                  "PSD_TOL", "_positive", "_level_cap"],
+                  "PSD_TOL", "_positive", "_level_cap",
+                  # the cache file holds the printed JSON, unversioned
+                  "FORMAT_VERSION", "_entries_sha256"],
 }
 
 
@@ -90,6 +92,10 @@ def test_removed_members_are_gone():
     assert not hasattr(fock.Realization, "_a_state")
     assert not hasattr(fock.Realization, "_state_apply")
     assert "eta" not in fock.RealizationParams.__dataclass_fields__
+    # W's sign flips with q2 -> -q2
+    assert "b_sign" not in fock.RealizationParams.__dataclass_fields__
+    # one enumerator of a level's bicolored partitions
+    assert fock.level_keys is verma.level_keys
     assert "margin" not in inspect.signature(fock.cyclic_gram).parameters
     from w3lab import kac
     assert "level_cap" not in inspect.signature(verma.gram_matrix).parameters
