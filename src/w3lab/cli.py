@@ -28,6 +28,7 @@ described at ``cmd_gram``; no command reads it.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -198,19 +199,15 @@ def cmd_gram(args):
 
     With --c/--h/--w the matrix is built exactly at that point, over
     Z[1/D] with D the lcm of the point's denominators, those of
-    16/(22+5c) and 720, and printed as reduced rationals.  Its determinant
-    is taken exactly: the rows are scaled to integers, the gcd of each
-    column and then of each row is divided out (and multiplied back), and
-    the reduced matrix goes to fraction-free Bareiss elimination up to 40
-    rows (levels 1-5) and to multi-modular elimination above, the only
-    path that loads numpy.  With none of them the symbolic matrix is
-    built and printed, and its JSON, what --format json prints, is written
-    to gram-N-symbolic.json in $W3LAB_CACHE_DIR (skipped when that fails);
-    no command reads it.
+    16/(22+5c) and 720, and printed as reduced rationals with its exact
+    determinant (modular.rational_determinant).  With none of them the
+    symbolic matrix is built and printed, and its JSON, what --format json
+    prints, is written to gram-N-symbolic.json in $W3LAB_CACHE_DIR (skipped
+    when that fails); no command reads it.
     Some but not all of the three, a point with --symbolic, and a point
     with --format pretty are BadArguments.
     """
-    from . import verma
+    from . import modular, verma
     level, point = args.level, (args.c, args.h, args.w)
     given = sum(v is not None for v in point)
     if given not in (0, 3):
@@ -239,7 +236,7 @@ def cmd_gram(args):
         "point": {"c": str(args.c), "h": str(args.h), "w": str(args.w)},
         "basis": [wd.label() for wd in g.basis],
         "entries": [[str(x) for x in row] for row in g.entries],
-        "determinant": str(verma.rational_determinant(g.entries)),
+        "determinant": str(modular.rational_determinant(g.entries)),
         "determinantMethod": "evaluated",
     }
     print(json.dumps(payload, indent=2))
@@ -292,21 +289,20 @@ def cmd_kac_verify(args):
 
     At each point the Gram matrix is built from the lower-level Grams over
     Z[1/D], D the lcm of the point's denominators, those of 16/(22+5c) and
-    720.  Its determinant is taken exactly: the rows are scaled to
-    integers, the gcd of each column and then of each row is divided out
-    (and multiplied back), and the reduced matrix goes to fraction-free
-    Bareiss elimination up to 40 rows (levels 1-5, no numpy) and above that
-    is taken modulo primes below 2^24, rebuilt by the Chinese remainder
-    theorem past Hadamard's bound.  The verdict is ok iff the ratio
-    det / product is the same positive rational at every point.
+    720, and its exact determinant taken (modular.rational_determinant).
+    The verdict is ok iff the ratio det / product is the same positive
+    rational at every point.  --seed (default 0) goes with --random only.
     """
     from . import kac
     if args.samples:
+        if args.seed is not None:
+            _fail(1, "BadArguments",
+                  "argument --seed: not allowed with argument --samples")
         pts = _read_samples(args.samples)
         if len(pts) < 2:
             _fail(1, "BadArguments", "need at least 2 sample points")
     else:
-        pts = _random_region_points(args.random, args.seed)
+        pts = _random_region_points(args.random, args.seed or 0)
     _check_level(args)
     rep = kac.compare_with_gram(args.level, pts)
     print(rep.to_json())
@@ -341,6 +337,19 @@ def cmd_region(args):
 VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
 
+def _quiet_overflow(run):
+    """A Fock command under one numpy errstate: an overflow shows as the
+    NaN or inf its checks fail, not as warning text on stderr.  numpy comes
+    by way of fock, in the command's import order, which keeps peak RSS."""
+    @functools.wraps(run)
+    def quiet(args):
+        from .fock import np
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(args)
+    return quiet
+
+
+@_quiet_overflow
 def cmd_fz_check(args):
     """Aggregate residual report for the chosen realization.
 
@@ -363,37 +372,31 @@ def cmd_fz_check(args):
         "automorphismIdentity": auto,
         "rhoOde": {"maxResidual": max(abs(float(v)) for v in ode.values())},
     }
-    failures = []
     # roundoff grows with the blocks compared, which grow with kappa
-    if not _within(RELATION_TOL * max(1.0, relations["scale"]),
-                   relations["maxResidual"]):
-        failures.append("relations")
-    if not _within(RELATION_TOL * max(1.0, abs(relations["centralCharge"]
-                                                ["expected"])),
-                   relations["centralCharge"]["error"]):
-        failures.append("centralCharge")
-    if not _within(AUTOMORPHISM_TOL, auto["maxResidual"]):
-        failures.append("automorphismIdentity")
-    if any(v != 0 for v in ode.values()):
-        failures.append("rhoOde")
+    cc = relations["centralCharge"]
+    passed = {  # check name -> passed, in report order
+        "relations": _within(RELATION_TOL * max(1.0, relations["scale"]),
+                             relations["maxResidual"]),
+        "centralCharge": _within(RELATION_TOL * max(1.0, abs(cc["expected"])),
+                                 cc["error"]),
+        "automorphismIdentity": _within(AUTOMORPHISM_TOL, auto["maxResidual"]),
+        "rhoOde": all(v == 0 for v in ode.values())}
     if variant == "vacuumModified":
         weak = fock.check_weak_symmetry(params, max_mode, max_level)
         report["weakSymmetry"] = weak
-        if not _within(WEAK_SYMMETRY_TOL, weak["maxPairDefect"],
-                       weak["maxTripleDefect"]):
-            failures.append("weakSymmetry")
+        passed["weakSymmetry"] = _within(
+            WEAK_SYMMETRY_TOL, weak["maxPairDefect"], weak["maxTripleDefect"])
         # the negative control: at kappa != 0 a bare L_n must show a defect,
         # else (no mode reached, or a NaN) the checks above proved nothing
-        control = weak["unpairedControlDefect"]
-        if kappa != 0 and not control > WEAK_SYMMETRY_TOL:
-            failures.append("weakSymmetryControl")
+        passed["weakSymmetryControl"] = (
+            kappa == 0 or weak["unpairedControlDefect"] > WEAK_SYMMETRY_TOL)
         if q1 == 0 and q2 == 0:
             # each norm sums terms of size kappa that cancel
             zv = report["zeroVectors"] = fock.zero_vector_norms(params)
-            if not all(_within(ZERO_VECTOR_TOL * max(1.0, s), zv[k])
-                       for k, s in zv["scale"].items()):
-                failures.append("zeroVectors")
-    report["failures"] = failures
+            passed["zeroVectors"] = all(
+                _within(ZERO_VECTOR_TOL * max(1.0, s), zv[k])
+                for k, s in zv["scale"].items())
+    failures = report["failures"] = [k for k, ok in passed.items() if not ok]
     print(json.dumps(report, indent=2))
     if failures:
         sys.exit(EXIT_RESIDUAL)
@@ -403,6 +406,7 @@ def cmd_fz_check(args):
 # vacuum-spectrum
 # ---------------------------------------------------------------------------
 
+@_quiet_overflow
 def cmd_vacuum_spectrum(args):
     """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
 
@@ -468,7 +472,7 @@ def build_parser() -> _Parser:
                         help="JSON file: list of [c, h, w] rationals as "
                         "strings")
     points.add_argument("--random", type=_at_least(2))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--level-cap", type=NONNEGATIVE, default=LEVEL_CAP)
 
     p = command("classify", cmd_classify)

@@ -22,11 +22,12 @@ s - n).  Each current builds its mode families (a, J', J'', :J^2:, :J^3:,
 rho, rho', T1k) as small matrices on its own levels; ``field_table`` writes
 L and W as rows (coefficient, sector-1 family, sector-2 family) whose mode n
 is sum_k F1_k (x) F2_{n-k}, one Kronecker product per term.  Blocks are
-built lazily and cached per (field, mode, source level);
-``Realization._block`` keeps each two-current block as its nonzero triples
-(1-5% of the entries) and hands out a dense array on every read.  Mode sums
-are finite and exact: annihilation above a level kills it and the twist
-coefficients vanish for positive indices.
+built lazily and cached per (field, mode, source level): each current
+caches its families and the sector-1 sums of rows sharing a sector-2
+family, and ``Realization._block`` keeps each two-current block as its
+nonzero triples (1-5% of the entries) and hands out a dense array on every
+read.  Mode sums are finite and exact: annihilation above a level kills it
+and the twist coefficients vanish for positive indices.
 
 The W3 relations the realized modes must satisfy are not restated here:
 ``check_w3_relations`` reads the bracket table and the Lambda_s collapse of
@@ -230,13 +231,14 @@ class _Current:
     """Mode families of one Heisenberg current, as blocks on its levels.
 
     ``shift`` adds scalar mode shifts a_n -> a_n + shift(n); it must vanish
-    for positive n.  Blocks are cached per (family, mode, source level).
+    for positive n.  Blocks are cached per (family, mode, source level);
+    a family may also be a tuple of (coefficient, family) pairs, their sum.
     """
 
     def __init__(self, q: float, kappa: float = 0.0,
                  shift: Optional[Callable[[int], complex]] = None):
         self.q, self.kappa, self._shift = q, kappa, shift
-        self._cache: Dict[Tuple[str, int, int], Optional[Block]] = {}
+        self._cache: Dict[Tuple, Optional[Block]] = {}
         eye = self._eye
         self._families = {
             "1": lambda k, s: eye(s) if k == 0 else None,
@@ -250,10 +252,12 @@ class _Current:
             "j3": lambda k, s: self._normal_product("j2", k, s),
             "T1k": self._t1k}
 
-    def block(self, fam: str, k: int, s: int) -> Optional[Block]:
+    def block(self, fam, k: int, s: int) -> Optional[Block]:
         key = (fam, k, s)
         if key not in self._cache:
-            self._cache[key] = self._families[fam](k, s)
+            self._cache[key] = (
+                self._families[fam](k, s) if isinstance(fam, str) else
+                _SECTOR.combine((c, self.block(f, k, s)) for c, f in fam))
         return self._cache[key]
 
     def _then(self, fam: str, k: int, blk: Optional[Block]) -> Optional[Block]:
@@ -396,7 +400,6 @@ class Realization:
                           _Current(params.q2, params.kappa))
         self._fields = field_table(variant, params.kappa, params.b)
         self._blocks: Dict[Tuple, Optional[_Sparse]] = {}
-        self._families: Dict[Tuple, Optional[Block]] = {}
 
     def _block(self, spec: Tuple, level: int) -> Optional[Block]:
         """The block of a mode on V_level, built once, kept as a _Sparse."""
@@ -412,23 +415,14 @@ class Realization:
     def _then(self, spec: Tuple, blk: Optional[Block]) -> Optional[Block]:
         return _FOCK.compose(lambda u: self._block(spec, u), blk)
 
-    def _family(self, group: Tuple[Tuple[complex, str], ...], k: int,
-                s1: int) -> Optional[Block]:
-        """sum c * F1_k on sector-1 level s1 over the rows of one group."""
-        key = (group, k, s1)
-        if key not in self._families:
-            cur = self._currents[0]
-            self._families[key] = _SECTOR.combine(
-                (c, cur.block(f1, k, s1)) for c, f1 in group)
-        return self._families[key]
-
     def _assemble(self, n: int, rows: List[Row], level: int
                   ) -> Optional[Block]:
         """Mode n of sum over rows c * F1 F2 on V_level.
 
-        Rows sharing a sector-2 family are summed in sector 1 first, so each
-        (split, k) costs one Kronecker product.  Sector-2 families are
-        level-homogeneous; sector-1 blocks may span several levels.
+        Rows sharing a sector-2 family are summed in sector 1 first, as one
+        combination family of current 1, so each (split, k) costs one
+        Kronecker product.  Sector-2 families are level-homogeneous;
+        sector-1 blocks may span several levels.
         """
         hi = level - n
         if hi < 0:
@@ -439,13 +433,13 @@ class Realization:
                 groups[f2] = groups.get(f2, ()) + ((c, f1),)
         out = np.zeros((_FOCK.cum(hi + 1), _FOCK.dim(level)), dtype=complex)
         cols = _split_offsets(level)
-        cur2 = self._currents[1]
+        cur1, cur2 = self._currents
         for s1 in range(level + 1):
             s2 = level - s1
             for f2, group in groups.items():
                 for k in range(n - s2, s1 + 1):
                     b = cur2.block(f2, n - k, s2)
-                    a = None if b is None else self._family(group, k, s1)
+                    a = None if b is None else cur1.block(group, k, s1)
                     if a is None:
                         continue
                     lo1, hi1, ma = a
@@ -712,12 +706,9 @@ def cyclic_gram(variant: str, params: RealizationParams,
             rows, m = _FOCK.rows_upto(blk, level)
             vecs[rows, cols] = m
     vecs *= _norms_upto(level)[:, None]
-    # an overflow is reported by the NaN eigenvalues below, not by numpy
-    # warnings on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = vecs.conj().T @ vecs
-        del vecs
-        finite = np.isfinite(gram.sum())
+    gram = vecs.conj().T @ vecs
+    del vecs
+    finite = np.isfinite(gram.sum())
     # eigvalsh reads one triangle.  It fails on an infinite entry and may
     # give finite values for a NaN one; an overflowed Gram (a sum that is
     # not finite) gets NaN

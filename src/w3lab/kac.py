@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
-from . import verma
+from . import modular, verma
 from .classify import _check_pole
 from .exact import B_SQUARED, C, H, ONE, W, ExactScalar
 
@@ -182,12 +182,9 @@ def compare_with_gram(level: int,
         closed_forms.append(cf)
     ratios: List[Fraction] = []
     for pt, cf in zip(pts, closed_forms):
-        if gram is None:
-            rows = verma.gram_matrix(level, verma.point_ring(*pt)).entries
-            det = verma.rational_determinant(rows)
-        else:
-            det = verma.determinant_at(gram, *pt)
-        ratios.append(det / cf)
+        rows = (verma.gram_matrix(level, verma.point_ring(*pt)).entries
+                if gram is None else gram.evaluate(*pt))
+        ratios.append(modular.rational_determinant(rows) / cf)
     base = ratios[0]
     if base == 0:
         max_dev = max(abs(float(r)) for r in ratios)

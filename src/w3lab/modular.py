@@ -1,21 +1,21 @@
-"""Exact determinants of integer matrices, by one of two methods chosen by
-size.
+"""Exact determinants over Q and Z; the integer method is chosen by size.
 
-Up to ``BAREISS_MAX_N`` rows the determinant is taken by fraction-free
+``rational_determinant`` scales each row to integers and divides out the
+content (each column's gcd, then each row's, multiplied back exactly), so
+the matrix it hands to ``integer_determinant`` has content 1.  Up to
+``BAREISS_MAX_N`` rows that determinant is taken by fraction-free
 (Bareiss) elimination over Z in pure Python, so small determinants load no
 numpy.  Above that it is taken modulo many primes below 2^24, each by
 Gaussian elimination in numpy int64 with the primes side by side, and
 rebuilt by the Chinese remainder theorem; Hadamard's bound fixes how many
 primes are needed, so that result is exact and deterministic too.  numpy is
-imported only on the multi-modular path.  ``verma.rational_determinant``
-uses ``integer_determinant`` for determinants over Q, on its rows scaled to
-integers with each column's and each row's gcd divided out (the content
-reduction), so the matrices it hands to this module have content 1.
+imported only on the multi-modular path.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import List
 
@@ -114,6 +114,36 @@ def det_mod(limbs: "np.ndarray", neg: "np.ndarray", moduli: "np.ndarray"
         row = a[:, col, col + 1:] % p1
         a[:, col + 1:, col + 1:] -= factor[:, :, None] * row[:, None, :]
     return det
+
+
+def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
+    """Exact determinant of a rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators.  Then
+    the content is divided out: each column's gcd, then each row's gcd, so
+    that det = (product of the gcds) x det of the reduced matrix, whose
+    entries are smaller; a zero row or column (gcd 0) gives 0.  The reduced
+    determinant is taken by ``integer_determinant``, multiplied back by the
+    gcds and divided by the product of the scales.  At a level-5 point Gram
+    the content reduction takes the integer determinant from about 1,960 to
+    1,340 bits.
+    """
+    ints = []
+    scale = 1
+    for row in rows:
+        s = math.lcm(*(q.denominator for q in row))
+        ints.append([q.numerator * (s // q.denominator) for q in row])
+        scale *= s
+    col_gcds = [math.gcd(*col) for col in zip(*ints)]
+    if 0 in col_gcds:
+        return Fraction(0)
+    ints = [[x // g for x, g in zip(row, col_gcds)] for row in ints]
+    row_gcds = [math.gcd(*row) for row in ints]
+    if 0 in row_gcds:
+        return Fraction(0)
+    ints = [[x // g for x in row] for row, g in zip(ints, row_gcds)]
+    content = math.prod(col_gcds) * math.prod(row_gcds)
+    return Fraction(integer_determinant(ints) * content, scale)
 
 
 def integer_determinant(m: List[List[int]]) -> int:

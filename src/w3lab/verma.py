@@ -39,10 +39,7 @@ drops on every swap.  ``gram_matrix`` builds any level it is asked for;
 the level cap is the CLI's budget on its input.
 
 The symbolic determinant is an expansion in minors and never divides; the
-determinant over Q scales the rows to integers, divides each column's and
-then each row's gcd out (the content reduction, multiplied back exactly)
-and hands the reduced matrix to ``modular.integer_determinant`` (Bareiss up
-to 40 rows, multi-modular above).
+determinant over Q is ``modular.rational_determinant``.
 """
 
 from __future__ import annotations
@@ -52,12 +49,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from . import modular
 from .classify import _check_pole
 from .exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, parse_scalar,
                     scalar)
-from .modular import integer_determinant
 
 
 class ModeWord(namedtuple("ModeWord", ("lpart", "wpart"))):
@@ -260,22 +257,16 @@ def _combine(acc: VermaVector, vec: VermaVector, scale) -> None:
             del acc[word]
 
 
-def _may_prepend(gen: str, idx: int, word: ModeWord) -> bool:
-    """True if the creator (gen, idx<0) can be prepended keeping order."""
+def _prepended(gen: str, idx: int, word: ModeWord) -> Optional[ModeWord]:
+    """The word with the creator (gen, idx<0) in front, or None where that
+    breaks the order; W creators must sit after every L."""
     m0 = -idx
     if gen == "L":
-        return not word.lpart or m0 <= word.lpart[0]
-    # W creators must sit after every L
-    if word.lpart:
-        return False
-    return not word.wpart or m0 <= word.wpart[0]
-
-
-def _prepended(gen: str, idx: int, word: ModeWord) -> ModeWord:
-    m0 = -idx
-    if gen == "L":
-        return ModeWord((m0,) + word.lpart, word.wpart)
-    return ModeWord(word.lpart, (m0,) + word.wpart)
+        if not word.lpart or m0 <= word.lpart[0]:
+            return ModeWord((m0,) + word.lpart, word.wpart)
+    elif not word.lpart and (not word.wpart or m0 <= word.wpart[0]):
+        return ModeWord((), (m0,) + word.wpart)
+    return None
 
 
 def _leading(word: ModeWord) -> Tuple[str, int, ModeWord]:
@@ -305,8 +296,8 @@ class Engine:
 
         ring = self.ring
         out: VermaVector = {}
-        if n < 0 and _may_prepend(gen, n, word):
-            out = {_prepended(gen, n, word): ring.one}
+        if n < 0 and (front := _prepended(gen, n, word)) is not None:
+            out = {front: ring.one}
         elif word == OMEGA:
             if n == 0:
                 weight = ring.h if gen == "L" else ring.w
@@ -541,37 +532,6 @@ def determinant(gram: GramMatrix) -> ExactScalar:
     return minors.get((1 << n) - 1, ZERO)
 
 
-def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix.
-
-    Each row is scaled to integers by the lcm of its denominators.  Then
-    the content is divided out: each column's gcd, then each row's gcd, so
-    that det = (product of the gcds) x det of the reduced matrix, whose
-    entries are smaller; a zero row or column (gcd 0) gives 0.  The reduced
-    determinant is taken by ``modular.integer_determinant`` (Bareiss
-    elimination up to ``modular.BAREISS_MAX_N`` rows, multi-modular above),
-    multiplied back by the gcds and divided by the product of the scales.
-    At a level-5 point Gram the content reduction takes the integer
-    determinant from about 1,960 to 1,340 bits.
-    """
-    ints = []
-    scale = 1
-    for row in rows:
-        s = math.lcm(*(q.denominator for q in row))
-        ints.append([q.numerator * (s // q.denominator) for q in row])
-        scale *= s
-    col_gcds = [math.gcd(*col) for col in zip(*ints)]
-    if 0 in col_gcds:
-        return Fraction(0)
-    ints = [[x // g for x, g in zip(row, col_gcds)] for row in ints]
-    row_gcds = [math.gcd(*row) for row in ints]
-    if 0 in row_gcds:
-        return Fraction(0)
-    ints = [[x // g for x in row] for row, g in zip(ints, row_gcds)]
-    content = math.prod(col_gcds) * math.prod(row_gcds)
-    return Fraction(integer_determinant(ints) * content, scale)
-
-
 def determinant_at(gram: GramMatrix, c_val, h_val, w_val) -> Fraction:
     """Exact rational determinant of a symbolic Gram evaluated at a point."""
-    return rational_determinant(gram.evaluate(c_val, h_val, w_val))
+    return modular.rational_determinant(gram.evaluate(c_val, h_val, w_val))

@@ -330,6 +330,28 @@ def test_kac_verify_takes_samples_or_random_not_both(runner, tmp_path):
         "message": "argument --random: not allowed with argument --samples"}
 
 
+def test_kac_verify_seed_goes_with_random_only(runner, tmp_path):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([["10", "2", "1/7"], ["3", "1/24", "0"]]))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f),
+                  "--seed", "5"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "BadArguments",
+        "message": "argument --seed: not allowed with argument --samples"}
+
+
+def test_kac_verify_random_defaults_to_seed_0(runner):
+    unseeded = runner(["kac-verify", "--level", "1", "--random", "3"])
+    seeded = runner(["kac-verify", "--level", "1", "--random", "3",
+                     "--seed", "0"])
+    assert unseeded.exit_code == seeded.exit_code == 0
+    assert unseeded.stdout == seeded.stdout
+    assert unseeded.stdout != runner(["kac-verify", "--level", "1",
+                                      "--random", "3", "--seed", "1"]).stdout
+
+
 def test_kac_verify_degenerate_sample_exit(runner, tmp_path):
     # (2, 2, 4/3) sits exactly on the first-level vanishing locus
     f = tmp_path / "pts.json"
@@ -902,6 +924,22 @@ def test_vacuum_spectrum_overflow_writes_nothing_to_stderr(tmp_path):
     assert res.returncode == 5
     assert res.stderr == ""
     assert math.isnan(json.loads(res.stdout)["minEigenvalue"])
+
+
+@pytest.mark.parametrize("args, failures", [
+    (["--q1", "1e200", "--max-mode", "1", "--max-level", "1"],
+     ["relations", "centralCharge", "weakSymmetry"]),
+    (["--variant", "unitaryFamily", "--q2", "1e120"],
+     ["relations", "centralCharge"])])
+def test_fz_check_overflow_writes_nothing_to_stderr(tmp_path, args,
+                                                    failures):
+    # the failures come in the order of the verdict table
+    res = subprocess.run([sys.executable, "-m", "w3lab.cli", "fz-check",
+                          "--kappa", "1", *args], capture_output=True,
+                         text=True, env=_child_env(tmp_path), timeout=120)
+    assert res.returncode == 5
+    assert res.stderr == ""
+    assert json.loads(res.stdout)["failures"] == failures
 
 
 def test_default_cutoffs_follow_the_request(runner):

@@ -41,6 +41,17 @@ def test_blocks_are_dense_arrays():
                                fock._FOCK.dim(level))
 
 
+def test_combination_family_is_the_cached_sum_of_its_terms():
+    cur = fock._Current(0.3, 0.7)
+    group = ((0.5, "j2"), (0.7, "jp"), (-2.0, "a"))
+    for k, s in ((-2, 1), (0, 2), (1, 3)):
+        lo, hi, m = cur.block(group, k, s)
+        want = fock._SECTOR.combine((c, cur.block(f, k, s)) for c, f in group)
+        assert (lo, hi) == want[:2]
+        assert np.array_equal(m, want[2])
+        assert cur.block(group, k, s) is cur.block(group, k, s)
+
+
 def test_current_commutator_on_vacuum():
     real = Realization(params())
     v = state_apply(real, ("a", 1, 1), state_apply(real, ("a", 1, -1), OM))

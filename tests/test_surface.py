@@ -42,7 +42,10 @@ REMOVED = {
     "w3lab.verma": ["Mode", "apply", "apply_mode", "apply_lambda",
                     "inner_product", "_bareiss", "fraction_ring",
                     # the level cap is the CLI's (cli.LEVEL_CAP)
-                    "LevelTooLarge", "DEFAULT_LEVEL_CAP", "check_level"],
+                    "LevelTooLarge", "DEFAULT_LEVEL_CAP", "check_level",
+                    # one prepend rule, _prepended; the determinant over Q
+                    # lives in modular
+                    "_may_prepend", "rational_determinant"],
     "w3lab.exact": ["BigRational", "_poly_exact_div", "_divide_poly_by_den",
                     "_scale_by_den", "_DEN_CONST", "_DEN_LIN"],
     "w3lab.fock": ["ModeOperator", "current_mode", "normal_power_mode",
@@ -91,6 +94,10 @@ def test_removed_members_are_gone():
     assert "shift1" not in inspect.signature(fock.Realization).parameters
     assert not hasattr(fock.Realization, "_a_state")
     assert not hasattr(fock.Realization, "_state_apply")
+    # the sector-1 sums are cached by the current, as combination families
+    assert not hasattr(fock.Realization, "_family")
+    assert not hasattr(fock.Realization(fock.RealizationParams()),
+                       "_families")
     assert "eta" not in fock.RealizationParams.__dataclass_fields__
     # W's sign flips with q2 -> -q2
     assert "b_sign" not in fock.RealizationParams.__dataclass_fields__

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from w3lab import kac, modular
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
+from w3lab.modular import rational_determinant
 from w3lab.verma import (GramMatrix, ModeWord, OMEGA,
                          determinant, determinant_at, enumerate_basis,
-                         gram_matrix, point_ring,
-                         rational_determinant, SYMBOLIC, bracket, Engine)
+                         gram_matrix, point_ring, SYMBOLIC, bracket, Engine)
 
 L1 = ModeWord((1,), ())
 L2 = ModeWord((2,), ())
