@@ -136,7 +136,7 @@ def _c_range(c: Fraction) -> str:
 
 def _verdict(c_range, h, w, w2, quantity, bound_sq) -> tuple:
     """The criterion at (c, h, w) as (Status, Witness), with c_range =
-    _c_range(c), w2 = w^2, quantity = f11(h, c) - w^2 (unread below c = 2)
+    _c_range(c), w2 = w^2, quantity = f11(h, c) - w^2 (None below c = 2)
     and bound_sq = constructive_bound_sq(c, h); region_scan passes the
     range taken once per scan, w2 and f11 once per column and row."""
     if c_range == "below 2":
@@ -168,8 +168,8 @@ def region_scan(c, h_range: tuple, w_range: tuple,
 
     The axis work is linear in the resolution: w, w^2 and str(w) are taken
     once per column, f11 and the constructive bound once per row.  A cell
-    costs one subtraction f11 - w^2 and one verdict, and below c = 2, where
-    the verdict reads neither h nor w, no arithmetic at all.
+    costs one subtraction f11 - w^2 and one verdict; below c = 2 the row
+    has no f11 and the cell's f11_minus_w2 is "".
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
@@ -181,30 +181,22 @@ def region_scan(c, h_range: tuple, w_range: tuple,
     columns = [(w, w * w, str(w))
                for w in (w0 + (w1 - w0) * t for t in steps)]
     c_text, rows, c_range = str(c), [], _c_range(c)
-    if c_range == "below 2":
-        # _value_ is the plain attribute behind Enum's slower value property
-        status, witness = _verdict(c_range, None, None, None, None, None)
-        below = [(w_text, status._value_, witness._value_, "")
-                 for _, _, w_text in columns]
     for t in steps:
         h = h0 + (h1 - h0) * t
         bound_sq = constructive_bound_sq(c, h)
         bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
-        if c_range == "below 2":
-            cells = below
-        else:
-            f11_hc, cells = f11(h, c), []
-            for w, w2, w_text in columns:
-                quantity = f11_hc - w2
-                status, witness = _verdict(c_range, h, w, w2, quantity,
-                                           bound_sq)
-                cells.append((w_text, status._value_, witness._value_,
-                              str(quantity)))
+        f11_hc = None if c_range == "below 2" else f11(h, c)
         h_text = str(h)
-        rows.extend({"c": c_text, "h": h_text, "w": w_text, "status": s,
-                     "witness": wit, "f11_minus_w2": q,
-                     "constructive_bound": bound}
-                    for w_text, s, wit, q in cells)
+        # _value_ is the plain attribute behind Enum's slower value property
+        for w, w2, w_text in columns:
+            quantity = None if f11_hc is None else f11_hc - w2
+            status, witness = _verdict(c_range, h, w, w2, quantity, bound_sq)
+            rows.append({"c": c_text, "h": h_text, "w": w_text,
+                         "status": status._value_,
+                         "witness": witness._value_,
+                         "f11_minus_w2": "" if quantity is None
+                         else str(quantity),
+                         "constructive_bound": bound})
     return rows
 
 

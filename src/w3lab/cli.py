@@ -1,28 +1,28 @@
 """Command-line surface: gram, kac-verify, classify, region, fz-check,
 vacuum-spectrum.
 
-All payloads are JSON or RFC-4180 CSV on stdout; structured errors go to
-stderr as JSON.  Exit codes: 0 ok (verdict in payload), 2 pole at c = -22/5,
-3 level above --level-cap, 4 Kac-comparison deviation, 5 residual failure
-or a non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's
-usage errors among them, exit 1 with error "BadArguments".  The vacuum
-spectrum is PSD by construction, so only a non-finite one fails; the
-paper's identity of that Gram with the canonical form is item 3 of
-ROADMAP.md.
+All payloads are RFC 8259 JSON, where a non-finite float prints as null, or
+RFC-4180 CSV on stdout; structured errors go to stderr as JSON.  Exit
+codes: 0 ok (verdict in payload), 2 pole at c = -22/5, 3 level above
+--level-cap, 4 Kac-comparison deviation, 5 residual failure or a non-finite
+spectrum, 6 cutoff exceeded; bad arguments, argparse's usage errors among
+them, exit 1 with error "BadArguments".  The vacuum spectrum is PSD by
+construction, so only a non-finite one fails; the paper's identity of that
+Gram with the canonical form is item 3 of ROADMAP.md.
 
 Options are parsed by argparse with the standard library alone.  Type
 callables check every value (exact rationals, finite floats, a kappa and an
 eta whose squares are finite, nonnegative levels, a resolution of at least
-2, an existing samples file), option names must be spelled out in full,
-and a value that starts with '-' (-5/16, -1e-3) is a value.  One table,
-``EXIT_CODES``, maps library errors to exit codes; the JSON error kind is
-the exception's class name.  The level cap (exit 3) is the CLI's own
-budget on its input, not a library error.  Each command imports what it
-uses, so ``classify`` and ``region`` load none of the Verma, Kac or Fock
-machinery and no third-party package.  As a process (``entry``) a command
-runs without cyclic garbage collection and skips interpreter teardown.
-The symbolic ``gram`` writes the JSON it prints to a cache file,
-described at ``cmd_gram``; no command reads it.
+2); kac-verify checks its samples file by reading it.  Option names must be
+spelled out in full, and a value that starts with '-' (-5/16, -1e-3) is a
+value.  One table, ``EXIT_CODES``, maps library errors to exit codes; the
+JSON error kind is the exception's class name.  The level cap (exit 3) is
+the CLI's own budget on its input, not a library error.  Each command
+imports what it uses, so ``classify`` and ``region`` load none of the
+Verma, Kac or Fock machinery and no third-party package.  As a process
+(``entry``) a command runs without cyclic garbage collection and skips
+interpreter teardown.  The symbolic ``gram`` writes the JSON it prints to a
+cache file, described at ``cmd_gram``; no command reads it.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ def _fail(code: int, kind: str, message: str):
     json.dump({"error": kind, "message": message}, sys.stderr)
     sys.stderr.write("\n")
     sys.exit(code)
+
+
+def _print_json(payload) -> None:
+    """Print a Fock payload as RFC 8259 JSON: each non-finite float, a
+    NaN or an infinity that its checks have already failed, prints as null,
+    as JSON.stringify writes it; finite floats keep their repr."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    print(json.dumps(strict, indent=2, allow_nan=False))
 
 
 def _within(tol: float, *values: float) -> bool:
@@ -152,13 +160,6 @@ def _at_least(low: int):
 
 
 NONNEGATIVE = _at_least(0)
-
-
-def _existing_file(text: str) -> str:
-    """The path of a file that exists."""
-    if not os.path.isfile(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a file")
-    return text
 
 
 # Every token that starts with '-', is no option of the parser and
@@ -397,7 +398,7 @@ def cmd_fz_check(args):
                 _within(ZERO_VECTOR_TOL * max(1.0, s), zv[k])
                 for k, s in zv["scale"].items())
     failures = report["failures"] = [k for k, ok in passed.items() if not ok]
-    print(json.dumps(report, indent=2))
+    _print_json(report)
     if failures:
         sys.exit(EXIT_RESIDUAL)
 
@@ -433,7 +434,7 @@ def cmd_vacuum_spectrum(args):
         "eigenvalues": eigs,
         "minEigenvalue": eigs[0],
     }
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     if not all(map(math.isfinite, eigs)):
         sys.exit(EXIT_RESIDUAL)
 
@@ -468,7 +469,7 @@ def build_parser() -> _Parser:
     p = command("kac-verify", cmd_kac_verify)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
     points = p.add_mutually_exclusive_group(required=True)
-    points.add_argument("--samples", type=_existing_file,
+    points.add_argument("--samples",
                         help="JSON file: list of [c, h, w] rationals as "
                         "strings")
     points.add_argument("--random", type=_at_least(2))

@@ -579,16 +579,11 @@ def check_automorphism_identity(kappa: float, eta: complex,
 def solve_w_triple(n1: int, n2: int, n3: int) -> Tuple[float, float]:
     """Coefficients (u, d) making W_{n1} + u W_{n2} + d W_{n3} weakly
     adjointable: the trigonometric polynomial and its derivative vanish at
-    z = -1."""
+    z = -1, a 2x2 linear system solved here in closed form."""
     if len({n1, n2, n3}) != 3:
         raise ValueError("indices must be distinct")
-    a11, a12 = (-1.0) ** n2, (-1.0) ** n3
-    a21, a22 = (-1.0) ** n2 * n2, (-1.0) ** n3 * n3
-    b1, b2 = -((-1.0) ** n1), -((-1.0) ** n1 * n1)
-    det = a11 * a22 - a12 * a21
-    u = (b1 * a22 - b2 * a12) / det
-    d = (a11 * b2 - a21 * b1) / det
-    return u, d
+    return ((-1) ** ((n1 + n2) % 2) * (n1 - n3) / (n3 - n2),
+            (-1) ** ((n1 + n3) % 2) * (n2 - n1) / (n3 - n2))
 
 
 def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,

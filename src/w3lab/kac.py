@@ -139,9 +139,7 @@ class ComparisonReport(NamedTuple):
     points: List[Tuple[Fraction, Fraction, Fraction]]
     ratios: List[Fraction]
     constant: Fraction
-    max_rel_deviation: float
     verdict: str
-    method: str = "evaluated"
 
     def to_json(self) -> str:
         return json.dumps({
@@ -149,9 +147,8 @@ class ComparisonReport(NamedTuple):
             "points": [[str(x) for x in p] for p in self.points],
             "ratios": [str(r) for r in self.ratios],
             "constant": str(self.constant),
-            "maxRelDeviation": self.max_rel_deviation,
             "verdict": self.verdict,
-            "method": self.method,
+            "method": "evaluated",
         }, indent=2)
 
 
@@ -166,9 +163,8 @@ def compare_with_gram(level: int,
     point.  Without one, the Gram matrix is built directly over Q at each
     point by the point engine.  Both sides are exact rationals, so the
     verdict is exact: "ok" iff every ratio equals the first and that ratio
-    is positive.  The relative spread is reported as a float, 0.0 whenever
-    the formula holds.  ``tol`` is not read; the slot stays for callers
-    that pass ``gram`` after it by position.
+    is positive.  ``tol`` is not read; the slot stays for callers that pass
+    ``gram`` after it by position.
     """
     pts = [tuple(Fraction(x) for x in p) for p in sample_points]
     if len(pts) < 2:
@@ -186,12 +182,6 @@ def compare_with_gram(level: int,
                 if gram is None else gram.evaluate(*pt))
         ratios.append(modular.rational_determinant(rows) / cf)
     base = ratios[0]
-    if base == 0:
-        max_dev = max(abs(float(r)) for r in ratios)
-    else:
-        max_dev = max(abs(float((r - base) / base)) for r in ratios)
-    exact = all(r == base for r in ratios)
-    verdict = "ok" if (exact and base > 0) else "fail"
+    ok = base > 0 and all(r == base for r in ratios)
     return ComparisonReport(level=level, points=pts, ratios=ratios,
-                            constant=base, max_rel_deviation=max_dev,
-                            verdict=verdict)
+                            constant=base, verdict="ok" if ok else "fail")

@@ -1,4 +1,5 @@
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple
 
@@ -26,9 +27,18 @@ class CliResult(NamedTuple):
     stderr: str
 
 
+def strict_loads(text: str):
+    """``json.loads`` that refuses the NaN and Infinity tokens, which
+    RFC 8259 JSON does not have."""
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON value")
+    return json.loads(text, parse_constant=reject)
+
+
 def invoke(argv) -> CliResult:
     """``w3lab.cli.main(argv)`` in-process: its exit code and what it wrote
-    to stdout and stderr."""
+    to stdout and stderr.  A stdout that starts with '{' must parse as
+    strict JSON."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -36,6 +46,8 @@ def invoke(argv) -> CliResult:
             code = 0
         except SystemExit as e:
             code = 0 if e.code is None else e.code
+    if out.getvalue().startswith("{"):
+        strict_loads(out.getvalue())
     return CliResult(code, out.getvalue(), err.getvalue())
 
 

@@ -44,7 +44,6 @@ def test_criterion_1_kac_determinant_agreement(grams):
         rep = kac.compare_with_gram(level, pts, gram=grams[level])
         constants[level] = rep.constant
         ok &= rep.verdict == "ok" and rep.constant > 0
-        ok &= rep.max_rel_deviation == 0.0  # exact path: identically equal
         ok &= all(r == rep.constant for r in rep.ratios)
     report(1, ok, f"Kac agreement at 6 points, constants C_N = "
                   f"{ {k: str(v) for k, v in constants.items()} }")

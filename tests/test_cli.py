@@ -2,7 +2,6 @@ import argparse
 import ast
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_loads
 from w3lab import cli, exact, fock, kac, verma
 
 
@@ -288,7 +288,6 @@ def test_kac_verify_random(runner):
     payload = json.loads(res.stdout)
     assert payload["verdict"] == "ok"
     assert payload["constant"] == "9"
-    assert payload["maxRelDeviation"] == 0.0
 
 
 def test_kac_verify_samples_file(runner, tmp_path):
@@ -316,6 +315,37 @@ def test_kac_verify_rejects_a_malformed_samples_file(runner, tmp_path, rows):
     assert res.exit_code == 1
     assert res.stdout == ""
     assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_kac_verify_rejects_a_samples_path_it_cannot_read(runner, tmp_path,
+                                                          name):
+    """A path that does not exist or is a directory fails when it is
+    opened, with the one samples-file error."""
+    res = runner(["kac-verify", "--level", "1",
+                  "--samples", str(tmp_path / name)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    error = json.loads(res.stderr)
+    assert error["error"] == "BadArguments"
+    assert error["message"].startswith("unreadable samples file: ")
+
+
+def test_kac_verify_fails_on_ratios_beyond_any_float(runner, tmp_path,
+                                                     monkeypatch):
+    """Ratios 10^400 apart end in verdict fail and exit 4, not an
+    OverflowError."""
+    real = kac.kac_closed_form_exact
+    monkeypatch.setattr(kac, "kac_closed_form_exact", lambda level, c, h, w:
+                        real(level, c, h, w) / (10 ** 400 if c == 3 else 1))
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([["10", "2", "0"], ["3", "1/24", "0"]]))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 4
+    assert res.stderr == ""
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "fail"
+    assert payload["ratios"] == ["9", str(9 * 10 ** 400)]
 
 
 def test_kac_verify_takes_samples_or_random_not_both(runner, tmp_path):
@@ -914,7 +944,7 @@ def test_vacuum_spectrum_overflowed_gram_fails(runner):
     # kappa^2 is finite, so the option is taken; the Gram overflows
     res = runner(OVERFLOWING_SPECTRUM)
     assert res.exit_code == 5
-    assert math.isnan(json.loads(res.stdout)["minEigenvalue"])
+    assert json.loads(res.stdout)["minEigenvalue"] is None
 
 
 def test_vacuum_spectrum_overflow_writes_nothing_to_stderr(tmp_path):
@@ -923,7 +953,7 @@ def test_vacuum_spectrum_overflow_writes_nothing_to_stderr(tmp_path):
                          text=True, env=_child_env(tmp_path), timeout=120)
     assert res.returncode == 5
     assert res.stderr == ""
-    assert math.isnan(json.loads(res.stdout)["minEigenvalue"])
+    assert strict_loads(res.stdout)["minEigenvalue"] is None
 
 
 @pytest.mark.parametrize("args, failures", [
@@ -939,7 +969,7 @@ def test_fz_check_overflow_writes_nothing_to_stderr(tmp_path, args,
                          text=True, env=_child_env(tmp_path), timeout=120)
     assert res.returncode == 5
     assert res.stderr == ""
-    assert json.loads(res.stdout)["failures"] == failures
+    assert strict_loads(res.stdout)["failures"] == failures
 
 
 def test_default_cutoffs_follow_the_request(runner):

@@ -194,7 +194,6 @@ def test_compare_with_gram_constant_ratio(level, grams):
             pts.append((c, h, w))
     rep = compare_with_gram(level, pts, gram=grams[level])
     assert rep.verdict == "ok"
-    assert rep.max_rel_deviation == 0.0
     assert rep.constant == _product_constant(level)
     assert all(r == rep.constant for r in rep.ratios)
 
@@ -219,7 +218,8 @@ def test_compare_rejects_degenerate_sample(grams):
 
 
 def test_compare_verdict_is_exact(grams, monkeypatch):
-    """Ratios 1e-12 apart fail; a negative constant fails."""
+    """Ratios 1e-12 apart fail; ratios 10^400 apart, beyond any float,
+    fail too; a negative constant fails."""
     pts = [(Fraction(10), Fraction(2), Fraction(0)),
            (Fraction(3), Fraction(1, 24), Fraction(0))]
     real = kac.kac_closed_form_exact
@@ -228,14 +228,20 @@ def test_compare_verdict_is_exact(grams, monkeypatch):
         cf = real(level, c, h, w)
         return cf * (1 + Fraction(1, 10 ** 12)) if c == 3 else cf
 
+    def shrunk_at_3(level, c, h, w):
+        cf = real(level, c, h, w)
+        return cf / 10 ** 400 if c == 3 else cf
+
     monkeypatch.setattr(kac, "kac_closed_form_exact", nudged)
     rep = compare_with_gram(1, pts, gram=grams[1])
-    assert 0 < rep.max_rel_deviation < 1e-11
+    assert rep.verdict == "fail"
+    monkeypatch.setattr(kac, "kac_closed_form_exact", shrunk_at_3)
+    rep = compare_with_gram(1, pts, gram=grams[1])
+    assert rep.ratios == [9, 9 * 10 ** 400]
     assert rep.verdict == "fail"
     monkeypatch.setattr(kac, "kac_closed_form_exact",
                         lambda *args: -real(*args))
     rep = compare_with_gram(1, pts, gram=grams[1])
-    assert rep.max_rel_deviation == 0.0
     assert rep.constant == -9
     assert rep.verdict == "fail"
 
@@ -253,7 +259,6 @@ def test_compare_with_gram_levels_4_and_5():
     for level in (4, 5):
         rep = compare_with_gram(level, pts)
         assert rep.verdict == "ok"
-        assert rep.max_rel_deviation == 0.0
         assert rep.constant == _product_constant(level)
 
 
