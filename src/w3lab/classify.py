@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
@@ -184,7 +185,7 @@ def region_scan(c, h_range: tuple, w_range: tuple,
     for t in steps:
         h = h0 + (h1 - h0) * t
         bound_sq = constructive_bound_sq(c, h)
-        bound = "" if bound_sq is None else repr(float(bound_sq) ** 0.5)
+        bound = "" if bound_sq is None else repr(_float_root(bound_sq))
         f11_hc = None if c_range == "below 2" else f11(h, c)
         h_text = str(h)
         # _value_ is the plain attribute behind Enum's slower value property
@@ -198,6 +199,19 @@ def region_scan(c, h_range: tuple, w_range: tuple,
                          else str(quantity),
                          "constructive_bound": bound})
     return rows
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _float_root(x: Fraction) -> float:
+    """sqrt(x) as a float, inf only when the root is beyond float range;
+    when x alone is, the root is taken from the exact floor(sqrt(x))."""
+    try:
+        return float(x) ** 0.5
+    except OverflowError:
+        root = math.isqrt(x.numerator // x.denominator)
+        return float(root) if root <= _FLOAT_MAX else math.inf
 
 
 def region_scan_csv(rows) -> str:

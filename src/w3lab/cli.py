@@ -22,7 +22,8 @@ imports what it uses, so ``classify`` and ``region`` load none of the
 Verma, Kac or Fock machinery and no third-party package.  As a process
 (``entry``) a command runs without cyclic garbage collection and skips
 interpreter teardown.  The symbolic ``gram`` writes the JSON it prints to a
-cache file, described at ``cmd_gram``; no command reads it.
+cache file, described at ``cmd_gram``; no command reads it.  A rational
+input may have at most MAX_DIGITS digits, checked by ``_fraction``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -50,6 +52,10 @@ EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2,
 
 # --level-cap's default: P2(level)^2 exact reductions stay desk-sized
 LEVEL_CAP = 6
+
+# CPython's default sys.get_int_max_str_digits(): no rational input may
+# form an integer longer than this, while the outputs print in full
+MAX_DIGITS = 4300
 
 # fz-check pass bounds; RELATION_TOL bounds the residuals relative to the
 # relations' scale and the central-charge error relative to |c|, each
@@ -106,11 +112,26 @@ def _atomic_write(path, text: str) -> None:
 # option types: each turns one command-line string into a checked value
 # ---------------------------------------------------------------------------
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refused with an ArgumentTypeError before any integer
+    is formed when the digits of the text plus its decimal exponent number
+    more than MAX_DIGITS, so that no input runs for minutes."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(map(str.isdecimal, mantissa))
+    if exponent.isdecimal():  # without leading zeros, 5 digits are >= 10^4
+        digits += int(exponent) if len(exponent) < 5 else MAX_DIGITS + 1
+    if digits > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{reprlib.repr(text)} has more than {MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _rational(text: str) -> Fraction:
     """An exact rational 'p/q'; a decimal is taken at its exact value,
     with a warning on stderr."""
     try:
-        val = Fraction(text)
+        val = _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a rational (use p/q)") from None
@@ -235,8 +256,7 @@ def cmd_gram(args):
     payload = {
         "level": level,
         "point": {"c": str(args.c), "h": str(args.h), "w": str(args.w)},
-        "basis": [wd.label() for wd in g.basis],
-        "entries": [[str(x) for x in row] for row in g.entries],
+        **g.payload(),
         "determinant": str(modular.rational_determinant(g.entries)),
         "determinantMethod": "evaluated",
     }
@@ -270,18 +290,17 @@ def _read_samples(path: str) -> list:
     three numbers or strings each."""
     try:
         with open(path) as fh:
-            rows = json.load(fh)
-    except (OSError, ValueError) as e:
-        _fail(1, "BadArguments", f"unreadable samples file: {e}")
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == 3
-            and all(type(x) in (int, float, str) for x in row)
-            for row in rows)):
-        _fail(1, "BadArguments", "samples must be a JSON array of [c, h, w] "
-              "arrays of numbers or strings")
-    try:
-        return [tuple(Fraction(str(x)) for x in row) for row in rows]
-    except (ValueError, ZeroDivisionError) as e:
+            # an integer stays its text, for _fraction to measure
+            rows = json.load(fh, parse_int=str)
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) == 3
+                and all(type(x) in (str, float) for x in row)
+                for row in rows)):
+            _fail(1, "BadArguments", "samples must be a JSON array of "
+                  "[c, h, w] arrays of numbers or strings")
+        return [tuple(_fraction(str(x)) for x in row) for row in rows]
+    except (OSError, ValueError, ZeroDivisionError,
+            argparse.ArgumentTypeError) as e:
         _fail(1, "BadArguments", f"unreadable samples file: {e}")
 
 
@@ -510,16 +529,21 @@ def build_parser() -> _Parser:
 def main(argv=None) -> None:
     """Run one command; ``argv`` defaults to the process arguments.  A
     library exception named in ``EXIT_CODES`` ends the command with that
-    code and a JSON error.  ``main`` leaves the garbage collector alone
-    and ends no process, so it can run in-process; ``entry`` wraps it for
-    the command line."""
+    code and a JSON error.  Exact answers print in full: the limit on
+    int-to-str digits is lifted while the command runs and restored after.
+    ``main`` leaves the garbage collector alone and ends no process, so it
+    can run in-process; ``entry`` wraps it for the command line."""
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args.run(args)
     except Exception as e:
         if type(e).__name__ not in EXIT_CODES:
             raise
         _fail(EXIT_CODES[type(e).__name__], type(e).__name__, str(e))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _stdout_closed() -> int:

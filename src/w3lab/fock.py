@@ -75,11 +75,6 @@ def rho_coefficient(n: int) -> complex:
     return -2j if n % 2 else 2j
 
 
-def rho_prime_coefficient(n: int) -> complex:
-    # circle derivative: mode n picks up -i*n
-    return -1j * n * rho_coefficient(n)
-
-
 def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
     """Residuals of rho^2/2 + 1/2 - rho' per mode, in exact arithmetic.
 
@@ -240,14 +235,15 @@ class _Current:
         self.q, self.kappa, self._shift = q, kappa, shift
         self._cache: Dict[Tuple, Optional[Block]] = {}
         eye = self._eye
+        def prime(f: str):  # the circle derivative: mode k picks up -i k
+            return lambda k, s: _SECTOR.combine([(-1j * k, self.block(f, k, s))])
         self._families = {
             "1": lambda k, s: eye(s) if k == 0 else None,
             "rho": lambda k, s: eye(s, rho_coefficient(k)) if k <= 0 else None,
-            "rhop": lambda k, s: (eye(s, rho_prime_coefficient(k)) if k < 0
-                                  else None),
+            "rhop": prime("rho"),
             "a": self._a,
-            "jp": lambda k, s: _SECTOR.combine([(-1j * k, self.block("a", k, s))]),
-            "jpp": lambda k, s: _SECTOR.combine([(-k * k, self.block("a", k, s))]),
+            "jp": prime("a"),
+            "jpp": prime("jp"),
             "j2": lambda k, s: self._normal_product("a", k, s),
             "j3": lambda k, s: self._normal_product("j2", k, s),
             "T1k": self._t1k}
@@ -344,10 +340,10 @@ Row = Tuple[complex, str, str]
 def field_table(variant: str, kappa: float, b: float) -> Dict[str, List[Row]]:
     """L and W of a variant as rows (coefficient, family 1, family 2).
 
-    Families: "1" (identity, mode 0 only), "a", "jp" = J', "jpp" = J'',
-    "j2" = :J^2:, "j3" = :J^3:, "rho" and "rhop" (the scalar series rho and
-    rho'), "T1k" (the twisted stress tensor of current 1).  Mode n of a row
-    is sum_k F1_k F2_{n-k}.
+    Families: "1" (identity, mode 0 only), "a", "j2" = :J^2:, "j3" = :J^3:,
+    "rho" (the scalar series rho), "T1k" (the twisted stress tensor of
+    current 1) and the circle derivatives "jp" = J', "jpp" = J'' and "rhop"
+    = rho'.  Mode n of a row is sum_k F1_k F2_{n-k}.
     """
     k, s = kappa, b / math.sqrt(2.0)
     L: List[Row] = [(0.5, "1", "j2")]
@@ -361,9 +357,8 @@ def field_table(variant: str, kappa: float, b: float) -> Dict[str, List[Row]]:
         L += [(0.5, "j2", "1"), (-1j * k, "a", "1"), (k, "jp", "1")]
         # -b/sqrt2 (:J_1^2: - 2i kappa (J_1 + i J_1')) J_2
         W += [(-s, "j2", "a"), (2j * k * s, "a", "a"), (-2.0 * k * s, "jp", "a")]
-        # b kappa^2/(2 sqrt2) (n+1)(n+2) J_2
-        W += [(k * k * s, "1", "a"), (1.5j * k * k * s, "1", "jp"),
-              (-0.5 * k * k * s, "1", "jpp")]
+        # b kappa^2/(2 sqrt2) (n+1)(n+2) J_2: tail's 2 + n^2, plus 3n
+        W += tail + [(1.5j * k * k * s, "1", "jp")]
     elif variant == "vacuumModified":
         L += [(1.0, "T1k", "1")]
         # -sqrt2 b T1k J_2, and the twist: J_1' -> J_1' - kappa rho',

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -537,6 +538,94 @@ def test_gram_decimal_point_warns(runner):
     assert "warning" in res.stderr and "1/2" in res.stderr
 
 
+def test_region_survives_a_bound_beyond_float_range(runner):
+    """The constructive bound's square overflows a float at h = 10^200, its
+    root does not; at h = 10^400 the root overflows too and prints inf."""
+    for c in ("50", "150"):
+        res = runner(["region", "--c", c, "--h-max", "1e200",
+                      "--w-max", "1", "--res", "2"])
+        assert res.exit_code == 0
+        bounds = [line.split(",")[-1] for line in res.stdout.splitlines()]
+        assert bounds[1:3] == ["", ""]
+        root = float(bounds[3])
+        assert bounds[3] == bounds[4] and 1e298 < root < 1e300
+    res = runner(["region", "--c", "150", "--h-max", "1e400",
+                  "--w-max", "1", "--res", "2"])
+    assert res.exit_code == 0
+    assert [line.split(",")[-1] for line in res.stdout.splitlines()[3:]] == [
+        "inf", "inf"]
+
+
+@pytest.mark.parametrize("args, key", [
+    (["gram", "--level", "6", "--c", "50", "--h", "100000000000000000000",
+      "--w", "0"], "determinant"),
+    (["classify", "--c", "50", "--h", "1e2000", "--w", "0"],
+     "f11_minus_w2"),
+])
+def test_exact_answers_beyond_the_int_digit_limit_print_in_full(
+        runner, args, key):
+    """Answers longer than CPython's 4300-digit int-to-str limit print in
+    full, and main restores the limit afterwards."""
+    limit = sys.get_int_max_str_digits()
+    res = runner(args)
+    assert res.exit_code == 0
+    value = json.loads(res.stdout)[key]
+    assert re.fullmatch(r"-?\d{4301,}(/\d+)?", value)
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("text", [
+    "1e99999", "1e4300", "1E+0004300", "7" * 4301, "1/" + "3" * 4300,
+    "0." + "0" * 4299 + "1", "1e1_0000"], ids=lambda text: text[:12])
+def test_rational_inputs_beyond_4300_digits_are_bad_arguments(
+        runner, tmp_path, text):
+    """The text is measured before any integer is formed, on the options
+    and in a samples file alike, so the refusal is quick."""
+    res = runner(["classify", "--c", text, "--h", "1", "--w", "0"])
+    assert res.exit_code == 1
+    error = json.loads(res.stderr)
+    assert error["error"] == "BadArguments"
+    assert error["message"].endswith("has more than 4300 digits")
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([[text, "2", "0"], ["3", "1/24", "0"]]))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 1
+    error = json.loads(res.stderr)
+    assert error["error"] == "BadArguments"
+    assert error["message"].startswith("unreadable samples file: ")
+    assert error["message"].endswith("has more than 4300 digits")
+
+
+def test_a_huge_exponent_is_refused_at_once(tmp_path):
+    """Fraction("1e999999999") alone would run for many minutes; in a
+    child process, so that a regression ends at the timeout."""
+    res = subprocess.run([sys.executable, "-m", "w3lab.cli", "classify",
+                          "--c", "1e999999999", "--h", "1", "--w", "0"],
+                         capture_output=True, text=True,
+                         env=_child_env(tmp_path), timeout=20)
+    assert res.returncode == 1
+    assert json.loads(res.stderr) == {
+        "error": "BadArguments",
+        "message": "argument --c: '1e999999999' has more than 4300 digits"}
+
+
+def test_a_samples_file_integer_is_measured_as_text(runner, tmp_path):
+    f = tmp_path / "pts.json"
+    f.write_text('[[%s, 2, 0], [3, "1/24", 0]]' % ("9" * 5000))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["message"].endswith(
+        "has more than 4300 digits")
+
+
+@pytest.mark.parametrize("text", ["1e4299", "1e-4299", "9" * 4300],
+                         ids=lambda text: text[:12])
+def test_rational_inputs_of_4300_digits_are_taken(runner, text):
+    res = runner(["classify", "--c", "50", "--h", text, "--w", "0"])
+    assert res.exit_code == 0
+    assert Fraction(json.loads(res.stdout)["h"]) == Fraction(text)
+
+
 def _load_workloads(monkeypatch):
     """benchmarks/workloads.py, loaded for this test alone, without putting
     benchmarks/ on sys.path."""
@@ -894,6 +983,26 @@ def test_every_option_is_named_in_the_readme():
     # "--c" must not be found inside "--cutoff"
     assert sorted(name for name in options if not re.search(
         re.escape(name) + r"(?![\w-])", readme)) == []
+
+
+def _readme_examples():
+    """The w3lab command lines of README's "CLI examples" block, with
+    continuations joined and a trailing ``> file`` redirect dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1]
+    text = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line.split(">", 1)[0])[1:]
+            for line in text.splitlines() if line.startswith("w3lab ")]
+
+
+def test_readme_cli_examples_run(runner):
+    examples = _readme_examples()
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in examples} == set(commands.choices)
+    for argv in examples:
+        res = runner(argv)
+        assert res.exit_code == 0, (argv, res.stderr)
 
 
 def test_variant_choices_are_fock_variants():

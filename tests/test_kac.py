@@ -262,6 +262,16 @@ def test_compare_with_gram_levels_4_and_5():
         assert rep.constant == _product_constant(level)
 
 
+def test_compare_with_gram_levels_6_and_7():
+    """ROADMAP F1's product form of the constant, pinned at levels 6 and 7."""
+    pts = [(Fraction(10), Fraction(2), Fraction(1, 7)),
+           (Fraction(50), Fraction(5), Fraction(1, 3))]
+    for level in (6, 7):
+        rep = compare_with_gram(level, pts)
+        assert rep.verdict == "ok"
+        assert rep.constant == _product_constant(level)
+
+
 def test_symbolic_closed_form_identity(grams):
     assert verma.determinant(grams[1]) == scalar(9) * kac_closed_form_symbolic(1)
     assert verma.determinant(grams[2]) == scalar(104976) * kac_closed_form_symbolic(2)

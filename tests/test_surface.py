@@ -56,7 +56,9 @@ REMOVED = {
                    # the cyclic Gram needs a cutoff of its level, no margin
                    "CYCLIC_MARGIN",
                    # zero_vector_norms reports the scales under "scale"
-                   "zero_vector_scales", "level_norms"],
+                   "zero_vector_scales", "level_norms",
+                   # rho' is the family "rhop", one circle-derivative rule
+                   "rho_prime_coefficient"],
     "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
                   "RationalParam", "FiniteFloat", "RATIONAL", "FINITE",
                   "_read_cached", "_degrees_within", "_REPEATED_VARIABLE",
