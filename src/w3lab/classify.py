@@ -17,6 +17,9 @@ one, but the coset criterion itself is out of scope here).
 
 Rational inputs are classified with exact arithmetic so boundary points
 (quantity exactly zero) come out Unitary, per the ">= 0" in the criterion.
+Every input goes through ``Fraction``, which is exact for floats too (the
+binary value of the float), so the sign logic stays exact for whatever
+numbers the caller actually has.
 """
 
 from __future__ import annotations
@@ -63,12 +66,6 @@ class UnitarityVerdict(namedtuple("UnitarityVerdict",
         return d
 
 
-def _as_fraction(x) -> Fraction:
-    # Fraction(float) is the exact binary value of the float, so the sign
-    # logic below stays exact for whatever numbers the caller actually has.
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _check_pole(c: Fraction, what: str) -> None:
     if 22 + 5 * c == 0:
         from .exact import PoleAtForbiddenCentralCharge
@@ -110,7 +107,7 @@ def constructive_bound_sq(c: Fraction, h: Fraction) -> Fraction | None:
 
 def classify(c, h, w) -> UnitarityVerdict:
     """Decide unitarity at real (c, h, w); exact when the inputs are exact."""
-    c, h, w = _as_fraction(c), _as_fraction(h), _as_fraction(w)
+    c, h, w = Fraction(c), Fraction(h), Fraction(w)
     _check_pole(c, "classification")
     detail: dict = {"c": c, "h": h, "w": w}
     w2, quantity, c_range = w * w, None, _c_range(c)
@@ -174,10 +171,10 @@ def region_scan(c, h_range: tuple, w_range: tuple,
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
-    c = _as_fraction(c)
+    c = Fraction(c)
     _check_pole(c, "classification")
-    h0, h1 = (_as_fraction(x) for x in h_range)
-    w0, w1 = (_as_fraction(x) for x in w_range)
+    h0, h1 = (Fraction(x) for x in h_range)
+    w0, w1 = (Fraction(x) for x in w_range)
     steps = [Fraction(j, resolution - 1) for j in range(resolution)]
     columns = [(w, w * w, str(w))
                for w in (w0 + (w1 - w0) * t for t in steps)]

@@ -4,11 +4,11 @@ vacuum-spectrum.
 All payloads are RFC 8259 JSON, where a non-finite float prints as null, or
 RFC-4180 CSV on stdout; structured errors go to stderr as JSON.  Exit
 codes: 0 ok (verdict in payload), 2 pole at c = -22/5, 3 level above
---level-cap, 4 Kac-comparison deviation, 5 residual failure or a non-finite
-spectrum, 6 cutoff exceeded; bad arguments, argparse's usage errors among
-them, exit 1 with error "BadArguments".  The vacuum spectrum is PSD by
-construction, so only a non-finite one fails; the paper's identity of that
-Gram with the canonical form is item 3 of ROADMAP.md.
+--level-cap, 4 Kac-comparison deviation, 5 a residual above its bound or a
+non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's usage
+errors among them, exit 1 with error "BadArguments".  The vacuum spectrum
+is PSD by construction, so only a non-finite one fails; the paper's
+identity of that Gram with the canonical form is item 3 of ROADMAP.md.
 
 Options are parsed by argparse with the standard library alone.  Type
 callables check every value (exact rationals, finite floats, a kappa and an
@@ -57,13 +57,8 @@ LEVEL_CAP = 6
 # form an integer longer than this, while the outputs print in full
 MAX_DIGITS = 4300
 
-# fz-check pass bounds; RELATION_TOL bounds the residuals relative to the
-# relations' scale and the central-charge error relative to |c|, each
-# scale taken at least 1
-RELATION_TOL = 1e-9
-AUTOMORPHISM_TOL = 1e-10
-WEAK_SYMMETRY_TOL = 1e-9
-ZERO_VECTOR_TOL = 1e-12
+# fz-check's one tolerance, relative to each residual's scale (``_bound``)
+RESIDUAL_TOL = 1e-12
 
 
 def _fail(code: int, kind: str, message: str):
@@ -80,9 +75,10 @@ def _print_json(payload) -> None:
     print(json.dumps(strict, indent=2, allow_nan=False))
 
 
-def _within(tol: float, *values: float) -> bool:
-    """Every value is <= tol; a NaN never is."""
-    return all(v <= tol for v in values)
+def _bound(scale: float) -> float:
+    """fz-check's pass bound on a float residual whose roundoff grows with
+    ``scale``; a NaN residual fails, as no comparison with a NaN holds."""
+    return RESIDUAL_TOL * max(1.0, scale)
 
 
 def _cache_path(level: int):
@@ -371,7 +367,8 @@ def _quiet_overflow(run):
 
 @_quiet_overflow
 def cmd_fz_check(args):
-    """Aggregate residual report for the chosen realization.
+    """Residual report for the chosen realization: each float residual
+    passes iff it is at most ``_bound`` of the scale its check reports.
 
     Without --cutoff the cutoff is max-level + 2 * max-mode, the least the
     relation sweep needs; an explicit --cutoff below that exits 6.
@@ -384,38 +381,32 @@ def cmd_fz_check(args):
     relations = fock.check_w3_relations(variant, params, max_mode, max_level)
     auto = fock.check_automorphism_identity(kappa, complex(0, args.eta_im),
                                             max_mode, max_level, cutoff)
-    ode = fock.verify_rho_ode(20)
     report = {
         "variant": variant,
         "params": {"kappa": kappa, "q1": q1, "q2": q2, "cutoff": cutoff},
         "relations": relations,
         "automorphismIdentity": auto,
-        "rhoOde": {"maxResidual": max(abs(float(v)) for v in ode.values())},
     }
-    # roundoff grows with the blocks compared, which grow with kappa
     cc = relations["centralCharge"]
     passed = {  # check name -> passed, in report order
-        "relations": _within(RELATION_TOL * max(1.0, relations["scale"]),
-                             relations["maxResidual"]),
-        "centralCharge": _within(RELATION_TOL * max(1.0, abs(cc["expected"])),
-                                 cc["error"]),
-        "automorphismIdentity": _within(AUTOMORPHISM_TOL, auto["maxResidual"]),
-        "rhoOde": all(v == 0 for v in ode.values())}
+        "relations": relations["maxResidual"] <= _bound(relations["scale"]),
+        "centralCharge": cc["error"] <= _bound(abs(cc["expected"])),
+        "automorphismIdentity": auto["maxResidual"] <= _bound(auto["scale"])}
     if variant == "vacuumModified":
-        weak = fock.check_weak_symmetry(params, max_mode, max_level)
-        report["weakSymmetry"] = weak
-        passed["weakSymmetry"] = _within(
-            WEAK_SYMMETRY_TOL, weak["maxPairDefect"], weak["maxTripleDefect"])
+        weak = report["weakSymmetry"] = fock.check_weak_symmetry(
+            params, max_mode, max_level)
+        bound = _bound(weak["scale"])
+        passed["weakSymmetry"] = (weak["maxPairDefect"] <= bound
+                                  and weak["maxTripleDefect"] <= bound)
         # the negative control: at kappa != 0 a bare L_n must show a defect,
         # else (no mode reached, or a NaN) the checks above proved nothing
         passed["weakSymmetryControl"] = (
-            kappa == 0 or weak["unpairedControlDefect"] > WEAK_SYMMETRY_TOL)
+            kappa == 0 or weak["unpairedControlDefect"] > bound)
         if q1 == 0 and q2 == 0:
             # each norm sums terms of size kappa that cancel
             zv = report["zeroVectors"] = fock.zero_vector_norms(params)
-            passed["zeroVectors"] = all(
-                _within(ZERO_VECTOR_TOL * max(1.0, s), zv[k])
-                for k, s in zv["scale"].items())
+            passed["zeroVectors"] = all(zv[k] <= _bound(s)
+                                        for k, s in zv["scale"].items())
     failures = report["failures"] = [k for k, ok in passed.items() if not ok]
     _print_json(report)
     if failures:

@@ -78,15 +78,15 @@ def rho_coefficient(n: int) -> complex:
 def verify_rho_ode(max_order: int) -> Dict[int, Fraction]:
     """Residuals of rho^2/2 + 1/2 - rho' per mode, in exact arithmetic.
 
-    rho_n = i * r_n with integer r_n, read off ``rho_coefficient`` (the one
-    the realizations use), so the mode-n residual is
-    -S_n/2 + delta_{n,0}/2 - n*r_n with S_n = sum_k r_k r_{n-k}; everything
-    stays in Q.
+    rho_n = i * r_n, with r_n read exactly off ``rho_coefficient`` (the one
+    the realizations use; the Fraction of a float is its exact value), so
+    the mode-n residual is -S_n/2 + delta_{n,0}/2 - n*r_n with
+    S_n = sum_k r_k r_{n-k}; everything stays in Q.
     """
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
-    def r(k: int) -> int:
-        return int(rho_coefficient(k).imag)
+    def r(k: int) -> Fraction:
+        return Fraction(rho_coefficient(k).imag)
     out: Dict[int, Fraction] = {}
     for n in range(-max_order, max_order + 1):
         s = sum(r(k) * r(n - k) for k in range(n, 1))
@@ -549,8 +549,10 @@ def check_automorphism_identity(kappa: float, eta: complex,
 
     Both sides act on current 1 only, so the residual over the states of
     level <= max_level is its largest entry over sector-1 levels <=
-    max_level.  Mode -max_mode_index maps level max_level to max_level +
-    max_mode_index, which must not exceed the cutoff.
+    max_level.  Its ``scale`` is the largest |coefficient| * entry of the
+    terms, with kappa^2/2 and eta^2/2 apart, so that a cancellation at kappa
+    = |eta| is judged against kappa^2.  Mode -max_mode_index maps level
+    max_level to max_level + max_mode_index, not above the cutoff.
     """
     if max_level + max_mode_index > cutoff:
         raise CutoffExceeded("max_level + max_mode_index must be <= cutoff")
@@ -559,16 +561,14 @@ def check_automorphism_identity(kappa: float, eta: complex,
 
     twisted = _Current(0.0, kappa, shift)
     plain = _Current(0.0, kappa)
-    residuals = [_max_abs(_SECTOR.combine([
-        (1, twisted.block("T1k", n, s)),
-        (-0.5, plain.block("j2", n, s)),
-        (-kappa, plain.block("jp", n, s)),
-        (-eta, plain.block("a", n, s)),
-        (-(kappa ** 2 + eta ** 2) / 2.0 if n == 0 else 0,
-         plain.block("1", 0, s))]))
-        for n in range(-max_mode_index, max_mode_index + 1)
-        for s in range(max_level + 1)]
-    return {"maxResidual": max(residuals, key=_severity, default=0.0)}
+    sums = [[(1, twisted.block("T1k", n, s)), (-0.5, plain.block("j2", n, s)),
+             (-kappa, plain.block("jp", n, s)), (-eta, plain.block("a", n, s))]
+            + [(-x ** 2 / 2.0, plain.block("1", n, s)) for x in (kappa, eta)]
+            for n in range(-max_mode_index, max_mode_index + 1)
+            for s in range(max_level + 1)]
+    return {"maxResidual": max((_max_abs(_SECTOR.combine(t)) for t in sums),
+                               key=_severity, default=0.0),
+            "scale": max(abs(c) * _max_abs(b) for t in sums for c, b in t)}
 
 
 def solve_w_triple(n1: int, n2: int, n3: int) -> Tuple[float, float]:
@@ -587,9 +587,9 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
 
     Each mode becomes its matrix A-hat on the orthonormalized basis of
     levels <= test_level; the defect of a pair (A, B) is max |B-hat^H -
-    A-hat|.  Pairs (L_n - (-1)^{n-m} L_m) and the W-triples pass within float
-    noise; an unpaired L_n at kappa != 0 is the negative control and must
-    exhibit a visible defect.
+    A-hat|.  Pairs (L_n - (-1)^{n-m} L_m) and the W-triples pass within
+    roundoff of the ``scale``, the largest hat entry; an unpaired L_n at
+    kappa != 0 is the negative control and must show a defect above it.
     """
     real = _realization(params, "vacuumModified")
     norm = _norms_upto(test_level)
@@ -624,6 +624,8 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
         "maxPairDefect": max(pairs, key=_severity, default=0.0),
         "maxTripleDefect": max(triples, key=_severity, default=0.0),
         "unpairedControlDefect": max(control, key=_severity, default=0.0),
+        "scale": max(_max_abs((0, 0, h)) for f in hats.values()
+                     for h in f.values()),
     }
 
 

@@ -188,29 +188,28 @@ def test_region_scan_large_h_unitary_at_w0():
     assert all(r["status"] == "Unitary" for r in rows)
 
 
-class _CountingFraction(Fraction):
-    """A Fraction that counts the order comparisons made with it."""
-
-    compared = 0
-
-    def _counted(op):
-        def compare(self, other):
-            self.compared += 1
+def _count_comparisons_with(value, monkeypatch) -> dict:
+    """Count the order comparisons of Fractions in which one side equals
+    ``value``; the count follows the value, not the object, because
+    ``Fraction(x)`` builds a new Fraction equal to x."""
+    count = {"n": 0}
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def compare(self, other, op=getattr(Fraction, name)):
+            count["n"] += self == value or other == value
             return op(self, other)
-        return compare
-
-    __lt__, __le__ = _counted(Fraction.__lt__), _counted(Fraction.__le__)
-    __gt__, __ge__ = _counted(Fraction.__gt__), _counted(Fraction.__ge__)
+        monkeypatch.setattr(Fraction, name, compare)
+    return count
 
 
 @pytest.mark.parametrize("c", [50, 150])
-def test_region_scan_takes_the_range_of_c_once(c):
+def test_region_scan_takes_the_range_of_c_once(c, monkeypatch):
     """A scan compares c a bounded number of times per row, not per cell
     (841 times at res 20 when every cell compared it with 2 and 98)."""
-    counted, res = _CountingFraction(c), 20
-    rows = region_scan(counted, (0, 5), (-1, 1), res)
-    assert 0 < counted.compared <= 3 * res
-    assert rows == region_scan(Fraction(c), (0, 5), (-1, 1), res)
+    res = 20
+    rows = region_scan(Fraction(c), (0, 5), (-1, 1), res)
+    counted = _count_comparisons_with(Fraction(c), monkeypatch)
+    assert rows == region_scan(c, (0, 5), (-1, 1), res)
+    assert 0 < counted["n"] <= 3 * res
 
 
 def test_region_scan_resolution_guard():

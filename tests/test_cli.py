@@ -786,7 +786,7 @@ def test_fz_check_zero_vector_bound_scales_with_the_terms(runner):
     assert zv["scale"]["W-1"] == pytest.approx(5477.2256, rel=1e-6)
     assert zv["scale"]["W-2"] == pytest.approx(10954.451, rel=1e-6)
     for key in ("L-1", "W-1", "W-2"):
-        assert zv[key] <= cli.ZERO_VECTOR_TOL * max(1.0, zv["scale"][key])
+        assert zv[key] <= cli.RESIDUAL_TOL * max(1.0, zv["scale"][key])
     # the library reports the scales the command prints
     norms = fock.zero_vector_norms(fock.RealizationParams(kappa=10000.0,
                                                           cutoff=8))
@@ -812,8 +812,78 @@ def test_fz_check_zero_vectors_fail_with_rho_sign_flipped(runner, kappa):
     payload = json.loads(res.stdout)
     assert "zeroVectors" in payload["failures"]
     zv = payload["zeroVectors"]
-    assert max(zv["W-1"], zv["W-2"]) > 1e6 * cli.ZERO_VECTOR_TOL * max(
+    assert max(zv["W-1"], zv["W-2"]) > 1e6 * cli.RESIDUAL_TOL * max(
         1.0, *zv["scale"].values())
+
+
+@pytest.mark.parametrize("extra", [
+    ["--kappa", "700.3", "--eta-im", "300.7"],
+    ["--kappa", "100000.3", "--eta-im", "100000.7"],
+    ["--kappa", "1e6"],
+    ["--kappa", "1e7"]], ids=["k700-eta300", "k1e5-eta1e5", "k1e6", "k1e7"])
+def test_fz_check_passes_roundoff_of_large_terms(runner, extra):
+    """Each residual is judged against the terms it sums.  An absolute
+    1e-10 failed the automorphism identity at the first two inputs (5.8e-10
+    against terms of 2e5; at kappa = |eta| the constant (kappa^2+eta^2)/2
+    cancels kappa^2 of 1e10), an absolute 1e-9 the weak symmetry at the
+    last two (a triple defect of 3.7e-9 against hats of 1.7e7)."""
+    res = runner(FZ_SWEEP + extra)
+    assert res.exit_code == 0, res.stdout
+    payload = json.loads(res.stdout)
+    assert "rhoOde" not in payload
+    for check in ("relations", "automorphismIdentity", "weakSymmetry"):
+        assert payload[check]["scale"] > 1e4
+    auto, weak = payload["automorphismIdentity"], payload["weakSymmetry"]
+    assert auto["maxResidual"] <= 1e-14 * auto["scale"]
+    assert max(weak["maxPairDefect"], weak["maxTripleDefect"]) <= (
+        1e-14 * weak["scale"])
+
+
+@pytest.mark.parametrize("kappa", ["1", "1e6"])
+def test_fz_check_weak_symmetry_fails_a_wrong_triple(runner, monkeypatch,
+                                                     kappa):
+    """The u of each W-triple off by a relative 1e-6."""
+    real_solve = fock.solve_w_triple
+
+    def mutated(*ns):
+        u, d = real_solve(*ns)
+        return u * (1 + 1e-6), d
+
+    monkeypatch.setattr(fock, "solve_w_triple", mutated)
+    res = runner(FZ_SWEEP + ["--kappa", kappa])
+    assert res.exit_code == 5
+    assert json.loads(res.stdout)["failures"] == ["weakSymmetry"]
+
+
+@pytest.mark.parametrize("kappa", ["1", "700.3"])
+def test_fz_check_automorphism_fails_a_doubled_zero_mode_shift(
+        runner, monkeypatch, kappa):
+    """The twisted current adds its zero-mode shift twice."""
+    class Doubled(fock._Current):
+        def __init__(self, q, kappa=0.0, shift=None):
+            super().__init__(q, kappa, shift and (
+                lambda n: shift(n) * (2 if n == 0 else 1)))
+
+    monkeypatch.setattr(fock, "_Current", Doubled)
+    res = runner(FZ_SWEEP + ["--kappa", kappa, "--eta-im", "0.5"])
+    assert res.exit_code == 5
+    assert json.loads(res.stdout)["failures"] == ["automorphismIdentity"]
+
+
+def test_fz_check_central_charge_fails_a_wrong_c(runner):
+    """The expected c = 2 + 12 kappa^2 off by a relative 1e-6."""
+    real_c = fock.RealizationParams.central_charge
+    fock._realization.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock.RealizationParams, "central_charge", property(
+                lambda p: real_c.fget(p) * (1 + 1e-6)))
+            res = runner(FZ_SWEEP + ["--kappa", "1"])
+    finally:
+        # the realization cache holds blocks built with the wrong b
+        fock._realization.cache_clear()
+    assert res.exit_code == 5
+    assert "centralCharge" in json.loads(res.stdout)["failures"]
 
 
 def test_fz_check_cutoff_guard(runner):

@@ -213,11 +213,12 @@ def test_rho_ode_exact():
 
 
 def test_rho_ode_checks_the_coefficients_in_use(monkeypatch):
-    # rho_{-1} = -2i is right; +2i breaks the ODE at modes -1 and below
-    wrong = {-1: 2j}
-    monkeypatch.setattr(fock, "rho_coefficient",
-                        lambda n: wrong.get(n, rho_coefficient(n)))
-    assert max(abs(v) for v in verify_rho_ode(20).values()) > 0
+    # rho_{-1} = -2i is right; +2i breaks the ODE at modes -1 and below.
+    # rho_{-3} off by 1% breaks it too, though -2.02 truncates to -2
+    for wrong in ({-1: 2j}, {-3: 1.01 * rho_coefficient(-3)}):
+        monkeypatch.setattr(fock, "rho_coefficient",
+                            lambda n: wrong.get(n, rho_coefficient(n)))
+        assert max(abs(v) for v in verify_rho_ode(20).values()) > 0
 
 
 # ---------------------------------------------------------------------------

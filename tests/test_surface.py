@@ -38,7 +38,9 @@ REMOVED = {
     "w3lab.classify": ["constructive_family_contains",
                        # one _verdict decides every range of c
                        "_rule", "_below_2", "_classified", "_above_98",
-                       "_VACUUM"],
+                       "_VACUUM",
+                       # every input goes through Fraction itself
+                       "_as_fraction"],
     "w3lab.verma": ["Mode", "apply", "apply_mode", "apply_lambda",
                     "inner_product", "_bareiss", "fraction_ring",
                     # the level cap is the CLI's (cli.LEVEL_CAP)
@@ -66,7 +68,10 @@ REMOVED = {
                   # the cache file holds the printed JSON, unversioned
                   "FORMAT_VERSION", "_entries_sha256",
                   # kac-verify checks its samples file by reading it
-                  "_existing_file"],
+                  "_existing_file",
+                  # fz-check's one pass rule: RESIDUAL_TOL and _bound
+                  "RELATION_TOL", "AUTOMORPHISM_TOL", "WEAK_SYMMETRY_TOL",
+                  "ZERO_VECTOR_TOL", "_within"],
 }
 
 
