@@ -371,7 +371,11 @@ def cmd_fz_check(args):
     passes iff it is at most ``_bound`` of the scale its check reports.
 
     Without --cutoff the cutoff is max-level + 2 * max-mode, the least the
-    relation sweep needs; an explicit --cutoff below that exits 6.
+    relation sweep needs; an explicit --cutoff below that exits 6.  The
+    cutoff guards that sweep only: the central-charge extraction (L_2 and
+    L_-2 on the vacuum) and the zero vectors (up to W_-2 on the vacuum)
+    reach level 2 at any cutoff, so --max-mode 0 --max-level 0 prints
+    "cutoff": 0.
     """
     from . import fock
     variant, kappa, q1, q2 = args.variant, args.kappa, args.q1, args.q2
@@ -504,7 +508,9 @@ def build_parser() -> _Parser:
     p.add_argument("--q1", type=_finite, default=0.0)
     p.add_argument("--q2", type=_finite, default=0.0)
     p.add_argument("--cutoff", type=NONNEGATIVE,
-                   help="default: max-level + 2 * max-mode")
+                   help="default: max-level + 2 * max-mode; guards the "
+                   "relation sweep only, the central charge and zero "
+                   "vectors reach level 2 at any cutoff")
     p.add_argument("--max-mode", type=NONNEGATIVE, default=3)
     p.add_argument("--max-level", type=NONNEGATIVE, default=2)
     p.add_argument("--eta-im", type=_finite_square(1.0), default=0.0,

@@ -15,19 +15,25 @@ tensor close the Virasoro relations with c shifted upward.
 
 Block engine.  The space V_l of total level l is the sum over splits
 l = l1 + l2 of P(l1) (x) P(l2), P(n) the partitions of n, sector-1-major as
-in ``basis_keys``.  A mode-n operator is stored per source level s as a block
-(lo, hi, M): M is a dense numpy array that maps V_s into levels lo..hi
-stacked, hi = s - n (the rho twist and the automorphism shift land below
-s - n).  Each current builds its mode families (a, J', J'', :J^2:, :J^3:,
-rho, rho', T1k) as small matrices on its own levels; ``field_table`` writes
-L and W as rows (coefficient, sector-1 family, sector-2 family) whose mode n
-is sum_k F1_k (x) F2_{n-k}, one Kronecker product per term.  Blocks are
-built lazily and cached per (field, mode, source level): each current
-caches its families and the sector-1 sums of rows sharing a sector-2
-family, and ``Realization._block`` keeps each two-current block as its
-nonzero triples (1-5% of the entries) and hands out a dense array on every
-read.  Mode sums are finite and exact: annihilation above a level kills it
-and the twist coefficients vanish for positive indices.
+in ``basis_keys``.  A mode-n operator is handed out per source level s as a
+block (lo, hi, M): M is a dense numpy array that maps V_s into levels
+lo..hi stacked, hi = s - n (the rho twist and the automorphism shift land
+below s - n).  Each current builds its mode families (a, J', J'', :J^2:,
+:J^3:, rho, rho', T1k) as small dense matrices on its own levels, cached
+per (family, mode, level); two currents of equal charge are one object.
+``field_table`` writes L and W as rows (coefficient, sector-1 family,
+sector-2 family) whose mode n is sum_k F1_k (x) F2_{n-k}.
+``Realization._assemble`` sums rows sharing a sector-2 family in sector 1
+first, so each (split, k) adds one Kronecker product per sector-2 family.
+It forms only the products of nonzero entries, which each current caches
+per sum it is asked for, all of a block's products in one vectorized pass,
+and adds them with ``np.add.at`` in loop order: every entry gets the
+floating-point sum that adding the dense products in turn gives, to the
+last bit (tests/kron_reference.py is that reference).  A block is
+assembled once per realization and kept as its nonzero entries (1-5%);
+each read decodes a dense array, as products with it run through BLAS.
+Mode sums are finite and exact: annihilation above a level kills it and
+the twist coefficients vanish for positive indices.
 
 The W3 relations the realized modes must satisfy are not restated here:
 ``check_w3_relations`` reads the bracket table and the Lambda_s collapse of
@@ -36,11 +42,15 @@ so the sweep checks that one table against the free-field realization.
 
 The cutoff is a contract guard, not a truncation: ``check_w3_relations``,
 ``check_automorphism_identity`` and ``cyclic_gram`` raise CutoffExceeded for
-sweeps that would need levels above it.  The blocks are exact at every level.
+sweeps that would need levels above it.  It guards the sweeps only: the
+central charge that ``check_w3_relations`` extracts from L_{+-2} on the
+vacuum, and the W_{-2} O of ``zero_vector_norms``, reach level 2 at any
+cutoff.  The blocks are exact at every level.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,6 +121,24 @@ def _split_offsets(level: int) -> Tuple[int, ...]:
          for l1 in range(level + 1)), initial=0))
 
 
+@lru_cache(maxsize=None)
+def _sector_rows(lo: int, hi: int) -> np.ndarray:
+    """Level and row within it of each row of sector levels lo..hi."""
+    return np.array([(t, i) for t in range(lo, hi + 1)
+                     for i in range(len(partitions(t)))]).T
+
+
+@lru_cache(maxsize=None)
+def _split_rows(top: int) -> np.ndarray:
+    """[t1, t2] -> first row of the split (t1, t2) in V_0 + V_1 + ..., for
+    t1 + t2 <= top."""
+    out = np.zeros((top + 1, top + 1), dtype=np.int64)
+    for level in range(top + 1):
+        for t1 in range(level + 1):
+            out[t1, level - t1] = _FOCK.cum(level) + _split_offsets(level)[t1]
+    return out
+
+
 def _norms_upto(top: int) -> np.ndarray:
     """Fock norms, not squared, of the basis vectors of V_0 + ... + V_top."""
     return np.sqrt([key_norm_sq(k) for k in basis_keys(top)])
@@ -140,18 +168,18 @@ def key_norm_sq(key: BiKey) -> float:
 
 class _Sparse:
     """How ``Realization._block`` stores a two-current block (lo, hi, M): M
-    as its nonzero (row, column, value) triples, 1-5% of its entries."""
+    of the given shape as the flat indices and values of its nonzero
+    entries, 1-5% of them."""
 
-    def __init__(self, blk: Block):
-        self.lo, self.hi, m = blk
-        self.shape = m.shape
-        self.rows, self.cols = np.nonzero(m)
-        self.vals = m[self.rows, self.cols]
+    def __init__(self, lo: int, hi: int, shape: Tuple[int, int],
+                 flat: np.ndarray, vals: np.ndarray):
+        self.lo, self.hi, self.shape = lo, hi, shape
+        self.flat, self.vals = flat, vals
 
     def dense(self) -> Block:
-        m = np.zeros(self.shape, dtype=complex)
-        m[self.rows, self.cols] = self.vals
-        return self.lo, self.hi, m
+        m = np.zeros(self.shape[0] * self.shape[1], dtype=complex)
+        m[self.flat] = self.vals
+        return self.lo, self.hi, m.reshape(self.shape)
 
 
 class _Graded:
@@ -163,24 +191,44 @@ class _Graded:
 
     def cum(self, level: int) -> int:
         """Total dimension of the levels below ``level``."""
-        while len(self._cum) <= level:
-            self._cum.append(self._cum[-1] + self.dim(len(self._cum) - 1))
-        return self._cum[level]
+        return self.offsets(level)[level]
+
+    def offsets(self, top: int) -> List[int]:
+        """cum(0), ..., cum(top), perhaps more, as one list."""
+        cum = self._cum
+        while len(cum) <= top:
+            cum.append(cum[-1] + self.dim(len(cum) - 1))
+        return cum
 
     def combine(self, terms: Iterable[Tuple[complex, Optional[Block]]]
                 ) -> Optional[Block]:
-        """sum c * block over blocks with the same columns; None is zero."""
+        """sum c * block over blocks with the same columns; None is zero.
+        A lone term with coefficient 1 is returned as it is.  The sum
+        starts from the first term when that spans all levels, and a term
+        with coefficient -1 is subtracted: against adding each c * block
+        to zeros, both change only the signs of zeros, for finite
+        entries."""
         terms = [(c, b) for c, b in terms if b is not None and c != 0]
         if not terms:
             return None
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
         lo = min(b[0] for _, b in terms)
         hi = max(b[1] for _, b in terms)
-        base = self.cum(lo)
-        out = np.zeros((self.cum(hi + 1) - base, terms[0][1][2].shape[1]),
-                       dtype=complex)
+        cum = self.offsets(hi + 1)
+        base = cum[lo]
+        c, (blo, bhi, m) = terms[0]
+        if (blo, bhi) == (lo, hi):
+            out = m.copy() if c == 1 else c * m
+            terms = terms[1:]
+        else:
+            out = np.zeros((cum[hi + 1] - base, m.shape[1]), dtype=complex)
         for c, (blo, bhi, m) in terms:
-            out[self.cum(blo) - base:self.cum(bhi + 1) - base] += (
-                m if c == 1 else c * m)
+            rows = out[cum[blo] - base:cum[bhi + 1] - base]
+            if c == -1:
+                rows -= m
+            else:
+                rows += m if c == 1 else c * m
         return lo, hi, out
 
     def compose(self, op: Callable[[int], Optional[Block]],
@@ -189,11 +237,15 @@ class _Graded:
         if blk is None:
             return None
         lo, hi, m = blk
-        base = self.cum(lo)
+        if lo == hi:
+            ob = op(lo) if np.count_nonzero(m) else None
+            return None if ob is None else (ob[0], ob[1], ob[2] @ m)
+        cum = self.offsets(hi + 1)
+        base = cum[lo]
         parts = []
         for u in range(lo, hi + 1):
-            rows = m[self.cum(u) - base:self.cum(u + 1) - base]
-            ob = op(u) if rows.any() else None
+            rows = m[cum[u] - base:cum[u + 1] - base]
+            ob = op(u) if np.count_nonzero(rows) else None
             if ob is not None:
                 parts.append((1, (ob[0], ob[1], ob[2] @ rows)))
         return self.combine(parts)
@@ -214,7 +266,7 @@ def _max_abs(blk: Optional[Block]) -> float:
     """Largest entry magnitude; NaN if any entry is NaN."""
     if blk is None or blk[2].size == 0:
         return 0.0
-    return float(np.max(np.abs(blk[2])))
+    return float(np.abs(blk[2]).max())
 
 
 def _severity(res: float) -> float:
@@ -227,13 +279,14 @@ class _Current:
 
     ``shift`` adds scalar mode shifts a_n -> a_n + shift(n); it must vanish
     for positive n.  Blocks are cached per (family, mode, source level);
-    a family may also be a tuple of (coefficient, family) pairs, their sum.
+    ``entries`` caches the nonzero entries of sums of families.
     """
 
     def __init__(self, q: float, kappa: float = 0.0,
                  shift: Optional[Callable[[int], complex]] = None):
         self.q, self.kappa, self._shift = q, kappa, shift
         self._cache: Dict[Tuple, Optional[Block]] = {}
+        self._entries: Dict[Tuple, Optional[Tuple[np.ndarray, ...]]] = {}
         eye = self._eye
         def prime(f: str):  # the circle derivative: mode k picks up -i k
             return lambda k, s: _SECTOR.combine([(-1j * k, self.block(f, k, s))])
@@ -248,13 +301,34 @@ class _Current:
             "j3": lambda k, s: self._normal_product("j2", k, s),
             "T1k": self._t1k}
 
-    def block(self, fam, k: int, s: int) -> Optional[Block]:
+    def block(self, fam: str, k: int, s: int) -> Optional[Block]:
         key = (fam, k, s)
-        if key not in self._cache:
-            self._cache[key] = (
-                self._families[fam](k, s) if isinstance(fam, str) else
-                _SECTOR.combine((c, self.block(f, k, s)) for c, f in fam))
-        return self._cache[key]
+        try:
+            return self._cache[key]
+        except KeyError:
+            blk = self._cache[key] = self._families[fam](k, s)
+            return blk
+
+    def entries(self, group: Tuple[Tuple[complex, str], ...], k: int, s: int
+                ) -> Optional[Tuple[np.ndarray, ...]]:
+        """The nonzero entries of the sum of c * block(f, k, s) over the
+        pairs (c, f) of ``group``, as (ints, values), ints holding per entry
+        its level, its row within that level and its column; None if there
+        are none.  Only the entries are cached, not the sum."""
+        key = (group, k, s)
+        try:
+            return self._entries[key]
+        except KeyError:
+            blk = _SECTOR.combine((c, self.block(f, k, s)) for c, f in group)
+            out = None
+            if blk is not None:
+                lo, hi, m = blk
+                rows, cols = np.nonzero(m)
+                if len(rows):
+                    out = (np.concatenate((_sector_rows(lo, hi)[:, rows],
+                                           cols[None])), m[rows, cols])
+            self._entries[key] = out
+            return out
 
     def _then(self, fam: str, k: int, blk: Optional[Block]) -> Optional[Block]:
         return _SECTOR.compose(lambda u: self.block(fam, k, u), blk)
@@ -391,19 +465,19 @@ class Realization:
     """
 
     def __init__(self, params: RealizationParams, variant: str = "raw"):
-        self._currents = (_Current(params.q1, params.kappa),
+        cur1 = _Current(params.q1, params.kappa)
+        # equal charges give equal mode families: one current serves both
+        self._currents = (cur1, cur1 if params.q2 == params.q1 else
                           _Current(params.q2, params.kappa))
         self._fields = field_table(variant, params.kappa, params.b)
         self._blocks: Dict[Tuple, Optional[_Sparse]] = {}
 
     def _block(self, spec: Tuple, level: int) -> Optional[Block]:
-        """The block of a mode on V_level, built once, kept as a _Sparse."""
+        """The block of a mode on V_level, assembled once."""
         key = (spec, level)
         if key not in self._blocks:
             kind, n = spec
-            blk = self._assemble(n, self._fields[kind], level)
-            self._blocks[key] = None if blk is None else _Sparse(blk)
-            del blk  # free the assembled array before a copy is decoded
+            self._blocks[key] = self._assemble(n, self._fields[kind], level)
         stored = self._blocks[key]
         return None if stored is None else stored.dense()
 
@@ -411,45 +485,102 @@ class Realization:
         return _FOCK.compose(lambda u: self._block(spec, u), blk)
 
     def _assemble(self, n: int, rows: List[Row], level: int
-                  ) -> Optional[Block]:
+                  ) -> Optional[_Sparse]:
         """Mode n of sum over rows c * F1 F2 on V_level.
 
         Rows sharing a sector-2 family are summed in sector 1 first, as one
-        combination family of current 1, so each (split, k) costs one
-        Kronecker product.  Sector-2 families are level-homogeneous;
-        sector-1 blocks may span several levels.
+        combination family of current 1, so each (split, k) contributes one
+        Kronecker product of a sector-1 block, which may span several
+        levels, and a level-homogeneous sector-2 block.  See ``_kron_sum``.
         """
         hi = level - n
         if hi < 0:
             return None
-        groups: Dict[str, Tuple[Tuple[complex, str], ...]] = {}
+        groups: Dict[Tuple, Tuple[Tuple[complex, str], ...]] = {}
         for c, f1, f2 in rows:
             if c != 0:
+                f2 = ((1, f2),)
                 groups[f2] = groups.get(f2, ()) + ((c, f1),)
-        out = np.zeros((_FOCK.cum(hi + 1), _FOCK.dim(level)), dtype=complex)
         cols = _split_offsets(level)
-        cur1, cur2 = self._currents
+        entries1, entries2 = (cur.entries for cur in self._currents)
+        terms = []
         for s1 in range(level + 1):
             s2 = level - s1
             for f2, group in groups.items():
                 for k in range(n - s2, s1 + 1):
-                    b = cur2.block(f2, n - k, s2)
-                    a = None if b is None else cur1.block(group, k, s1)
-                    if a is None:
-                        continue
-                    lo1, hi1, ma = a
-                    _, t2, mb = b
-                    kron = (ma[:, None, :, None] * mb[None, :, None, :]
-                            ).reshape(ma.shape[0] * mb.shape[0], -1)
-                    r = 0
-                    for t1 in range(lo1, hi1 + 1):
-                        h = _SECTOR.dim(t1) * mb.shape[0]
-                        row = _FOCK.cum(t1 + t2) + _split_offsets(t1 + t2)[t1]
-                        out[row:row + h, cols[s1]:cols[s1 + 1]] += kron[r:r + h]
-                        r += h
-        lo = next((t for t in range(hi)
-                   if out[_FOCK.cum(t):_FOCK.cum(t + 1)].any()), hi)
-        return lo, hi, out[_FOCK.cum(lo):]
+                    b = entries2(f2, n - k, s2)
+                    a = None if b is None else entries1(group, k, s1)
+                    if a is not None:
+                        terms.append((a, b, s2 - n + k, s2, cols[s1]))
+        width = _FOCK.dim(level)
+        flat, vals = _kron_sum(terms, hi, width)
+        cum = _FOCK.offsets(hi + 1)
+        # the level of the first row reached, else hi
+        lo = hi if not len(flat) else bisect.bisect_right(
+            cum, flat[0] // width) - 1
+        return _Sparse(lo, hi, (cum[hi + 1] - cum[lo], width),
+                       flat - cum[lo] * width, vals)
+
+
+def _kron_sum(terms: List[Tuple], top: int, width: int
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The sum of Kronecker products a (x) b over terms (a, b, t2, s2,
+    column offset) of sector entries (see ``_Current.entries``), b on
+    level s2 -> t2, as the flat positions and values of its nonzero
+    entries in rows V_0 + ... + V_top of ``width`` columns.
+
+    Only products of nonzero entries are formed, all terms' at once.  A
+    position reached by several terms sums their products in term order,
+    from 0, as adding each dense Kronecker product in turn would: products
+    with a zero factor add nothing to a finite sum.  Each product rounds
+    as the dense one does, with or without fused multiply-adds, because
+    every sector-2 entry is real or imaginary (the charges are real).
+    """
+    if not terms:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+    ones, twos, t2, s2, col0 = zip(*terms)
+    n2 = [len(b[1]) for b in twos]
+    dims = np.array([_SECTOR.dim(t) for t in range(max(s2 + t2) + 1)])
+    # per sector-1 entry, of its term: t2, s2, the column offset, the first
+    # sector-2 entry and their number
+    t2, s2, col0, first2, reach = np.array(
+        [t2, s2, col0, list(itertools.accumulate(n2, initial=0))[:-1], n2]
+    )[:, np.repeat(np.arange(len(terms)), [len(a[1]) for a in ones])]
+    (lev1, row1, col1), val1 = (np.concatenate(x, axis=-1) for x in zip(*ones))
+    (_, row2, col2), val2 = (np.concatenate(x, axis=-1) for x in zip(*twos))
+    key1 = ((_split_rows(top)[lev1, t2] + row1 * dims[t2]) * width
+            + col0 + col1 * dims[s2])
+    i1 = np.repeat(np.arange(len(key1)), reach)
+    i2 = np.arange(len(i1)) + np.repeat(first2 - np.cumsum(reach) + reach,
+                                        reach)
+    flat = key1[i1] + (row2 * width + col2)[i2]
+    base = flat.min() // width * width  # the first row reached
+    flat -= base
+    out = np.zeros(_FOCK.cum(top + 1) * width - base, dtype=complex)
+    np.add.at(out, flat, val1[i1] * val2[i2])
+    reached = np.zeros(len(out), dtype=bool)  # cheaper to scan than out
+    reached[flat] = True
+    flat = np.flatnonzero(reached)
+    vals = out[flat]
+    keep = vals != 0
+    return flat[keep] + base, vals[keep]
+
+
+def _field(real: Realization, kind: str, idx: int, lev: int
+           ) -> Optional[Block]:
+    """The block on V_lev of a term of ``bracket``: "1" (the identity),
+    L_idx, W_idx or Lambda_idx."""
+    if kind == "1":
+        return lev, lev, np.eye(_FOCK.dim(lev), dtype=complex)
+    if kind != "Lambda":
+        return real._block((kind, idx), lev)
+    terms = []
+    for q, modes in lambda_terms(idx, lev):
+        blk = real._block(("L", modes[-1]), lev)
+        for k in reversed(modes[:-1]):
+            blk = real._then(("L", k), blk)
+        terms.append((float(q), blk))
+    return _FOCK.combine(terms)
 
 
 @lru_cache(maxsize=1)
@@ -473,7 +604,8 @@ def check_w3_relations(variant: str, params: RealizationParams,
     ``scale`` is the largest entry of the blocks so compared (X_m Y_n,
     Y_n X_m and each RHS term with its coefficient); roundoff in a residual
     grows with it.  Also extracts the central charge from the vacuum
-    expectation of [L_2, L_-2].
+    expectation of [L_2, L_-2], which reaches level 2 whatever the cutoff:
+    the cutoff guards the sweep, max_level + 2 * max_mode_index.
     """
     if max_level + 2 * max_mode_index > params.cutoff:
         raise CutoffExceeded("max_level + 2*max_mode_index must be <= cutoff")
@@ -482,43 +614,36 @@ def check_w3_relations(variant: str, params: RealizationParams,
     ring = Ring(1.0, 0.0, c_val, 0.0, 0.0, params.b ** 2, float)
     worst = {"residual": 0.0, "pair": None, "kind": None}
     scale = 0.0
-    lambdas: Dict[Tuple[int, int], Optional[Block]] = {}
 
     def L(n, lev):
         return real._block(("L", n), lev)
 
-    def lam(s, lev):
-        if (s, lev) not in lambdas:
-            terms = []
-            for q, modes in lambda_terms(s, lev):
-                blk = L(modes[-1], lev)
-                for k in reversed(modes[:-1]):
-                    blk = real._then(("L", k), blk)
-                terms.append((float(q), blk))
-            lambdas[s, lev] = _FOCK.combine(terms)
-        return lambdas[s, lev]
-
-    def field(kind, idx, lev):
-        if kind == "1":
-            return lev, lev, np.eye(_FOCK.dim(lev), dtype=complex)
-        if kind == "Lambda":
-            return lam(idx, lev)
-        return real._block((kind, idx), lev)
-
     rng = range(-max_mode_index, max_mode_index + 1)
     for lev in range(max_level + 1):
+        # (kind, index) -> (block on V_lev, its largest entry)
+        fields: Dict[Tuple[str, int], Tuple[Optional[Block], float]] = {}
+
+        def field(kind, idx):
+            if (kind, idx) not in fields:
+                blk = _field(real, kind, idx, lev)
+                fields[kind, idx] = blk, _max_abs(blk)
+            return fields[kind, idx]
+
         for m in rng:
             for n in rng:
                 for x, y in (("L", "L"), ("L", "W"), ("W", "W")):
-                    if x == y == "W" and m < n:
-                        continue  # [W_m, W_n] is antisymmetric
-                    terms = [(1, real._then((x, m), field(y, n, lev))),
-                             (-1, real._then((y, n), field(x, m, lev)))]
-                    terms += [(-coef, field(kind, idx, lev))
-                              for coef, kind, idx in bracket(x, m, y, n, ring)]
-                    scale = max(scale, *(abs(coef) * _max_abs(blk)
-                                         for coef, blk in terms))
-                    res = _max_abs(_FOCK.combine(terms))
+                    # [X_n, X_m] = -[X_m, X_n] to the last bit: each pair once
+                    if x == y and (m > n if x == "L" else m < n):
+                        continue
+                    xy = real._then((x, m), field(y, n)[0])
+                    yx = (xy if (x, m) == (y, n) else
+                          real._then((y, n), field(x, m)[0]))
+                    rhs = [(-coef, *field(kind, idx))
+                           for coef, kind, idx in bracket(x, m, y, n, ring)]
+                    scale = max(scale, _max_abs(xy), _max_abs(yx),
+                                *(abs(coef) * top for coef, _, top in rhs))
+                    res = _max_abs(_FOCK.combine(
+                        [(1, xy), (-1, yx)] + [(c, b) for c, b, _ in rhs]))
                     if _severity(res) > _severity(worst["residual"]):
                         worst.update(residual=res, pair=(m, n), kind=x + y)
 
@@ -540,6 +665,13 @@ def check_w3_relations(variant: str, params: RealizationParams,
     }
 
 
+def _shifted_current(kappa: float, eta: complex) -> _Current:
+    """The current at q = 0 under the shift automorphism a_n -> a_n +
+    kappa rho_n + eta delta_{n,0}."""
+    return _Current(0.0, kappa, lambda n: kappa * rho_coefficient(n)
+                    + (eta if n == 0 else 0))
+
+
 def check_automorphism_identity(kappa: float, eta: complex,
                                 max_mode_index: int, max_level: int,
                                 cutoff: int = 12) -> dict:
@@ -556,10 +688,7 @@ def check_automorphism_identity(kappa: float, eta: complex,
     """
     if max_level + max_mode_index > cutoff:
         raise CutoffExceeded("max_level + max_mode_index must be <= cutoff")
-    def shift(n: int) -> complex:
-        return kappa * rho_coefficient(n) + (eta if n == 0 else 0)
-
-    twisted = _Current(0.0, kappa, shift)
+    twisted = _shifted_current(kappa, eta)
     plain = _Current(0.0, kappa)
     sums = [[(1, twisted.block("T1k", n, s)), (-0.5, plain.block("j2", n, s)),
              (-kappa, plain.block("jp", n, s)), (-eta, plain.block("a", n, s))]
@@ -641,6 +770,8 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, Any]:
     mode's level-0 block, weighted by the Fock norms of its rows.  Its
     scale is the largest entry of the terms that image sums, O under each
     of the mode's field-table rows; roundoff in the norm grows with it.
+    W_{-2} O lies at level 2, and ``params.cutoff``, which guards sweeps
+    only, is not read: any cutoff will do.
     """
     real = _realization(params, "vacuumModified")
     out, scale = {}, {}
@@ -648,7 +779,7 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, Any]:
         rows, m = _FOCK.rows_upto(real._block((f, n), 0), -n)
         key = f"{f}{n}"
         out[key] = float(np.linalg.norm(_norms_upto(-n)[rows] * m[:, 0]))
-        scale[key] = max(_max_abs(real._assemble(n, [row], 0))
+        scale[key] = max(_max_abs(real._assemble(n, [row], 0).dense())
                          for row in real._fields[f])
     return dict(out, scale=scale)
 

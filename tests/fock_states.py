@@ -63,7 +63,8 @@ def _mode_block(real, spec, level):
         row = (1.0, "T1k", "1")
     else:
         row = (1.0, kind, "1") if spec[1] == 1 else (1.0, "1", kind)
-    return real._assemble(n, [row], level)
+    blk = real._assemble(n, [row], level)
+    return None if blk is None else blk.dense()
 
 
 def state_apply(real, spec, state: State) -> State:

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kron_reference
 from fock_states import (VACUUM_KEY, key_level, state_apply, state_inner,
                          state_norm, vacuum_state, word_state)
-from w3lab import fock, verma
+from w3lab import cli, fock, verma
 from w3lab.fock import (CutoffExceeded, Realization, RealizationParams,
                         basis_keys, check_automorphism_identity,
                         check_w3_relations, check_weak_symmetry, cyclic_gram,
@@ -32,9 +34,10 @@ def params(**kw):
 def test_blocks_are_dense_arrays():
     real = Realization(params(kappa=0.7, q1=0.3), "vacuumModified")
     for _ in range(2):  # built, then read back from the cache
-        for level, blk in ((3, real._block(("W", -2), 3)),
-                           (2, real._block(("L", 1), 2)),
-                           (2, real._assemble(-1, [(1.0, "T1k", "1")], 2))):
+        for level, blk in (
+                (3, real._block(("W", -2), 3)),
+                (2, real._block(("L", 1), 2)),
+                (2, real._assemble(-1, [(1.0, "T1k", "1")], 2).dense())):
             lo, hi, m = blk
             assert type(m) is np.ndarray
             assert m.shape == (fock._FOCK.cum(hi + 1) - fock._FOCK.cum(lo),
@@ -45,11 +48,83 @@ def test_combination_family_is_the_cached_sum_of_its_terms():
     cur = fock._Current(0.3, 0.7)
     group = ((0.5, "j2"), (0.7, "jp"), (-2.0, "a"))
     for k, s in ((-2, 1), (0, 2), (1, 3)):
-        lo, hi, m = cur.block(group, k, s)
-        want = fock._SECTOR.combine((c, cur.block(f, k, s)) for c, f in group)
-        assert (lo, hi) == want[:2]
-        assert np.array_equal(m, want[2])
-        assert cur.block(group, k, s) is cur.block(group, k, s)
+        (levels, rows, cols), vals = cur.entries(group, k, s)
+        lo, hi, m = fock._SECTOR.combine(
+            (c, cur.block(f, k, s)) for c, f in group)
+        got = np.zeros_like(m)
+        got[rows + [fock._SECTOR.cum(t) - fock._SECTOR.cum(lo)
+                    for t in levels], cols] = vals
+        assert np.array_equal(got, m)
+        assert len(vals) == np.count_nonzero(m)
+        assert lo <= levels.min() and levels.max() <= hi
+        assert cur.entries(group, k, s) is cur.entries(group, k, s)
+    assert cur.entries(((1.0, "1"),), 1, 2) is None
+
+
+def _assert_blocks_match_the_reference(real, specs):
+    """Each block (spec, level) of ``real`` equals the dense Kronecker
+    reference to the last bit, and is None exactly when it is."""
+    for (kind, n), level in specs:
+        got = real._block((kind, n), level)
+        want = kron_reference.assemble(real, n, real._fields[kind], level)
+        assert (got is None) == (want is None), (kind, n, level)
+        if want is not None:
+            assert got[:2] == want[:2], (kind, n, level)
+            assert np.array_equal(got[2], want[2]), (kind, n, level)
+
+
+@pytest.mark.parametrize("variant,q1,q2", [
+    ("raw", 0.0, 0.0), ("raw", 0.3, -0.5), ("vacuumModified", 0.0, 0.0),
+    ("vacuumModified", 0.25, 0.0), ("unitaryFamily", 0.41, 0.153)])
+def test_assembly_matches_the_dense_kronecker_reference(variant, q1, q2):
+    real = Realization(params(kappa=1.37, q1=q1, q2=q2, cutoff=12), variant)
+    _assert_blocks_match_the_reference(
+        real, [((kind, n), level) for kind in ("L", "W")
+               for n in range(-3, 4) for level in range(7)])
+
+
+def test_assembly_with_the_shifted_current_matches_the_reference():
+    """Sector 1 the current of check_automorphism_identity, whose blocks
+    span several levels with complex shifts."""
+    for kappa, eta in ((1.3, 0.4j), (0.6, 0.25 + 0.4j)):
+        real = Realization(params(kappa=kappa, q2=0.2), "vacuumModified")
+        real._currents = (fock._shifted_current(kappa, eta),
+                          real._currents[1])
+        _assert_blocks_match_the_reference(
+            real, [((kind, n), level) for kind in ("L", "W")
+                   for n in range(-3, 4) for level in range(7)])
+
+
+def test_assembly_of_the_level8_gram_modes_matches_the_reference():
+    """The creation modes the level-8 cyclic Gram applies, on every
+    level they act on."""
+    real = Realization(params(kappa=1.78, cutoff=10), "vacuumModified")
+    _assert_blocks_match_the_reference(
+        real, [((kind, -n), level) for kind in ("L", "W")
+               for n in range(1, 9) for level in range(9 - n)])
+
+
+def test_each_block_is_assembled_once_per_realization(monkeypatch):
+    """Across one fz-check sequence (relations, weak symmetry, zero
+    vectors) and across a cyclic Gram, each assembly, keyed by its
+    realization, mode, field-table rows and level, runs once."""
+    calls = collections.Counter()
+    assemble = Realization._assemble
+
+    def counted(self, n, rows, level):
+        calls[self, n, tuple(rows), level] += 1
+        return assemble(self, n, rows, level)
+
+    monkeypatch.setattr(Realization, "_assemble", counted)
+    fock._realization.cache_clear()
+    p = params(kappa=1.1, cutoff=10)
+    check_w3_relations("vacuumModified", p, max_mode_index=3, max_level=4)
+    check_weak_symmetry(p, max_mode_index=3, test_level=4)
+    zero_vector_norms(p)
+    cyclic_gram("vacuumModified", params(kappa=1.1, cutoff=8), 6)
+    fock._realization.cache_clear()
+    assert len({key[0] for key in calls}) == 2
+    assert max(calls.values()) == 1, calls.most_common(3)
 
 
 def test_current_commutator_on_vacuum():
@@ -283,6 +358,43 @@ def test_w3_relations_small(variant, kappa):
     rep = check_w3_relations(variant, p, max_mode_index=2, max_level=2)
     assert rep["maxResidual"] < 1e-9
     assert rep["centralCharge"]["error"] < 1e-9
+
+
+@pytest.mark.parametrize("variant,kappa,q1,q2", [
+    ("raw", 1.222, 0.0, 0.0), ("vacuumModified", 2.74, 0.0, 0.0),
+    ("unitaryFamily", 2.201, 0.41, 0.153)])
+def test_benchmark_sized_sweep_passes_the_cli_bound(variant, kappa, q1, q2):
+    """The sweep fz-check runs in the fock_sweep benchmark: max-mode 3,
+    max-level 4, cutoff 10."""
+    p = params(kappa=kappa, q1=q1, q2=q2, cutoff=10)
+    rep = check_w3_relations(variant, p, max_mode_index=3, max_level=4)
+    assert rep["maxResidual"] <= cli._bound(rep["scale"])
+    cc = rep["centralCharge"]
+    assert cc["error"] <= cli._bound(abs(cc["expected"]))
+
+
+@pytest.mark.parametrize("variant", fock.VARIANTS)
+def test_swapped_pair_residual_is_the_exact_negative(variant):
+    """check_w3_relations visits each unordered LL and WW pair once: the
+    residual block of (n, m) is that of (m, n) negated, to the last bit,
+    so the one it skips changes neither the worst residual nor the scale."""
+    p = params(kappa=1.3, q1=0.2, q2=-0.4, cutoff=10)
+    real = Realization(p, variant)
+    ring = verma.Ring(1.0, 0.0, p.central_charge, 0.0, 0.0, p.b ** 2, float)
+
+    def residual(x, m, n, lev):
+        terms = [(1, real._then((x, m), fock._field(real, x, n, lev))),
+                 (-1, real._then((x, n), fock._field(real, x, m, lev)))]
+        terms += [(-c, fock._field(real, kind, idx, lev))
+                  for c, kind, idx in verma.bracket(x, m, x, n, ring)]
+        return fock._FOCK.combine(terms)
+
+    for x in ("L", "W"):
+        for m, n, lev in ((-3, 2, 1), (1, -1, 2), (-2, 0, 3), (3, -3, 0)):
+            a, b = residual(x, m, n, lev), residual(x, n, m, lev)
+            assert a[:2] == b[:2]
+            assert np.array_equal(a[2], -b[2])
+            assert a[2].size > 0
 
 
 def test_w3_relations_guard():
