@@ -425,14 +425,14 @@ def cmd_fz_check(args):
 def cmd_vacuum_spectrum(args):
     """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
 
-    The Gram is V^H diag(norm^2) V with positive Fock norms, so it is
-    positive semidefinite by construction and a negative eigenvalue is
-    roundoff; no tolerance is applied to the spectrum.  The command exits
-    5 only when the spectrum is not finite, as when the Gram overflows.
-    The paper's identity, that this Gram is the canonical invariant form
-    at c = 2 + 12 kappa^2 and h = w = 0, is not checked here (item 3 of
-    ROADMAP.md).  Without --cutoff the cutoff is the level, the least the
-    cyclic Gram needs; an explicit --cutoff below that exits 6.
+    The Gram is V^H diag(norm^2) V with positive Fock norms: positive
+    semidefinite by construction, so a negative eigenvalue is roundoff and
+    the spectrum gets no tolerance.  The command exits 5 only on a
+    non-finite spectrum, as when the Gram overflows.  The paper's identity,
+    that this Gram is the canonical invariant form at c = 2 + 12 kappa^2
+    and h = w = 0, is not checked here (item 3 of ROADMAP.md).  Without
+    --cutoff the cutoff is the level; one below it exits 6.  The digits
+    printed are fixed per BLAS thread count only; the benchmark pins one.
     """
     from . import fock
     cutoff = args.level if args.cutoff is None else args.cutoff

@@ -14,26 +14,27 @@ rho^2/2 + 1/2 - rho' = 0; that identity is what makes the twisted stress
 tensor close the Virasoro relations with c shifted upward.
 
 Block engine.  The space V_l of total level l is the sum over splits
-l = l1 + l2 of P(l1) (x) P(l2), P(n) the partitions of n, sector-1-major as
-in ``basis_keys``.  A mode-n operator is handed out per source level s as a
-block (lo, hi, M): M is a dense numpy array that maps V_s into levels
-lo..hi stacked, hi = s - n (the rho twist and the automorphism shift land
-below s - n).  Each current builds its mode families (a, J', J'', :J^2:,
-:J^3:, rho, rho', T1k) as small dense matrices on its own levels, cached
-per (family, mode, level); two currents of equal charge are one object.
-``field_table`` writes L and W as rows (coefficient, sector-1 family,
-sector-2 family) whose mode n is sum_k F1_k (x) F2_{n-k}.
-``Realization._assemble`` sums rows sharing a sector-2 family in sector 1
-first, so each (split, k) adds one Kronecker product per sector-2 family.
-It forms only the products of nonzero entries, which each current caches
-per sum it is asked for, all of a block's products in one vectorized pass,
-and adds them with ``np.add.at`` in loop order: every entry gets the
-floating-point sum that adding the dense products in turn gives, to the
-last bit (tests/kron_reference.py is that reference).  A block is
-assembled once per realization and kept as its nonzero entries (1-5%);
-each read decodes a dense array, as products with it run through BLAS.
-Mode sums are finite and exact: annihilation above a level kills it and
-the twist coefficients vanish for positive indices.
+l = l1 + l2 of P(l1) (x) P(l2), P(n) the partitions of n, in the order of
+``level_keys``; ``_split_rows`` is the one table of where each split starts.
+A mode-n operator is handed out per source level s as a block (lo, hi, M): M
+is a dense numpy array that maps V_s into levels lo..hi stacked, hi = s - n
+(the rho twist and the automorphism shift land below s - n).  Each current
+builds its mode families (a, J', J'', :J^2:, :J^3:, rho, rho', T1k) as small
+dense matrices on its own levels, cached per (family, mode, level); two
+currents of equal charge are one object.  ``field_table`` writes L and W as
+rows (coefficient, sector-1 family, sector-2 family) whose mode n is sum_k
+F1_k (x) F2_{n-k}.  ``Realization._assemble`` sums rows sharing a sector-2
+family in sector 1 first, so each (split, k) adds one Kronecker product per
+sector-2 family.  It forms only the products of nonzero entries, cached per
+current, in one vectorized pass, and adds them with ``np.add.at`` in loop
+order: every entry is, to the last bit, the sum of the dense products added
+in turn (tests/kron_reference.py).  A block is assembled once per realization
+and kept as its nonzero entries (1-5%); each read decodes a dense array for
+BLAS.  Callers write a block at its own levels: those of the cyclic Gram and
+the zero vectors never pass its top level; only the weak-symmetry hats cut
+rows, above their test level.  Mode sums are finite and exact: annihilation
+above a level kills it and the twist coefficients vanish for positive
+indices.
 
 The W3 relations the realized modes must satisfy are not restated here:
 ``check_w3_relations`` reads the bracket table and the Lambda_s collapse of
@@ -55,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -114,14 +115,6 @@ def _sector_index(level: int) -> Dict[Tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _split_offsets(level: int) -> Tuple[int, ...]:
-    """Row offset of the split (l1, level - l1) inside V_level, for each l1."""
-    return tuple(itertools.accumulate(
-        (len(partitions(l1)) * len(partitions(level - l1))
-         for l1 in range(level + 1)), initial=0))
-
-
-@lru_cache(maxsize=None)
 def _sector_rows(lo: int, hi: int) -> np.ndarray:
     """Level and row within it of each row of sector levels lo..hi."""
     return np.array([(t, i) for t in range(lo, hi + 1)
@@ -130,12 +123,14 @@ def _sector_rows(lo: int, hi: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _split_rows(top: int) -> np.ndarray:
-    """[t1, t2] -> first row of the split (t1, t2) in V_0 + V_1 + ..., for
-    t1 + t2 <= top."""
+    """[t1, t2] -> first row of the split (t1, t2) in V_0 + ... + V_top, for
+    t1 + t2 <= top, the splits in the order of ``level_keys``."""
     out = np.zeros((top + 1, top + 1), dtype=np.int64)
+    row = 0
     for level in range(top + 1):
         for t1 in range(level + 1):
-            out[t1, level - t1] = _FOCK.cum(level) + _split_offsets(level)[t1]
+            out[t1, level - t1] = row
+            row += len(partitions(t1)) * len(partitions(level - t1))
     return out
 
 
@@ -250,13 +245,6 @@ class _Graded:
                 parts.append((1, (ob[0], ob[1], ob[2] @ rows)))
         return self.combine(parts)
 
-    def rows_upto(self, blk: Block, top: int) -> Tuple[slice, np.ndarray]:
-        """Where blk's rows of levels <= top sit in V_0 + ... + V_top."""
-        lo, hi, m = blk
-        hi = max(min(hi, top), lo - 1)
-        base = self.cum(lo)
-        return slice(base, self.cum(hi + 1)), m[:self.cum(hi + 1) - base]
-
 
 _SECTOR = _Graded(lambda level: len(partitions(level)))
 _FOCK = _Graded(lambda level: len(level_keys(level)))
@@ -303,11 +291,9 @@ class _Current:
 
     def block(self, fam: str, k: int, s: int) -> Optional[Block]:
         key = (fam, k, s)
-        try:
-            return self._cache[key]
-        except KeyError:
-            blk = self._cache[key] = self._families[fam](k, s)
-            return blk
+        if key not in self._cache:
+            self._cache[key] = self._families[fam](k, s)
+        return self._cache[key]
 
     def entries(self, group: Tuple[Tuple[complex, str], ...], k: int, s: int
                 ) -> Optional[Tuple[np.ndarray, ...]]:
@@ -316,9 +302,7 @@ class _Current:
         its level, its row within that level and its column; None if there
         are none.  Only the entries are cached, not the sum."""
         key = (group, k, s)
-        try:
-            return self._entries[key]
-        except KeyError:
+        if key not in self._entries:
             blk = _SECTOR.combine((c, self.block(f, k, s)) for c, f in group)
             out = None
             if blk is not None:
@@ -328,10 +312,7 @@ class _Current:
                     out = (np.concatenate((_sector_rows(lo, hi)[:, rows],
                                            cols[None])), m[rows, cols])
             self._entries[key] = out
-            return out
-
-    def _then(self, fam: str, k: int, blk: Optional[Block]) -> Optional[Block]:
-        return _SECTOR.compose(lambda u: self.block(fam, k, u), blk)
+        return self._entries[key]
 
     def _eye(self, s: int, c: complex = 1.0) -> Block:
         return s, s, c * np.eye(_SECTOR.dim(s), dtype=complex)
@@ -358,9 +339,11 @@ class _Current:
         """(:J F:)_n = sum_{k<0} a_k F_{n-k} + sum_{k>=0} F_{n-k} a_k for
         F = J or :J^2:, where F_{n-k} kills level s once n - k > s and a_k
         once k > s."""
-        terms = [self._then("a", k, self.block(fam, n - k, s))
+        terms = [_SECTOR.compose(partial(self.block, "a", k),
+                                 self.block(fam, n - k, s))
                  for k in range(n - s, 0)]
-        terms += [self._then(fam, n - k, self.block("a", k, s))
+        terms += [_SECTOR.compose(partial(self.block, fam, n - k),
+                                  self.block("a", k, s))
                   for k in range(0, s + 1)]
         return _SECTOR.combine((1, t) for t in terms)
 
@@ -501,17 +484,18 @@ class Realization:
             if c != 0:
                 f2 = ((1, f2),)
                 groups[f2] = groups.get(f2, ()) + ((c, f1),)
-        cols = _split_offsets(level)
+        start = _split_rows(level)
         entries1, entries2 = (cur.entries for cur in self._currents)
         terms = []
         for s1 in range(level + 1):
             s2 = level - s1
+            col = int(start[s1, s2] - start[0, level])
             for f2, group in groups.items():
                 for k in range(n - s2, s1 + 1):
                     b = entries2(f2, n - k, s2)
                     a = None if b is None else entries1(group, k, s1)
                     if a is not None:
-                        terms.append((a, b, s2 - n + k, s2, cols[s1]))
+                        terms.append((a, b, s2 - n + k, s2, col))
         width = _FOCK.dim(level)
         flat, vals = _kron_sum(terms, hi, width)
         cum = _FOCK.offsets(hi + 1)
@@ -614,10 +598,6 @@ def check_w3_relations(variant: str, params: RealizationParams,
     ring = Ring(1.0, 0.0, c_val, 0.0, 0.0, params.b ** 2, float)
     worst = {"residual": 0.0, "pair": None, "kind": None}
     scale = 0.0
-
-    def L(n, lev):
-        return real._block(("L", n), lev)
-
     rng = range(-max_mode_index, max_mode_index + 1)
     for lev in range(max_level + 1):
         # (kind, index) -> (block on V_lev, its largest entry)
@@ -648,12 +628,13 @@ def check_w3_relations(variant: str, params: RealizationParams,
                         worst.update(residual=res, pair=(m, n), kind=x + y)
 
     # central charge extraction from <O, [L2, L-2] O> = 4h + c/2
-    comm = _FOCK.combine([(1, real._then(("L", 2), L(-2, 0))),
-                          (-1, real._then(("L", -2), L(2, 0)))])
+    comm = _FOCK.combine(
+        [(1, real._then(("L", 2), real._block(("L", -2), 0))),
+         (-1, real._then(("L", -2), real._block(("L", 2), 0)))])
     def vev(blk):  # <O, X O> from the block of X on level 0
         return complex(blk[2][0, 0]) if blk and blk[0] == 0 else 0j
 
-    c_extracted = 2.0 * (vev(comm) - 4.0 * vev(L(0, 0)))
+    c_extracted = 2.0 * (vev(comm) - 4.0 * vev(real._block(("L", 0), 0)))
 
     return {
         "maxResidual": worst["residual"],
@@ -724,14 +705,16 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
     norm = _norms_upto(test_level)
     modes = range(-max_mode_index, max_mode_index + 1)
 
-    def hat(spec):
-        out = np.zeros((len(norm), len(norm)), dtype=complex)
+    def hat(spec):  # the blocks at their own levels, cut to test_level
+        out = np.zeros((_FOCK.cum(test_level + max_mode_index + 1), len(norm)),
+                       dtype=complex)
         for lev in range(test_level + 1):
             blk = real._block(spec, lev)
             if blk is not None:
-                rows, m = _FOCK.rows_upto(blk, test_level)
-                out[rows, _FOCK.cum(lev):_FOCK.cum(lev + 1)] = m
-        return out * norm[:, None] / norm[None, :]
+                lo, hi, m = blk
+                out[_FOCK.cum(lo):_FOCK.cum(hi + 1),
+                    _FOCK.cum(lev):_FOCK.cum(lev + 1)] = m
+        return out[:len(norm)] * norm[:, None] / norm[None, :]
 
     hats = {f: {n: hat((f, n)) for n in modes} for f in ("L", "W")}
 
@@ -776,9 +759,10 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, Any]:
     real = _realization(params, "vacuumModified")
     out, scale = {}, {}
     for f, n in _ZERO_MODES:
-        rows, m = _FOCK.rows_upto(real._block((f, n), 0), -n)
+        lo, hi, m = real._block((f, n), 0)
         key = f"{f}{n}"
-        out[key] = float(np.linalg.norm(_norms_upto(-n)[rows] * m[:, 0]))
+        out[key] = float(np.linalg.norm(
+            _norms_upto(hi)[_FOCK.cum(lo):] * m[:, 0]))
         scale[key] = max(_max_abs(real._assemble(n, [row], 0).dense())
                          for row in real._fields[f])
     return dict(out, scale=scale)
@@ -826,8 +810,8 @@ def cyclic_gram(variant: str, params: RealizationParams,
         cols, srcs = map(list, zip(*pairs))
         blk = real._then((gen, n), (0, top, vecs[:_FOCK.cum(top + 1), srcs]))
         if blk is not None:  # None: null vectors such as L_-1 Omega
-            rows, m = _FOCK.rows_upto(blk, level)
-            vecs[rows, cols] = m
+            lo, hi, m = blk
+            vecs[_FOCK.cum(lo):_FOCK.cum(hi + 1), cols] = m
     vecs *= _norms_upto(level)[:, None]
     gram = vecs.conj().T @ vecs
     del vecs

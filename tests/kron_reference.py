@@ -8,11 +8,21 @@ Kronecker product of the sector-1 block, which may span several levels,
 and the level-homogeneous sector-2 block, one target level at a time.
 """
 
+import itertools
 from typing import List, Optional
 
 import numpy as np
 
-from w3lab.fock import _FOCK, _SECTOR, Block, Row, _split_offsets
+from w3lab.fock import _FOCK, _SECTOR, Block, Row
+from w3lab.verma import partitions
+
+
+def _split_offsets(level: int) -> List[int]:
+    """Row offset of the split (l1, level - l1) inside V_level, for each l1
+    in increasing order, and V_level's dimension last."""
+    return list(itertools.accumulate(
+        (len(partitions(l1)) * len(partitions(level - l1))
+         for l1 in range(level + 1)), initial=0))
 
 
 def assemble(real, n: int, rows: List[Row], level: int) -> Optional[Block]:

@@ -61,6 +61,19 @@ def test_combination_family_is_the_cached_sum_of_its_terms():
     assert cur.entries(((1.0, "1"),), 1, 2) is None
 
 
+def test_split_rows_locate_every_split_of_basis_keys():
+    """Split (t1, t2) starts where basis_keys puts its first key and holds
+    exactly the keys whose parts sum to (t1, t2); the last ends the basis."""
+    for top in range(11):
+        keys = basis_keys(top)
+        start = fock._split_rows(top)
+        for t1 in range(top + 1):
+            for t2 in range(top + 1 - t1):
+                rows = [k for k in keys if (sum(k[0]), sum(k[1])) == (t1, t2)]
+                assert keys[start[t1, t2]:start[t1, t2] + len(rows)] == rows
+        assert start[top, 0] + len(verma.partitions(top)) == len(keys)
+
+
 def _assert_blocks_match_the_reference(real, specs):
     """Each block (spec, level) of ``real`` equals the dense Kronecker
     reference to the last bit, and is None exactly when it is."""

@@ -60,7 +60,9 @@ REMOVED = {
                    # zero_vector_norms reports the scales under "scale"
                    "zero_vector_scales", "level_norms",
                    # rho' is the family "rhop", one circle-derivative rule
-                   "rho_prime_coefficient"],
+                   "rho_prime_coefficient",
+                   # one split table, _split_rows
+                   "_split_offsets"],
     "w3lab.cli": ["RunConfig", "_config", "DEFAULT_TOLERANCES", "click",
                   "RationalParam", "FiniteFloat", "RATIONAL", "FINITE",
                   "_read_cached", "_degrees_within", "_REPEATED_VARIABLE",
@@ -113,6 +115,10 @@ def test_removed_members_are_gone():
     # one enumerator of a level's bicolored partitions
     assert fock.level_keys is verma.level_keys
     assert "margin" not in inspect.signature(fock.cyclic_gram).parameters
+    # callers write a block at its own levels and cut rows themselves
+    assert not hasattr(fock._Graded, "rows_upto")
+    # _normal_product composes with the current's blocks directly
+    assert not hasattr(fock._Current, "_then")
     from w3lab import kac
     assert "level_cap" not in inspect.signature(verma.gram_matrix).parameters
     assert "level_cap" not in inspect.signature(
