@@ -612,7 +612,8 @@ def check_w3_relations(variant: str, params: RealizationParams,
         for m in rng:
             for n in rng:
                 for x, y in (("L", "L"), ("L", "W"), ("W", "W")):
-                    # [X_n, X_m] = -[X_m, X_n] to the last bit: each pair once
+                    # [X_n, X_m] = -[X_m, X_n] to the last bit: each pair
+                    # once, in the half worstCase.pair has always printed
                     if x == y and (m > n if x == "L" else m < n):
                         continue
                     xy = real._then((x, m), field(y, n)[0])
@@ -724,8 +725,10 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
         b = sum(c * hats[field][-n] for n, c in zip(ns, coefs))
         return _max_abs((0, 0, b.conj().T - a))
 
+    # each pair once: with s = (-1)^(n1-n2), (n2, n1) has -s times the A and B
+    # of (n1, n2), bit for bit, as a - b = -(b - a) and a + b = b + a in IEEE
     pairs = [defect("L", (n1, n2), (1.0, -(-1.0) ** (n1 - n2)))
-             for n1 in modes for n2 in modes if n1 != n2]
+             for n1 in modes for n2 in modes if n1 < n2]
     triples = [defect("W", t, (1.0,) + solve_w_triple(*t)) for t in
                [(1, 0, -1), (2, 1, 0), (2, 1, -1), (3, 2, 1), (2, 0, -2),
                 (3, 1, -1), (3, 0, -3), (1, -1, -2)]

@@ -20,9 +20,9 @@ free-field realization satisfies.
 
 These relations are written once, as the table ``bracket`` over a coefficient
 Ring, and the finite-range collapse of Lambda_s once, as ``lambda_terms``.
-The rewriting Engine reads both, and so does ``fock.check_w3_relations`` over
-a float Ring, so the Fock sweep checks this same table against the
-free-field realization.
+The rewriting Engine reads both: Lambda_s is one of its memoised modes, beside
+L_n and W_n.  So does ``fock.check_w3_relations`` over a float Ring, so the
+Fock sweep checks this same table against the free-field realization.
 
 The rewriting Engine is parametric in its coefficient Ring.  Over SYMBOLIC
 the coefficients are ExactScalars, i.e. polynomials in c, 1/(22+5c), h, w;
@@ -278,9 +278,9 @@ def _leading(word: ModeWord) -> Tuple[str, int, ModeWord]:
 class Engine:
     """The rewriting engine over one coefficient ring, with its own memo.
 
-    The memo maps (gen, n, word) to the reduced vector of that mode applied
-    to that word.  It is valid only for this engine's ring, which is why it
-    lives here and not at module level.
+    The memo maps (gen, n, word), gen one of "L", "W" and "Lambda", to the
+    reduced vector of that mode applied to that word.  It is valid only for
+    this engine's ring, which is why it lives here and not at module level.
     """
 
     def __init__(self, ring: Ring = SYMBOLIC):
@@ -290,13 +290,18 @@ class Engine:
     def _apply_word(self, gen: str, n: int, word: ModeWord) -> VermaVector:
         """Action of the generator mode (gen, n) on a basis word."""
         key = (gen, n, word)
-        hit = self._memo.get(key)
-        if hit is not None:
+        if (hit := self._memo.get(key)) is not None:
             return hit
 
         ring = self.ring
         out: VermaVector = {}
-        if n < 0 and (front := _prepended(gen, n, word)) is not None:
+        if gen == "Lambda":
+            for q, modes in lambda_terms(n, word.level):
+                step = {word: ring.one}
+                for k in reversed(modes):
+                    step = self.apply_mode("L", k, step)
+                _combine(out, step, ring.one if q == 1 else ring.lift(q))
+        elif n < 0 and (front := _prepended(gen, n, word)) is not None:
             out = {front: ring.one}
         elif word == OMEGA:
             if n == 0:
@@ -311,36 +316,19 @@ class Engine:
             for w2, coef in apply_word(gen, n, rest).items():
                 _combine(out, apply_word(g1, i1, w2), coef)
             for coef, kind, idx in bracket(gen, n, g1, i1, ring):
-                if kind == "1":
-                    vec = {rest: ring.one}
-                elif kind == "Lambda":
-                    vec = self.apply_lambda(idx, {rest: ring.one})
-                else:
-                    vec = apply_word(kind, idx, rest)
-                _combine(out, vec, coef)
+                _combine(out, {rest: ring.one} if kind == "1"
+                         else apply_word(kind, idx, rest), coef)
 
         self._memo[key] = out
         return out
 
     def apply_mode(self, gen: str, n: int, vec: VermaVector) -> VermaVector:
-        """Exact action of L_n or W_n on a vector, in the ordered basis."""
-        if gen not in ("L", "W"):
+        """Exact action of a memoised mode L_n, W_n or Lambda_n on a vector."""
+        if gen not in ("L", "W", "Lambda"):
             raise ValueError(f"unknown generator {gen!r}")
         out: VermaVector = {}
         for word, coef in vec.items():
             _combine(out, self._apply_word(gen, n, word), coef)
-        return out
-
-    def apply_lambda(self, s: int, vec: VermaVector) -> VermaVector:
-        """Action of Lambda_s, summed over the terms of ``lambda_terms``."""
-        lift = self.ring.lift
-        out: VermaVector = {}
-        for word, coef in vec.items():
-            for q, modes in lambda_terms(s, word.level):
-                step = {word: self.ring.one}
-                for k in reversed(modes):
-                    step = self.apply_mode("L", k, step)
-                _combine(out, step, coef if q == 1 else coef * lift(q))
         return out
 
     def inner_product(self, u: ModeWord, v: ModeWord):

@@ -99,6 +99,8 @@ def test_removed_members_are_gone():
     for name in ("from_rational", "monomial", "_canonical"):
         assert not hasattr(exact.ExactScalar, name), name
     assert not hasattr(verma.ModeWord, "grade")
+    # Lambda_s is a mode of the engine: apply_mode("Lambda", s, v)
+    assert not hasattr(verma.Engine, "apply_lambda")
     assert not hasattr(fock.CyclicGram, "to_csv")
     for name in ("variant", "level"):
         assert name not in fock.CyclicGram.__dataclass_fields__, name
@@ -144,15 +146,77 @@ def _harness_uses():
     return uses
 
 
+def _resolve(module, name):
+    mod = importlib.import_module(module)
+    if not hasattr(mod, name):
+        # ``from w3lab import verma`` names a submodule
+        return importlib.import_module(f"{module}.{name}")
+    return getattr(mod, name)
+
+
+def _harness_calls():
+    """(source, object, positional count, keyword names) for every call the
+    benchmark sources make on a w3lab name, directly or as
+    ``Tracer.timed(name, cmd, fn, *args)``, which calls fn(*args).  The
+    count is None when an argument is starred."""
+    calls = []
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {a.asname or a.name: (node.module, a.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("w3lab") for a in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            keywords = node.keywords
+            if (isinstance(func, ast.Attribute) and func.attr == "timed"
+                    and len(args) >= 3):
+                func, args, keywords = args[2], args[3:], []
+            chain = []
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name) or func.id not in imported:
+                continue
+            obj = _resolve(*imported[func.id])
+            for attr in chain:
+                obj = getattr(obj, attr)
+            starred = (any(isinstance(a, ast.Starred) for a in args)
+                       or any(k.arg is None for k in keywords))
+            calls.append((f"{path.name}:{node.lineno}", obj,
+                          None if starred else len(args),
+                          [k.arg for k in keywords if k.arg]))
+    return calls
+
+
+def test_harness_calls_bind():
+    """Every call the harness makes on a w3lab name binds to the current
+    signature: its keyword names always, its positional count when no
+    argument is starred."""
+    from w3lab import fock, verma
+    calls = _harness_calls()
+    called = {obj for _, obj, _, _ in calls}
+    for obj in (verma.gram_matrix, verma.determinant_at,
+                fock.RealizationParams, fock.check_w3_relations):
+        assert obj in called, obj
+    assert any(obj is fock.RealizationParams and "cutoff" in kw
+               for _, obj, _, kw in calls)
+    for where, obj, npos, keywords in calls:
+        try:
+            inspect.signature(obj).bind_partial(*[None] * (npos or 0),
+                                                **dict.fromkeys(keywords))
+        except TypeError as e:
+            pytest.fail(f"{where}: {obj.__qualname__}: {e}")
+
+
 def test_harness_names_resolve():
     uses = _harness_uses()
     assert ("w3lab.verma", "gram_matrix") in uses
     assert ("w3lab.kac", "kac_closed_form_exact") in uses
     for module, name in sorted(uses):
-        mod = importlib.import_module(module)
-        if not hasattr(mod, name):
-            # ``from w3lab import verma`` names a submodule
-            importlib.import_module(f"{module}.{name}")
+        _resolve(module, name)
     # members the harness reads on the Gram matrices it builds and on
     # their entries
     from w3lab.exact import ExactScalar

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3lab import kac, modular
+from w3lab import kac, modular, verma
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.modular import rational_determinant
@@ -83,6 +83,23 @@ def test_zero_modes_read_weights(engine):
 def test_apply_mode_rejects_unknown_generator(engine):
     with pytest.raises(ValueError):
         engine.apply_mode("X", 0, as_vec(OMEGA))
+
+
+def test_lambda_is_a_memoised_mode(monkeypatch):
+    """Lambda_s on a word is rewritten once and kept in the engine's memo."""
+    calls = []
+    terms = verma.lambda_terms
+    def counted(s, level):
+        calls.append((s, level))
+        return terms(s, level)
+    monkeypatch.setattr(verma, "lambda_terms", counted)
+    engine = Engine()
+    first = engine.apply_mode("Lambda", 0, as_vec(OMEGA))
+    assert engine.apply_mode("Lambda", 0, as_vec(OMEGA)) == first
+    assert calls == [(0, 0)]
+    assert ("Lambda", 0, OMEGA) in engine._memo
+    # Lambda_0 Omega = (L_1 L_-1 + L_0^2 - (9/5) L_0) Omega
+    assert first == {OMEGA: H * H + scalar(Fraction(1, 5)) * H}
 
 
 def test_creation_keeps_words_ordered(engine):
@@ -184,7 +201,8 @@ def _commutator_rhs(engine, g1, m, g2, n, vec):
     else:
         if m + n == 0:
             acc(vec, C * scalar(Fraction(m * (m * m - 1) * (m * m - 4), 360)))
-        acc(engine.apply_lambda(m + n, vec), B_SQUARED * scalar(m - n))
+        acc(engine.apply_mode("Lambda", m + n, vec),
+            B_SQUARED * scalar(m - n))
         acc(engine.apply_mode("L", m + n, vec),
             scalar(Fraction((m - n) * (2 * m * m - m * n + 2 * n * n - 8), 30)))
     return out
@@ -213,7 +231,7 @@ def test_lambda_finite_ranges_are_complete(engine):
     for word in enumerate_basis(2) + enumerate_basis(3):
         lev = word.level
         for s in (-2, 0, 1, 3):
-            tight = engine.apply_lambda(s, as_vec(word))
+            tight = engine.apply_mode("Lambda", s, as_vec(word))
             wide = {}
             def acc(v, scale):
                 for w2, c2 in v.items():
