@@ -6,9 +6,7 @@ RFC-4180 CSV on stdout; structured errors go to stderr as JSON.  Exit
 codes: 0 ok (verdict in payload), 2 pole at c = -22/5, 3 level above
 --level-cap, 4 Kac-comparison deviation, 5 a residual above its bound or a
 non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's usage
-errors among them, exit 1 with error "BadArguments".  The vacuum spectrum
-is PSD by construction, so only a non-finite one fails; the paper's
-identity of that Gram with the canonical form is item 3 of ROADMAP.md.
+errors among them, exit 1 with error "BadArguments".
 
 Options are parsed by argparse with the standard library alone.  Type
 callables check every value (exact rationals, finite floats, a kappa and an
@@ -264,7 +262,7 @@ def cmd_gram(args):
 # ---------------------------------------------------------------------------
 
 def _random_region_points(k: int, seed: int):
-    """Deterministic rational sample points with 2 < c < 98, f11 - w^2 > 0."""
+    """k distinct rational sample points, 2 < c < 98 and f11 - w^2 > 0."""
     import random
     rng = random.Random(seed)
     pts = []
@@ -276,7 +274,7 @@ def _random_region_points(k: int, seed: int):
             continue
         wmax = float(cap) ** 0.5
         w = Fraction(int(rng.uniform(-0.9, 0.9) * wmax * 1000), 1000)
-        if cap - w * w > 0:
+        if cap - w * w > 0 and (c, h, w) not in pts:
             pts.append((c, h, w))
     return pts
 
@@ -315,8 +313,8 @@ def cmd_kac_verify(args):
             _fail(1, "BadArguments",
                   "argument --seed: not allowed with argument --samples")
         pts = _read_samples(args.samples)
-        if len(pts) < 2:
-            _fail(1, "BadArguments", "need at least 2 sample points")
+        if len(set(pts)) < 2:
+            _fail(1, "BadArguments", "need at least 2 distinct sample points")
     else:
         pts = _random_region_points(args.random, args.seed or 0)
     _check_level(args)
@@ -425,21 +423,20 @@ def cmd_fz_check(args):
 def cmd_vacuum_spectrum(args):
     """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
 
-    The Gram is V^H diag(norm^2) V with positive Fock norms: positive
-    semidefinite by construction, so a negative eigenvalue is roundoff and
-    the spectrum gets no tolerance.  The command exits 5 only on a
-    non-finite spectrum, as when the Gram overflows.  The paper's identity,
-    that this Gram is the canonical invariant form at c = 2 + 12 kappa^2
-    and h = w = 0, is not checked here (item 3 of ROADMAP.md).  Without
+    The Gram is 0 between levels at the vacuum, so these are the spectra
+    of ``fock.cyclic_gram``'s level blocks: positive semidefinite by
+    construction, so a negative eigenvalue is roundoff and gets no
+    tolerance.  Exit 5 only on a non-finite spectrum, as when a block
+    overflows.  The paper's identity of this Gram with the canonical form
+    at (2 + 12 kappa^2, 0, 0) is not checked here (ROADMAP item 3).  Without
     --cutoff the cutoff is the level; one below it exits 6.  The digits
-    printed are fixed per BLAS thread count only; the benchmark pins one.
+    are fixed per BLAS thread count only; the benchmark pins one.
     """
     from . import fock
     cutoff = args.level if args.cutoff is None else args.cutoff
     params = fock.RealizationParams(kappa=args.kappa, cutoff=cutoff)
     cg = fock.cyclic_gram("vacuumModified", params, args.level)
-    # eigvalsh returns them in ascending order
-    eigs = [float(x) for x in cg.eigenvalues]
+    eigs = [float(x) for x in cg.eigenvalues]  # ascending
     payload = {
         "kappa": args.kappa,
         "centralCharge": params.central_charge,

@@ -34,7 +34,8 @@ BLAS.  Callers write a block at its own levels: those of the cyclic Gram and
 the zero vectors never pass its top level; only the weak-symmetry hats cut
 rows, above their test level.  Mode sums are finite and exact: annihilation
 above a level kills it and the twist coefficients vanish for positive
-indices.
+indices.  The cyclic Gram keeps its level blocks only: between levels it
+is 0, except for vacuumModified off the vacuum.
 
 The W3 relations the realized modes must satisfy are not restated here:
 ``check_w3_relations`` reads the bracket table and the Lambda_s collapse of
@@ -777,25 +778,26 @@ def zero_vector_norms(params: RealizationParams) -> Dict[str, Any]:
 
 @dataclass
 class CyclicGram:
+    """A cyclic Gram's level-diagonal blocks and their eigenvalues, sorted."""
     words: List[ModeWord]
-    gram: np.ndarray
+    blocks: List[np.ndarray]
     eigenvalues: np.ndarray
 
 
 def cyclic_gram(variant: str, params: RealizationParams,
                 level: int) -> CyclicGram:
-    """Gram matrix of the cyclic subspace words of level <= level.
+    """Gram matrix of the cyclic subspace words of level <= level, by level.
 
-    The word vectors are the columns of V over the basis of levels <= level,
-    each built from the column of the word its leftmost mode acts on; the
-    words with the same leftmost mode and level are built together.  The
-    Gram is V^H diag(norm^2) V, Hermitian and, the Fock norms being
-    positive, positive semidefinite by construction: a negative eigenvalue
-    is roundoff.  The eigenvalues are all NaN when the Gram overflowed.
-    What carries the paper's vacuum argument is the identity of the
-    vacuumModified Gram with the canonical form at h = w = 0, which only
-    the tests check (item 3 of ROADMAP.md).  The cutoff must be at least
-    the level, the highest level the word vectors reach.
+    The word vectors are the columns of V, each built from the word its
+    leftmost mode acts on, all words of one such mode and level together.
+    blocks[N] is V_N^H diag(norm^2) V_N over the P2(N) level-N columns:
+    positive semidefinite, the Fock norms being positive, so a negative
+    eigenvalue is roundoff; all eigenvalues are NaN if a block overflowed.
+    Entries between levels are never formed.  They are 0 for raw and
+    unitaryFamily, and for vacuumModified at q1 = q2 = 0 (ROADMAP F9); off
+    the vacuum, vacuumModified's blocks are only the Gram's level-diagonal
+    part.  The identity of the vacuum blocks with the canonical form at
+    h = w = 0 carries the paper's argument; only tests check it (item 3).
     """
     if level > params.cutoff:
         raise CutoffExceeded(f"cyclic level {level} needs cutoff >= {level}")
@@ -816,12 +818,12 @@ def cyclic_gram(variant: str, params: RealizationParams,
             lo, hi, m = blk
             vecs[_FOCK.cum(lo):_FOCK.cum(hi + 1), cols] = m
     vecs *= _norms_upto(level)[:, None]
-    gram = vecs.conj().T @ vecs
-    del vecs
-    finite = np.isfinite(gram.sum())
+    blocks = [v.conj().T @ v for v in
+              np.split(vecs, _FOCK.offsets(level)[1:level + 1], axis=1)]
+    finite = all(np.isfinite(b.sum()) for b in blocks)
     # eigvalsh reads one triangle.  It fails on an infinite entry and may
-    # give finite values for a NaN one; an overflowed Gram (a sum that is
-    # not finite) gets NaN
-    eigs = (np.linalg.eigvalsh(gram) if finite
-            else np.full(len(words), np.nan))
-    return CyclicGram(words, gram, eigs)
+    # give finite values for a NaN one; an overflowed block (a sum that is
+    # not finite) makes every eigenvalue NaN
+    eigs = (np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            if finite else np.full(len(words), np.nan))
+    return CyclicGram(words, blocks, eigs)

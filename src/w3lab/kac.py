@@ -167,8 +167,8 @@ def compare_with_gram(level: int,
     ``gram`` after it by position.
     """
     pts = [tuple(Fraction(x) for x in p) for p in sample_points]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 sample points")
+    if len(set(pts)) < 2:
+        raise ValueError("need at least 2 distinct sample points")
     closed_forms: List[Fraction] = []
     for (cv, hv, wv) in pts:
         cf = kac_closed_form_exact(level, cv, hv, wv)

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,6 +20,26 @@ def grams():
 def engine():
     """One symbolic rewriting engine, so its memo is shared across tests."""
     return verma.Engine()
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_gram(level: int) -> verma.GramMatrix:
+    return verma.gram_matrix(level)
+
+
+def canonical_pairs(cg, c, h, w):
+    """(Fock entry, canonical entry) for every entry of every level block of
+    the Fock cyclic Gram ``cg``: blocks[N] against ``verma.gram_matrix(N)``
+    at (c, h, w) as floats, whose entries are those of
+    ``Engine.inner_product`` (tests/test_verma.py)."""
+    start = 0
+    for level, block in enumerate(cg.blocks):
+        gram = _canonical_gram(level)
+        assert cg.words[start:start + gram.dimension] == gram.basis
+        start += gram.dimension
+        for i, row in enumerate(gram.evaluate(c, h, w)):
+            for j, exact in enumerate(row):
+                yield block[i, j], float(exact)
 
 
 class CliResult(NamedTuple):

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -302,12 +303,35 @@ def test_kac_verify_samples_file(runner, tmp_path):
     assert payload["constant"] == "104976"
 
 
+def test_random_region_points_are_distinct(monkeypatch):
+    """A point drawn a second time is skipped: the draws A, A, B give the
+    points A and B."""
+    class Draws:
+        def __init__(self, seed):
+            # randint for c, its hundredths, h's numerator and denominator,
+            # then uniform for w
+            self.values = iter([50, 0, 5, 1, 0.0] * 2 + [60, 0, 5, 1, 0.0])
+
+        def randint(self, a, b):
+            return next(self.values)
+
+        uniform = randint
+
+    monkeypatch.setattr(random, "Random", Draws)
+    assert cli._random_region_points(2, 0) == [
+        (Fraction(50), Fraction(5), Fraction(0)),
+        (Fraction(60), Fraction(5), Fraction(0))]
+
+
 @pytest.mark.parametrize("rows", [
     # each string would be iterated digit by digit into a point
     ["345", "678"],
     {"345": 1, "678": 2},
     [["10", "2", True], ["3", "1/24", "0"]],
     [["10", "2", "1/7"], "3,1/24,0"],
+    # one point written twice, in either spelling, would agree vacuously
+    [["50", "5", "1/3"], ["50", "5", "1/3"]],
+    [["50", "5", "1/3"], ["100/2", "10/2", "2/6"]],
 ])
 def test_kac_verify_rejects_a_malformed_samples_file(runner, tmp_path, rows):
     f = tmp_path / "pts.json"
@@ -899,6 +923,10 @@ def test_vacuum_spectrum(runner):
     payload = json.loads(res.stdout)
     assert payload["minEigenvalue"] >= -1e-8
     assert payload["centralCharge"] == 14.0
+    # the union of the level blocks' spectra, in ascending order
+    eigs = payload["eigenvalues"]
+    assert len(eigs) == payload["dimension"] == 1 + 2 + 5 + 10 + 20
+    assert eigs == sorted(eigs) and payload["minEigenvalue"] == eigs[0]
 
 
 def test_vacuum_spectrum_kappa0(runner):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kron_reference
+from conftest import canonical_pairs
 from fock_states import (VACUUM_KEY, key_level, state_apply, state_inner,
                          state_norm, vacuum_state, word_state)
 from w3lab import cli, fock, verma
@@ -541,22 +542,18 @@ def test_unknown_variant_is_refused():
         cyclic_gram("bogus", params(), 2)
 
 
-def test_cross_oracle_agreement_single_point(engine):
+def test_cross_oracle_agreement_single_point():
     kap, q1, q2 = 1.0, 0.0, 1.0
     p = params(kappa=kap, q1=q1, q2=q2, cutoff=7)
     cg = cyclic_gram("unitaryFamily", p, 3)
     assert cg.eigenvalues.min() > -1e-10  # manifestly unitary family
     h, w = p.lowest_weights("unitaryFamily")
     c = p.central_charge
-    for i, wi in enumerate(cg.words):
-        for j, wj in enumerate(cg.words):
-            exact = float(engine.inner_product(wi, wj).evaluate(
-                c, h.real, w.real))
-            got = cg.gram[i, j]
-            assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
+    for got, exact in canonical_pairs(cg, c, h.real, w.real):
+        assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
 
 
-def test_vacuum_cyclic_gram_is_the_canonical_form(engine):
+def test_vacuum_cyclic_gram_is_the_canonical_form():
     """At q = 0 the twisted realization's form on the cyclic subspace is
     invariant, so by universality its Gram must equal the canonical one at
     (c, 0, 0) -- even though the twisted fields are not symmetric on the
@@ -565,14 +562,11 @@ def test_vacuum_cyclic_gram_is_the_canonical_form(engine):
         p = params(kappa=kap, cutoff=7)
         cg = cyclic_gram("vacuumModified", p, 4)
         c = p.central_charge
-        for i, wi in enumerate(cg.words):
-            for j, wj in enumerate(cg.words):
-                exact = float(
-                    engine.inner_product(wi, wj).evaluate(c, 0.0, 0.0))
-                assert abs(cg.gram[i, j] - exact) <= 1e-10 * max(1.0, abs(exact))
+        for got, exact in canonical_pairs(cg, c, 0.0, 0.0):
+            assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
-def test_nonvacuum_twisted_form_is_not_the_canonical_one(engine):
+def test_nonvacuum_twisted_form_is_not_the_canonical_one():
     """At q != 0 the ambient Fock form is still positive definite, so the
     cyclic Gram is PSD -- but it no longer coincides with the canonical
     invariant form, whose level-1 block is indefinite at these weights.
@@ -588,25 +582,18 @@ def test_nonvacuum_twisted_form_is_not_the_canonical_one(engine):
     cg = cyclic_gram("vacuumModified", p, 2)
     assert cg.eigenvalues.min() > 0  # ambient positivity
     mismatch = 0.0
-    for i, wi in enumerate(cg.words):
-        for j, wj in enumerate(cg.words):
-            exact = float(engine.inner_product(wi, wj).evaluate(
-                c, h.real, w.real))
-            mismatch = max(mismatch, abs(cg.gram[i, j] - exact))
+    for got, exact in canonical_pairs(cg, c, h.real, w.real):
+        mismatch = max(mismatch, abs(got - exact))
     assert mismatch > 1e-2
 
 
-def test_cross_oracle_agreement_level4(engine):
+def test_cross_oracle_agreement_level4():
     p = params(kappa=0.6, q1=0.3, q2=-0.9, cutoff=7)
     cg = cyclic_gram("unitaryFamily", p, 4)
     h, w = p.lowest_weights("unitaryFamily")
     c = p.central_charge
-    for i, wi in enumerate(cg.words):
-        for j, wj in enumerate(cg.words):
-            exact = float(engine.inner_product(wi, wj).evaluate(
-                c, h.real, w.real))
-            got = cg.gram[i, j]
-            assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
+    for got, exact in canonical_pairs(cg, c, h.real, w.real):
+        assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact), abs(got))
 
 
 def test_virasoro_only_gram_block_diagonal_across_levels():
@@ -637,9 +624,11 @@ def test_q2_flip_leaves_spectrum_invariant():
         g2 = cyclic_gram(variant, flipped, 3)
         assert np.allclose(g1.eigenvalues, g2.eigenvalues, atol=1e-10)
         # entries agree up to the diagonal sign flip on odd-W words
-        signs = np.array([(-1.0) ** len(w.wpart) for w in g1.words])
-        assert np.allclose(g1.gram, signs[:, None] * g2.gram * signs[None, :],
-                           atol=1e-10), variant
+        for level, (b1, b2) in enumerate(zip(g1.blocks, g2.blocks)):
+            signs = np.array([(-1.0) ** len(w.wpart)
+                              for w in verma.enumerate_basis(level)])
+            assert np.allclose(b1, signs[:, None] * b2 * signs[None, :],
+                               atol=1e-10), (variant, level)
 
 
 def test_word_state_matches_mode_composition():
@@ -656,14 +645,32 @@ def test_word_state_matches_mode_composition():
 
 
 def test_cyclic_gram_matches_pairwise_fock_form():
-    """V^H diag(norm^2) V equals the dict-state loop over word pairs."""
-    p = params(kappa=0.9, q1=0.2, q2=-0.3, cutoff=7)
-    for variant in ("raw", "vacuumModified"):
+    """Each level block V_N^H diag(norm^2) V_N equals the dict-state loop
+    over the level-N word pairs.  The pairs across levels, which
+    ``cyclic_gram`` never forms, vanish for raw and unitaryFamily at
+    nonzero charges and for vacuumModified at the vacuum; vacuumModified
+    off the vacuum is the control, where they do not."""
+    charged = dict(q1=0.2, q2=-0.3)
+    for variant, charges, across in (("raw", charged, False),
+                                     ("unitaryFamily", charged, False),
+                                     ("vacuumModified", {}, False),
+                                     ("vacuumModified", charged, True)):
+        p = params(kappa=0.9, cutoff=7, **charges)
         cg = cyclic_gram(variant, p, 4)
         real = Realization(p, variant)
         vecs = [word_state(real, w) for w in cg.words]
         loop = np.array([[state_inner(u, v) for v in vecs] for u in vecs])
-        assert np.allclose(cg.gram, loop, rtol=1e-12, atol=1e-12)
+        levels = np.array([w.level for w in cg.words])
+        for level, block in enumerate(cg.blocks):
+            same = levels == level
+            assert np.allclose(block, loop[np.ix_(same, same)],
+                               rtol=1e-12, atol=1e-12), (variant, level)
+        cross = np.abs(loop[levels[:, None] != levels[None, :]]).max()
+        largest = np.abs(loop).max()
+        if across:
+            assert cross > 1e-2 * largest, variant
+        else:
+            assert cross <= 1e-12 * largest, (variant, charges)
 
 
 def test_weak_symmetry_control_matches_pairwise_fock_form():
@@ -682,8 +689,9 @@ def test_weak_symmetry_control_matches_pairwise_fock_form():
 
 def test_vacuum_gram_rank_is_the_w3_vacuum_character():
     """The level-6 vacuum cyclic Gram has one positive eigenvalue per state
-    of the W3 vacuum module: sum over n <= 6 of the coefficients of
-    prod_{n>=2} (1-q^n)^-1 prod_{n>=3} (1-q^n)^-1."""
+    of the W3 vacuum module: sum over n <= 6 of the coefficients ch_n of
+    prod_{n>=2} (1-q^n)^-1 prod_{n>=3} (1-q^n)^-1, and ch_N of them in the
+    level-N block."""
     level = 6
     coeffs = [1] + [0] * level
     for first in (2, 3):
@@ -695,6 +703,9 @@ def test_vacuum_gram_rank_is_the_w3_vacuum_character():
         assert len(cg.words) == 139
         eigs = cg.eigenvalues
         assert np.count_nonzero(eigs > 1e-9 * eigs.max()) == sum(coeffs)
+        ranks = [np.count_nonzero(np.linalg.eigvalsh(b) > 1e-9 * eigs.max())
+                 for b in cg.blocks]
+        assert ranks == coeffs, kap
 
 
 def test_non_finite_coefficients_are_never_pruned():

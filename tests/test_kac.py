@@ -247,8 +247,11 @@ def test_compare_verdict_is_exact(grams, monkeypatch):
 
 
 def test_compare_needs_two_points(grams):
-    with pytest.raises(ValueError):
-        compare_with_gram(1, [(10, 2, 0)], gram=grams[1])
+    # one point written twice, in either spelling, would agree with itself
+    for pts in ([(10, 2, 0)], [(50, 5, Fraction(1, 3))] * 2,
+                [(50, 5, Fraction(1, 3)), ("100/2", "10/2", "2/6")]):
+        with pytest.raises(ValueError):
+            compare_with_gram(1, pts, gram=grams[1])
 
 
 def test_compare_with_gram_levels_4_and_5():

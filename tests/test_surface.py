@@ -102,7 +102,8 @@ def test_removed_members_are_gone():
     # Lambda_s is a mode of the engine: apply_mode("Lambda", s, v)
     assert not hasattr(verma.Engine, "apply_lambda")
     assert not hasattr(fock.CyclicGram, "to_csv")
-    for name in ("variant", "level"):
+    # the cyclic Gram comes by level blocks, not as one matrix
+    for name in ("variant", "level", "gram"):
         assert name not in fock.CyclicGram.__dataclass_fields__, name
     assert "shift1" not in inspect.signature(fock.Realization).parameters
     assert not hasattr(fock.Realization, "_a_state")
