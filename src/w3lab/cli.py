@@ -2,11 +2,15 @@
 vacuum-spectrum.
 
 All payloads are RFC 8259 JSON, where a non-finite float prints as null, or
-RFC-4180 CSV on stdout; structured errors go to stderr as JSON.  Exit
-codes: 0 ok (verdict in payload), 2 pole at c = -22/5, 3 level above
---level-cap, 4 Kac-comparison deviation, 5 a residual above its bound or a
-non-finite spectrum, 6 cutoff exceeded; bad arguments, argparse's usage
-errors among them, exit 1 with error "BadArguments".
+RFC-4180 CSV on stdout; structured errors go to stderr as JSON.
+
+Exit codes:
+  0 ok, the verdict in the payload
+  1 bad arguments (error "BadArguments"), argparse's usage errors included
+  2 pole at c = -22/5
+  3 a level above its budget: --level-cap, or the Fock --cutoff
+  4 Kac-comparison deviation
+  5 a residual above its bound or a non-finite spectrum
 
 Options are parsed by argparse with the standard library alone.  Type
 callables check every value (exact rationals, finite floats, a kappa and an
@@ -14,14 +18,15 @@ eta whose squares are finite, nonnegative levels, a resolution of at least
 2); kac-verify checks its samples file by reading it.  Option names must be
 spelled out in full, and a value that starts with '-' (-5/16, -1e-3) is a
 value.  One table, ``EXIT_CODES``, maps library errors to exit codes; the
-JSON error kind is the exception's class name.  The level cap (exit 3) is
-the CLI's own budget on its input, not a library error.  Each command
-imports what it uses, so ``classify`` and ``region`` load none of the
-Verma, Kac or Fock machinery and no third-party package.  As a process
-(``entry``) a command runs without cyclic garbage collection and skips
-interpreter teardown.  The symbolic ``gram`` writes the JSON it prints to a
-cache file, described at ``cmd_gram``; no command reads it.  A rational
-input may have at most MAX_DIGITS digits, checked by ``_fraction``.
+JSON error kind is the exception's class name.  The level cap is the
+CLI's own budget on its input; the Fock cutoff is fock's CutoffExceeded,
+raised before any block is built.  Each command imports what it uses, so
+``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
+and no third-party package.  As a process (``entry``) a command runs
+without cyclic garbage collection and skips interpreter teardown.  The
+symbolic ``gram`` writes the JSON it prints to a cache file, described at
+``cmd_gram``; no command reads it.  A rational input may have at most
+MAX_DIGITS digits, checked by ``_fraction``.
 """
 
 from __future__ import annotations
@@ -40,16 +45,22 @@ from fractions import Fraction
 from .classify import classify as run_classify
 from .classify import f11, region_scan, region_scan_csv
 
+EXIT_BUDGET = 3
 EXIT_DEVIATION = 4
 EXIT_RESIDUAL = 5
 
 # library exceptions by class name, so that the table needs no import of
 # the modules that raise them; the class name is also the JSON error kind
 EXIT_CODES = {"PoleAtForbiddenCentralCharge": 2,
-              "DegenerateSample": EXIT_DEVIATION, "CutoffExceeded": 6}
+              "DegenerateSample": EXIT_DEVIATION,
+              "CutoffExceeded": EXIT_BUDGET}
 
 # --level-cap's default: P2(level)^2 exact reductions stay desk-sized
 LEVEL_CAP = 6
+
+# the Fock --cutoff's default, fock.RealizationParams.cutoff, written out
+# so that the parser imports no numpy; a test keeps the two equal
+FOCK_CUTOFF = 12
 
 # CPython's default sys.get_int_max_str_digits(): no rational input may
 # form an integer longer than this, while the outputs print in full
@@ -201,7 +212,7 @@ def _check_level(args) -> None:
     """End the command with exit 3 when --level is above --level-cap; it
     runs after the usage checks, before a pole or a degenerate sample."""
     if args.level > args.level_cap:
-        _fail(3, "LevelTooLarge", f"level {args.level} exceeds cap "
+        _fail(EXIT_BUDGET, "LevelTooLarge", f"level {args.level} exceeds cap "
               f"{args.level_cap}; raise level_cap if the P2(level)^2 exact "
               "reductions are genuinely wanted")
 
@@ -368,17 +379,15 @@ def cmd_fz_check(args):
     """Residual report for the chosen realization: each float residual
     passes iff it is at most ``_bound`` of the scale its check reports.
 
-    Without --cutoff the cutoff is max-level + 2 * max-mode, the least the
-    relation sweep needs; an explicit --cutoff below that exits 6.  The
-    cutoff guards that sweep only: the central-charge extraction (L_2 and
-    L_-2 on the vacuum) and the zero vectors (up to W_-2 on the vacuum)
-    reach level 2 at any cutoff, so --max-mode 0 --max-level 0 prints
-    "cutoff": 0.
+    --cutoff is the level budget of the relation sweep, which reaches
+    max-level + 2 * max-mode: above it the command exits 3 before any
+    block is built.  The central-charge extraction (L_2 and L_-2 on the
+    vacuum) and the zero vectors (up to W_-2 on the vacuum) reach level 2
+    at any cutoff.
     """
     from . import fock
     variant, kappa, q1, q2 = args.variant, args.kappa, args.q1, args.q2
-    max_mode, max_level = args.max_mode, args.max_level
-    cutoff = max_level + 2 * max_mode if args.cutoff is None else args.cutoff
+    max_mode, max_level, cutoff = args.max_mode, args.max_level, args.cutoff
     params = fock.RealizationParams(kappa=kappa, q1=q1, q2=q2, cutoff=cutoff)
     relations = fock.check_w3_relations(variant, params, max_mode, max_level)
     auto = fock.check_automorphism_identity(kappa, complex(0, args.eta_im),
@@ -428,13 +437,13 @@ def cmd_vacuum_spectrum(args):
     construction, so a negative eigenvalue is roundoff and gets no
     tolerance.  Exit 5 only on a non-finite spectrum, as when a block
     overflows.  The paper's identity of this Gram with the canonical form
-    at (2 + 12 kappa^2, 0, 0) is not checked here (ROADMAP item 3).  Without
-    --cutoff the cutoff is the level; one below it exits 6.  The digits
-    are fixed per BLAS thread count only; the benchmark pins one.
+    at (2 + 12 kappa^2, 0, 0) is not checked here (ROADMAP item 3).
+    --cutoff is the level budget: a --level above it exits 3 before any
+    block is built.  The digits are fixed per BLAS thread count only; the
+    benchmark pins one.
     """
     from . import fock
-    cutoff = args.level if args.cutoff is None else args.cutoff
-    params = fock.RealizationParams(kappa=args.kappa, cutoff=cutoff)
+    params = fock.RealizationParams(kappa=args.kappa, cutoff=args.cutoff)
     cg = fock.cyclic_gram("vacuumModified", params, args.level)
     eigs = [float(x) for x in cg.eigenvalues]  # ascending
     payload = {
@@ -504,10 +513,9 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=KAPPA, default=1.0)
     p.add_argument("--q1", type=_finite, default=0.0)
     p.add_argument("--q2", type=_finite, default=0.0)
-    p.add_argument("--cutoff", type=NONNEGATIVE,
-                   help="default: max-level + 2 * max-mode; guards the "
-                   "relation sweep only, the central charge and zero "
-                   "vectors reach level 2 at any cutoff")
+    p.add_argument("--cutoff", type=NONNEGATIVE, default=FOCK_CUTOFF,
+                   help="level budget of the relation sweep, max-level + 2 "
+                   "* max-mode; above it exits 3 (default: %(default)s)")
     p.add_argument("--max-mode", type=NONNEGATIVE, default=3)
     p.add_argument("--max-level", type=NONNEGATIVE, default=2)
     p.add_argument("--eta-im", type=_finite_square(1.0), default=0.0,
@@ -516,7 +524,9 @@ def build_parser() -> _Parser:
     p = command("vacuum-spectrum", cmd_vacuum_spectrum)
     p.add_argument("--kappa", type=KAPPA, required=True)
     p.add_argument("--level", type=NONNEGATIVE, required=True)
-    p.add_argument("--cutoff", type=NONNEGATIVE, help="default: --level")
+    p.add_argument("--cutoff", type=NONNEGATIVE, default=FOCK_CUTOFF,
+                   help="level budget: a --level above it exits 3 "
+                   "(default: %(default)s)")
     return parser
 
 

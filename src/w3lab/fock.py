@@ -42,12 +42,12 @@ The W3 relations the realized modes must satisfy are not restated here:
 ``verma`` over a float Ring, the same table the exact rewriting engine uses,
 so the sweep checks that one table against the free-field realization.
 
-The cutoff is a contract guard, not a truncation: ``check_w3_relations``,
-``check_automorphism_identity`` and ``cyclic_gram`` raise CutoffExceeded for
-sweeps that would need levels above it.  It guards the sweeps only: the
-central charge that ``check_w3_relations`` extracts from L_{+-2} on the
-vacuum, and the W_{-2} O of ``zero_vector_norms``, reach level 2 at any
-cutoff.  The blocks are exact at every level.
+The cutoff is the level budget, not a truncation: ``check_w3_relations``,
+``check_automorphism_identity`` and ``cyclic_gram`` raise CutoffExceeded
+before any block is built when their sweep would reach above it.  It guards
+the sweeps only: the central charge that ``check_w3_relations`` extracts
+from L_{+-2} on the vacuum, and the W_{-2} O of ``zero_vector_norms``,
+reach level 2 at any cutoff.  The blocks are exact at every level.
 """
 
 from __future__ import annotations
@@ -657,7 +657,7 @@ def _shifted_current(kappa: float, eta: complex) -> _Current:
 
 def check_automorphism_identity(kappa: float, eta: complex,
                                 max_mode_index: int, max_level: int,
-                                cutoff: int = 12) -> dict:
+                                cutoff: int) -> dict:
     """Mode-by-mode check that twisting T_kappa by the shift automorphism
     lands on the plainly shifted stress tensor T_0 + kappa J' + eta J +
     (kappa^2+eta^2)/2.
@@ -693,8 +693,8 @@ def solve_w_triple(n1: int, n2: int, n3: int) -> Tuple[float, float]:
             (-1) ** ((n1 + n3) % 2) * (n2 - n1) / (n3 - n2))
 
 
-def check_weak_symmetry(params: RealizationParams, max_mode_index: int = 3,
-                        test_level: int = 2) -> dict:
+def check_weak_symmetry(params: RealizationParams, max_mode_index: int,
+                        test_level: int) -> dict:
     """Adjointness of the constrained mode combinations (vacuumModified).
 
     Each mode becomes its matrix A-hat on the orthonormalized basis of

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from . import modular, verma
@@ -35,23 +34,6 @@ from .exact import B_SQUARED, C, H, ONE, W, ExactScalar
 
 class DegenerateSample(ValueError):
     """A comparison sample point sits on the vanishing locus."""
-
-
-# ---------------------------------------------------------------------------
-# bicolored partition counts
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def p2(n: int) -> int:
-    """Number of bicolored partitions of n (two independent colors)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    dp = [1] + [0] * n
-    for _color in (1, 2):
-        for part in range(1, n + 1):
-            for s in range(part, n + 1):
-                dp[s] += dp[s - part]
-    return dp[n]
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +65,10 @@ def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
 # ---------------------------------------------------------------------------
 
 def kac_factors(level: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Factor table (m, n, exponent) covering mn = k <= N with P2(N-k)."""
-    return tuple((m, k // m, p2(level - k)) for k in range(1, level + 1)
+    """Factor table (m, n, exponent) covering mn = k <= N with P2(N-k),
+    the number of bicolored partitions of N-k."""
+    return tuple((m, k // m, len(verma.level_keys(level - k)))
+                 for k in range(1, level + 1)
                  for m in range(1, k + 1) if k % m == 0)
 
 

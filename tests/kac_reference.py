@@ -1,4 +1,5 @@
-"""Float Kac factors: the reference the exact closed form is compared against.
+"""Float Kac factors: the reference the exact closed form is compared against,
+and a brute-force count of bicolored partitions, the exponents' P2.
 
 f_mn goes through alpha_pm^2 = (50 - c +- sqrt((2-c)(98-c))) / 192 as complex
 numbers, and f_mm through its factored display formula, so neither shares
@@ -30,3 +31,19 @@ def f_mm(m: int, h, c) -> Fraction:
     num = ((c - 2) * m * m - c + 24 * h + 2) ** 2 \
         * (96 * h + (c - 2) * (m * m - 4))
     return num / (7776 * (5 * c + 22))
+
+
+def brute_force_bicolored(n):
+    """Independent bicolored-partition count: enumerate both color classes."""
+    def partitions(k, smallest=1):
+        if k == 0:
+            return [()]
+        out = []
+        for p in range(smallest, k + 1):
+            for rest in partitions(k - p, p):
+                out.append((p,) + rest)
+        return out
+    count = 0
+    for a in range(n + 1):
+        count += len(partitions(a)) * len(partitions(n - a))
+    return count

@@ -175,10 +175,10 @@ def test_criterion_8_combinatorics():
             return [(p,) + r for p in range(s, k + 1)
                     for r in parts(k - p, p)]
         return sum(len(parts(a)) * len(parts(n - a)) for a in range(n + 1))
-    ok = all(kac.p2(n) == brute(n) for n in range(13))
-    ok &= all(len(verma.enumerate_basis(n)) == kac.p2(n) for n in range(7))
-    report(8, ok, "p2 matches brute-force enumeration (n <= 12); basis "
-                  "dimensions match p2 (N <= 6)")
+    ok = all(len(verma.level_keys(n)) == brute(n) for n in range(13))
+    ok &= all(len(verma.enumerate_basis(n)) == brute(n) for n in range(7))
+    report(8, ok, "p2 (level_keys) matches brute-force enumeration "
+                  "(n <= 12); basis dimensions match it (N <= 6)")
 
 
 def test_criterion_9_first_level_normalization(grams):

@@ -259,7 +259,7 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
     ["fz-check", "--kappa", "-1e154"],
     ["vacuum-spectrum", "--kappa", "1e160", "--level", "1"],
     ["fz-check", "--eta-im", "1e200"],
-    # a negative cutoff is a bad value, not a guard that trips (exit 6)
+    # a negative cutoff is a bad value, not a budget that trips (exit 3)
     ["fz-check", "--cutoff", "-1"],
     ["vacuum-spectrum", "--kappa", "1", "--level", "0", "--cutoff", "-1"],
 ])
@@ -278,7 +278,7 @@ def test_level_options_end_in_a_documented_exit(shared_runner, level, bound):
                   "--cutoff", str(bound)],
                  ["gram", "--level", str(level), "--level-cap", str(bound)]):
         res = shared_runner(args)
-        assert res.exit_code in (0, 1, 3, 6), (args, res.stderr)
+        assert res.exit_code in (0, 1, 3), (args, res.stderr)
         if res.exit_code:
             assert "error" in json.loads(res.stderr), args
 
@@ -913,7 +913,7 @@ def test_fz_check_central_charge_fails_a_wrong_c(runner):
 def test_fz_check_cutoff_guard(runner):
     res = runner(["fz-check", "--cutoff", "5", "--max-mode", "3",
                   "--max-level", "3"])
-    assert res.exit_code == 6
+    assert res.exit_code == 3
 
 
 def test_vacuum_spectrum(runner):
@@ -949,7 +949,7 @@ def test_vacuum_spectrum_above_98(runner):
 def test_vacuum_spectrum_cutoff_guard(runner):
     res = runner(["vacuum-spectrum", "--kappa", "1",
                   "--level", "6", "--cutoff", "5"])
-    assert res.exit_code == 6
+    assert res.exit_code == 3
 
 
 def test_vacuum_spectrum_cutoff_at_the_level_suffices(runner):
@@ -1179,20 +1179,55 @@ def test_fz_check_overflow_writes_nothing_to_stderr(tmp_path, args,
     assert strict_loads(res.stdout)["failures"] == failures
 
 
-def test_default_cutoffs_follow_the_request(runner):
-    """Without --cutoff the Fock guards take the least cutoff the request
-    needs, so no default option trips exit 6; an explicit one that is too
-    small still does."""
-    res = runner(["vacuum-spectrum", "--kappa", "1", "--level", "7"])
-    assert res.exit_code == 0, res.stderr
-    assert json.loads(res.stdout)["level"] == 7
+def test_default_cutoff_is_the_level_budget(runner):
+    """Without --cutoff the Fock commands run up to the default budget,
+    whatever the request: fz-check prints it, and a vacuum spectrum at a
+    level below it is the one an explicit cutoff gives.  An explicit
+    --cutoff above the default raises the budget."""
     res = runner(["fz-check", "--max-mode", "4"])
     assert res.exit_code == 0, res.stderr
-    assert json.loads(res.stdout)["params"]["cutoff"] == 2 + 2 * 4
-    assert runner(["fz-check", "--max-mode", "4",
-                   "--cutoff", "9"]).exit_code == 6
-    assert runner(["vacuum-spectrum", "--kappa", "1", "--level", "7",
-                   "--cutoff", "6"]).exit_code == 6
+    assert json.loads(res.stdout)["params"]["cutoff"] == cli.FOCK_CUTOFF
+    args = ["vacuum-spectrum", "--kappa", "1", "--level", "7"]
+    res = runner(args)
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == runner(args + ["--cutoff", "7"]).stdout
+    res = runner(["fz-check", "--max-mode", "1", "--max-level", "1",
+                  "--cutoff", "13"])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["params"]["cutoff"] == 13
+
+
+@pytest.mark.parametrize("args", [
+    ["vacuum-spectrum", "--kappa", "1", "--level", "13"],
+    ["fz-check", "--max-mode", "5", "--max-level", "3"]])
+def test_default_budget_refuses_before_any_block(runner, monkeypatch, args):
+    """A request that reaches above the default budget exits 3 before a
+    realization, and so any block, is made."""
+    def refuse(*_):
+        raise AssertionError("a realization was made")
+    monkeypatch.setattr(fock, "Realization", refuse)
+    monkeypatch.setattr(fock, "_realization", refuse)
+    res = runner(args)
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "CutoffExceeded"
+
+
+def test_fock_cutoff_is_the_library_default():
+    assert cli.FOCK_CUTOFF == fock.RealizationParams.cutoff
+    for argv in (["fz-check"], ["vacuum-spectrum", "--kappa", "1",
+                                "--level", "0"]):
+        assert cli.build_parser().parse_args(argv).cutoff == cli.FOCK_CUTOFF
+
+
+def test_documented_exit_codes_are_the_ones_in_use():
+    """The exit codes listed in the module docstring are exactly those the
+    CLI uses, so a retired code cannot linger there."""
+    listing = cli.__doc__.split("Exit codes:\n")[1].split("\n\n")[0]
+    documented = {int(code) for code in re.findall(r"^  (\d) ", listing,
+                                                   re.MULTILINE)}
+    assert documented == {0, 1, 2, 3, 4, 5}
+    assert {*cli.EXIT_CODES.values(), cli.EXIT_DEVIATION, cli.EXIT_RESIDUAL,
+            cli.EXIT_BUDGET} <= documented
 
 
 def _run_module(args, cache, **kwargs):
@@ -1213,7 +1248,7 @@ DEGENERATE_SAMPLES = [["2", "2", "4/3"], ["10", "2", "0"]]
     (["kac-verify", "--level", "1", "--samples", "SAMPLES"], 4,
      "DegenerateSample"),
     (["fz-check", "--kappa", "1", "--max-level", "0"], 5, None),
-    (["vacuum-spectrum", "--kappa", "1", "--level", "6", "--cutoff", "5"], 6,
+    (["vacuum-spectrum", "--kappa", "1", "--level", "6", "--cutoff", "5"], 3,
      "CutoffExceeded"),
 ])
 def test_process_exit_codes_match_main(runner, tmp_path, args, code, error):

@@ -10,40 +10,25 @@ from w3lab.classify import f11
 from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
 from w3lab.kac import (ComparisonReport, DegenerateSample, compare_with_gram,
                        kac_closed_form_exact, kac_closed_form_symbolic,
-                       kac_factors, p2)
+                       kac_factors)
 from w3lab.kac import _f_mn_ext
 
 
-def brute_force_bicolored(n):
-    """Independent bicolored-partition count: enumerate both color classes."""
-    def partitions(k, smallest=1):
-        if k == 0:
-            return [()]
-        out = []
-        for p in range(smallest, k + 1):
-            for rest in partitions(k - p, p):
-                out.append((p,) + rest)
-        return out
-    count = 0
-    for a in range(n + 1):
-        count += len(partitions(a)) * len(partitions(n - a))
-    return count
-
-
 def test_p2_against_brute_force():
+    # P2, the exponents' count, is the number of a level's keys
     for n in range(13):
-        assert p2(n) == brute_force_bicolored(n)
+        assert len(verma.level_keys(n)) == ref.brute_force_bicolored(n)
 
 
 def test_p2_examples():
-    assert p2(0) == 1
-    assert p2(2) == 5
-    assert p2(4) == 20
+    for n, count in ((0, 1), (2, 5), (4, 20)):
+        assert ref.brute_force_bicolored(n) == count
+        assert len(verma.level_keys(n)) == count
 
 
 def test_basis_dimension_matches_p2():
     for n in range(7):
-        assert len(verma.enumerate_basis(n)) == p2(n)
+        assert len(verma.enumerate_basis(n)) == ref.brute_force_bicolored(n)
 
 
 def test_alpha_invariants():
@@ -124,6 +109,7 @@ def test_f_mn_pole():
 
 
 def test_kac_factors_cover_divisor_pairs():
+    p2 = ref.brute_force_bicolored
     assert set(kac_factors(3)) == {(1, 1, p2(2)), (1, 2, p2(1)),
                                    (2, 1, p2(1)), (1, 3, p2(0)),
                                    (3, 1, p2(0))}

@@ -34,7 +34,9 @@ REMOVED = {
                   # f11 has one home, w3lab.classify
                   "f11",
                   # the factor table is the plain function kac_factors
-                  "KacFactors"],
+                  "KacFactors",
+                  # one bicolored-partition enumerator, verma.level_keys
+                  "p2"],
     "w3lab.classify": ["constructive_family_contains",
                        # one _verdict decides every range of c
                        "_rule", "_below_2", "_classified", "_above_98",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3lab import kac, modular, verma
+from kac_reference import brute_force_bicolored
+from w3lab import modular, verma
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
 from w3lab.modular import rational_determinant
@@ -46,7 +47,7 @@ def test_enumerate_basis_level2():
 
 def test_enumerate_basis_counts_match_p2():
     for n in range(7):
-        assert len(enumerate_basis(n)) == kac.p2(n)
+        assert len(enumerate_basis(n)) == brute_force_bicolored(n)
 
 
 def test_mode_word_validation():
@@ -307,7 +308,7 @@ def test_gram_symmetric(grams):
 
 def test_gram_dimensions(grams):
     for n, g in grams.items():
-        assert g.dimension == kac.p2(n)
+        assert g.dimension == brute_force_bicolored(n)
 
 
 def test_determinant_2x2_identity(grams):
