@@ -43,11 +43,12 @@ The W3 relations the realized modes must satisfy are not restated here:
 so the sweep checks that one table against the free-field realization.
 
 The cutoff is the level budget, not a truncation: ``check_w3_relations``,
-``check_automorphism_identity`` and ``cyclic_gram`` raise CutoffExceeded
-before any block is built when their sweep would reach above it.  It guards
-the sweeps only: the central charge that ``check_w3_relations`` extracts
-from L_{+-2} on the vacuum, and the W_{-2} O of ``zero_vector_norms``,
-reach level 2 at any cutoff.  The blocks are exact at every level.
+``check_automorphism_identity``, ``check_weak_symmetry`` and ``cyclic_gram``
+raise CutoffExceeded before any block is built when their sweep would reach
+above it.  It guards the sweeps only: the central charge that
+``check_w3_relations`` extracts from L_{+-2} on the vacuum, and the W_{-2} O
+of ``zero_vector_norms``, reach level 2 at any cutoff.  The blocks are exact
+at every level.
 """
 
 from __future__ import annotations
@@ -702,7 +703,10 @@ def check_weak_symmetry(params: RealizationParams, max_mode_index: int,
     A-hat|.  Pairs (L_n - (-1)^{n-m} L_m) and the W-triples pass within
     roundoff of the ``scale``, the largest hat entry; an unpaired L_n at
     kappa != 0 is the negative control and must show a defect above it.
+    The sweep reaches test_level + max_mode_index, which the cutoff guards.
     """
+    if test_level + max_mode_index > params.cutoff:
+        raise CutoffExceeded("test_level + max_mode_index must be <= cutoff")
     real = _realization(params, "vacuumModified")
     norm = _norms_upto(test_level)
     modes = range(-max_mode_index, max_mode_index + 1)

@@ -1,15 +1,17 @@
-"""Exact determinants over Q and Z; the integer method is chosen by size.
+"""Exact determinants over Q and Z, by a method chosen by shape and size.
 
 ``rational_determinant`` scales each row to integers and divides out the
 content (each column's gcd, then each row's, multiplied back exactly), so
-the matrix it hands to ``integer_determinant`` has content 1.  Up to
-``BAREISS_MAX_N`` rows that determinant is taken by fraction-free
-(Bareiss) elimination over Z in pure Python, so small determinants load no
-numpy.  Above that it is taken modulo many primes below 2^24, each by
-Gaussian elimination in numpy int64 with the primes side by side, and
-rebuilt by the Chinese remainder theorem; Hadamard's bound fixes how many
-primes are needed, so that result is exact and deterministic too.  numpy is
-imported only on the multi-modular path.
+the integer matrix it takes the determinant of has content 1.  A symmetric
+matrix of up to ``SYMMETRIC_MAX_N`` rows stays symmetric up to those row
+and column scales, and its determinant is taken by symmetric fraction-free
+(Bareiss) elimination over Z in pure Python, which eliminates only the
+upper triangle, so these determinants load no numpy.  Any other is taken
+modulo many primes below 2^24, each by Gaussian elimination in numpy int64
+with the primes side by side, and rebuilt by the Chinese remainder
+theorem; Hadamard's bound fixes how many primes are needed, so that result
+is exact and deterministic too.  numpy is imported only on the
+multi-modular path.
 """
 
 from __future__ import annotations
@@ -20,16 +22,17 @@ from functools import lru_cache
 from typing import List
 
 # The size rule, from the measured crossover on the content-reduced point
-# Grams at (225/7, 21/8, 5/16) (2 cores, CPython 3.11, numpy already
-# loaded, median of 9 or 3): Bareiss 1.9-2.4 ms vs multi-modular 3.3-3.9 ms
-# at n = 20, 26-28 vs 19-20 ms at n = 36, 0.47-0.52 vs 0.14-0.15 s at
-# n = 65 (without the content reduction: 51 vs 21 ms at n = 36, 1.05 vs
-# 0.16 s at n = 65).  Importing numpy alone costs 0.13-0.18 s, which the
-# multi-modular path pays once per process, so in a process without numpy
-# Bareiss wins up to about n = 40; that covers the Grams of levels 1-5
-# (dimension 2, 5, 10, 20, 36).  A process that has already loaded numpy
-# would gain 7-8 ms at n = 36 from the other path.
-BAREISS_MAX_N = 40
+# Grams at (225/7, 21/8, 5/16) (2 cores, CPython 3.11, numpy 2.4, median of
+# 7 or 3): symmetric elimination 0.9 vs multi-modular 2.1 ms at n = 20,
+# 7.7-8.8 vs 13-14 ms at n = 36, 0.11-0.12 vs 0.09-0.10 s at n = 65 and
+# 1.4 vs 0.65 s at n = 110, with numpy already loaded.  Importing numpy
+# costs 0.055-0.11 s, which the multi-modular path pays once per process,
+# and about 15 MB of peak memory.  On the leading blocks of the level-7
+# Gram the two paths break even, import included, near n = 75 (0.21 vs
+# 0.14 s there, 0.15 vs 0.12 s at n = 70, 0.29 vs 0.17 s at n = 80).  The
+# Gram dimensions jump from 65 (level 6) to 110 (level 7), so the Grams of
+# levels 1-6 load no numpy.
+SYMMETRIC_MAX_N = 65
 
 # Primes for the multi-modular determinant lie in (2^23, 2^24): each carries
 # more than 23 bits of the modulus, and a product of two residues is below
@@ -122,18 +125,19 @@ def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
     Each row is scaled to integers by the lcm of its denominators.  Then
     the content is divided out: each column's gcd, then each row's gcd, so
     that det = (product of the gcds) x det of the reduced matrix, whose
-    entries are smaller; a zero row or column (gcd 0) gives 0.  The reduced
-    determinant is taken by ``integer_determinant``, multiplied back by the
-    gcds and divided by the product of the scales.  At a level-5 point Gram
-    the content reduction takes the integer determinant from about 1,960 to
+    entries are smaller; a zero row or column (gcd 0) gives 0.  A symmetric
+    matrix of at most ``SYMMETRIC_MAX_N`` rows has its reduced determinant
+    taken by ``symmetric_determinant``, any other by
+    ``multimodular_determinant``; it is multiplied back by the gcds and
+    divided by the product of the scales.  At a level-5 point Gram the
+    content reduction takes the integer determinant from about 1,960 to
     1,340 bits.
     """
-    ints = []
-    scale = 1
+    ints, scales = [], []
     for row in rows:
         s = math.lcm(*(q.denominator for q in row))
         ints.append([q.numerator * (s // q.denominator) for q in row])
-        scale *= s
+        scales.append(s)
     col_gcds = [math.gcd(*col) for col in zip(*ints)]
     if 0 in col_gcds:
         return Fraction(0)
@@ -143,44 +147,75 @@ def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
         return Fraction(0)
     ints = [[x // g for x in row] for row, g in zip(ints, row_gcds)]
     content = math.prod(col_gcds) * math.prod(row_gcds)
-    return Fraction(integer_determinant(ints) * content, scale)
+    n = len(rows)
+    if n <= SYMMETRIC_MAX_N and all(rows[i][j] == rows[j][i]
+                                    for i in range(n) for j in range(i)):
+        # row i of ints is (s_i / r_i) G_i. / g_., so ratio_i = s_i g_i / r_i
+        det = symmetric_determinant(ints, [
+            Fraction(s * g, r)
+            for s, g, r in zip(scales, col_gcds, row_gcds)])
+    else:
+        det = multimodular_determinant(ints)
+    return Fraction(det * content, math.prod(scales))
 
 
-def integer_determinant(m: List[List[int]]) -> int:
-    """Exact determinant of a square integer matrix: by Bareiss elimination
-    up to ``BAREISS_MAX_N`` rows, multi-modularly above."""
-    if len(m) <= BAREISS_MAX_N:
-        return bareiss_determinant(m)
-    return multimodular_determinant(m)
+def symmetric_determinant(m: List[List[int]],
+                          ratios: List[Fraction]) -> int:
+    """Exact determinant of a square integer matrix that is symmetric up to
+    row and column scales: m[j][i] * ratios[i] == m[i][j] * ratios[j].
 
+    Fraction-free (Bareiss) elimination: after step k every entry of the
+    trailing block is a (k+1)-minor, so each division by the previous pivot
+    is exact.  The minors of m = R G C, G symmetric and R, C diagonal, keep
+    its symmetry up to the same scales, so only the upper triangle is
+    eliminated; the one lower entry a row needs per step, its multiplier,
+    is the upper one times ratios[i] / ratios[k].  A zero pivot is replaced
+    symmetrically: row and column k trade places with those of a later
+    nonzero diagonal entry, and so do their ratios, which leaves the
+    determinant unchanged, as does taking the rows and columns in order of
+    their largest entry first.  With no nonzero diagonal entry left, a
+    zero trailing block gives 0 and any other goes to
+    ``multimodular_determinant``.
+    """
+    n = len(m)
+    # smallest rows first: the leading minors, and so every entry of the
+    # trailing blocks, stay smaller (0.15 -> 0.125 s on a level-6 Gram)
+    order = sorted(range(n), key=lambda i: max(map(abs, m[i])))
+    a = [[m[i][j] for j in order] for i in order]
+    r = [ratios[i] for i in order]
 
-def bareiss_determinant(m: List[List[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free
-    (Bareiss) elimination: after step k every entry of the trailing block
-    is a (k+1)-minor, so each division by the previous pivot is exact and
-    no entry grows past a minor's size."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign, prev = 1, 1
+    def lower(i, j):  # entry (i, j), i > j, from the upper one
+        return (a[j][i] * r[i].numerator * r[j].denominator
+                // (r[i].denominator * r[j].numerator))
+
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            swap = next((i for i in range(k + 1, n) if a[i][i]), None)
             if swap is None:
+                if any(any(a[i][i:]) for i in range(k, n)):
+                    return multimodular_determinant(m)
                 return 0
+            # the lower triangle of the trailing block, for the full swap
+            for i in range(k + 1, n):
+                for j in range(k, i):
+                    a[i][j] = lower(i, j)
             a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top = a[k][k + 1:]
-        pivot = a[k][k]
+            for row in a[k:]:
+                row[k], row[swap] = row[swap], row[k]
+            r[k], r[swap] = r[swap], r[k]
+        top = a[k]
+        pivot = top[k]
         for i in range(k + 1, n):
             row = a[i]
-            f = row[k]
+            f = lower(i, k)
             if f:
-                row[k + 1:] = [(x * pivot - f * y) // prev
-                               for x, y in zip(row[k + 1:], top)]
+                row[i:] = [(x * pivot - f * y) // prev
+                           for x, y in zip(row[i:], top[i:])]
             elif pivot != prev:
-                row[k + 1:] = [x * pivot // prev for x in row[k + 1:]]
+                row[i:] = [x * pivot // prev for x in row[i:]]
         prev = pivot
-    return sign * a[-1][-1] if n else 1
+    return a[-1][-1] if n else 1
 
 
 def multimodular_determinant(m: List[List[int]]) -> int:

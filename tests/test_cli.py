@@ -1030,9 +1030,10 @@ def _numpy_modules(loaded: set) -> set:
 def test_exact_commands_start_without_numpy(tmp_path):
     """Each command in its own fresh interpreter: the light ones load no
     heavy module, and the symbolic Gram loads the Verma engine but no
-    numpy.  Exact determinants of at most modular.BAREISS_MAX_N rows (the
-    Grams of levels 1-5) load neither numpy nor dataclasses; the level-6
-    Gram (65 rows) takes the multi-modular path, which loads numpy."""
+    numpy.  Exact determinants of symmetric matrices of at most
+    modular.SYMMETRIC_MAX_N rows (the Grams of levels 1-6) load neither
+    numpy nor dataclasses; the level-7 Gram (110 rows) takes the
+    multi-modular path, which loads numpy."""
     for args in LIGHT_COMMANDS:
         loaded = _modules_loaded_by(args, tmp_path)
         assert "w3lab.cli" in loaded
@@ -1046,13 +1047,16 @@ def test_exact_commands_start_without_numpy(tmp_path):
     samples.write_text(json.dumps([["225/7", "21/8", "5/16"],
                                    ["155/7", "17/8", "-3/16"]]))
     kac_verify = ["kac-verify", "--samples", str(samples), "--level"]
-    for args in (kac_verify + ["5"],
-                 ["gram", "--level", "5", "--c", "225/7", "--h", "21/8",
-                  "--w", "5/16"]):
-        loaded = _modules_loaded_by(args, tmp_path)
-        assert {"w3lab.verma", "w3lab.modular"} <= loaded, args
-        assert _numpy_modules(loaded) | (loaded & {"dataclasses"}) == set()
-    assert "numpy" in _modules_loaded_by(kac_verify + ["6"], tmp_path)
+    for level in ("5", "6"):
+        for args in (kac_verify + [level],
+                     ["gram", "--level", level, "--c", "225/7", "--h", "21/8",
+                      "--w", "5/16"]):
+            loaded = _modules_loaded_by(args, tmp_path)
+            assert {"w3lab.verma", "w3lab.modular"} <= loaded, args
+            assert _numpy_modules(loaded) | (loaded & {"dataclasses"}) \
+                == set(), args
+    assert "numpy" in _modules_loaded_by(
+        kac_verify + ["7", "--level-cap", "7"], tmp_path)
 
 
 @pytest.mark.parametrize("args", LIGHT_COMMANDS[1:])

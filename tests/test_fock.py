@@ -497,6 +497,18 @@ def test_weak_symmetry_holds_at_general_real_weights():
     assert rep["unpairedControlDefect"] > 1e-3
 
 
+def test_weak_symmetry_guards_the_cutoff(monkeypatch):
+    # modes up to +-3 take level 4 to level 7; no block is built past the guard
+    monkeypatch.setattr(Realization, "_block",
+                        lambda *args: pytest.fail("a block was built"))
+    for cutoff in (2, 6):
+        with pytest.raises(CutoffExceeded):
+            check_weak_symmetry(params(kappa=1.0, cutoff=cutoff), 3, 4)
+    monkeypatch.undo()
+    rep = check_weak_symmetry(params(kappa=1.0, cutoff=7), 3, 4)
+    assert rep["maxPairDefect"] < 1e-9
+
+
 def test_w_triple_solver():
     for (n1, n2, n3) in [(1, 0, -1), (3, 1, -2), (2, -1, -3)]:
         u, d = solve_w_triple(n1, n2, n3)

@@ -50,6 +50,9 @@ REMOVED = {
                     # one prepend rule, _prepended; the determinant over Q
                     # lives in modular
                     "_may_prepend", "rational_determinant"],
+    # one symmetric kernel, which takes its scales from rational_determinant
+    "w3lab.modular": ["bareiss_determinant", "BAREISS_MAX_N",
+                      "integer_determinant"],
     "w3lab.exact": ["BigRational", "_poly_exact_div", "_divide_poly_by_den",
                     "_scale_by_den", "_DEN_CONST", "_DEN_LIN"],
     "w3lab.fock": ["ModeOperator", "current_mode", "normal_power_mode",

@@ -492,23 +492,103 @@ def _random_rational_matrix(rng, n):
     return m
 
 
-@pytest.mark.parametrize("n", list(range(13)) + [modular.BAREISS_MAX_N,
-                                                 modular.BAREISS_MAX_N + 1])
+def _random_symmetric_rational_matrix(rng, n):
+    """D X D with X symmetric and signed and D diagonal, so the row and
+    column scales differ from row to row; a zero row and column now and
+    then."""
+    d = [Fraction(rng.choice([1, 2, 6, 35, 2 ** 40]),
+                  rng.choice([1, 3, 4, 9, 11])) for _ in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = d[i] * d[j] * Fraction(rng.randint(-5, 5),
+                                                       rng.randint(1, 6))
+    if n and rng.random() < 0.25:
+        i = rng.randrange(n)
+        m[i] = [Fraction(0)] * n
+        for row in m:
+            row[i] = Fraction(0)
+    return m
+
+
+@pytest.mark.parametrize("n", list(range(13)) + [modular.SYMMETRIC_MAX_N,
+                                                 modular.SYMMETRIC_MAX_N + 1])
 def test_rational_determinant_divides_out_the_content(n):
     """Dividing out the column and row gcds changes no determinant: against
-    the route that keeps them, and cofactor expansion up to 6 rows, on both
-    sides of the Bareiss / multi-modular size rule."""
+    the route that keeps them, and cofactor expansion up to 6 rows, for
+    general and symmetric matrices on both sides of the symmetric /
+    multi-modular size rule."""
     rng = random.Random(n)
-    for trial in range(8 if n <= 12 else 2):
-        m = _random_rational_matrix(rng, n)
-        if n and trial == 0:
-            m[-1] = [Fraction(0)] * n
-        det = rational_determinant([row[:] for row in m])
-        assert det == _unreduced_determinant(m)
-        if 1 <= n <= 6:
-            assert det == _cofactor_det(m)
-        if n == 0:
-            assert det == 1
+    for make in (_random_rational_matrix, _random_symmetric_rational_matrix):
+        for trial in range(8 if n <= 12 else 2):
+            m = make(rng, n)
+            if n and trial == 0:
+                m[-1] = [Fraction(0)] * n
+            det = rational_determinant([row[:] for row in m])
+            assert det == _unreduced_determinant(m)
+            if 1 <= n <= 6:
+                assert det == _cofactor_det(m)
+            if n == 0:
+                assert det == 1
+
+
+def _methods_called(monkeypatch):
+    """Record each call of the two integer methods, in order."""
+    calls = []
+    for name in ("symmetric_determinant", "multimodular_determinant"):
+        def spy(*args, _name=name, _f=getattr(modular, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(modular, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [modular.SYMMETRIC_MAX_N,
+                               modular.SYMMETRIC_MAX_N + 1])
+def test_rational_determinant_size_rule(n, monkeypatch):
+    """A symmetric matrix goes to the symmetric kernel up to
+    SYMMETRIC_MAX_N rows and to the multi-modular method above; a
+    non-symmetric one goes to the multi-modular method at any size."""
+    rng = random.Random(n)
+    m = _random_symmetric_rational_matrix(rng, n)
+    while rational_determinant(m) == 0:
+        m = _random_symmetric_rational_matrix(rng, n)
+    calls = _methods_called(monkeypatch)
+    rational_determinant(m)
+    assert calls == ["symmetric_determinant"
+                     if n <= modular.SYMMETRIC_MAX_N
+                     else "multimodular_determinant"]
+    calls.clear()
+    m[0][1] += 1
+    rational_determinant(m)
+    assert calls == ["multimodular_determinant"]
+
+
+def _symmetric_rational(draw_entries, d, q):
+    """The symmetric matrix with entry (i, j) = x_ij d_i d_j / (q_i q_j)."""
+    n = len(d)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    it = iter(draw_entries)
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = Fraction(next(it) * d[i] * d[j], q[i] * q[j])
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(st.just(0), st.integers(-2 ** 40, 2 ** 40)),
+             min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2),
+    st.lists(st.sampled_from([1, 2, 3, 10, 2 ** 30]), min_size=n,
+             max_size=n),
+    st.lists(st.integers(1, 97), min_size=n, max_size=n, unique=True))))
+def test_symmetric_determinant_property(data):
+    """Symmetric rational matrices with distinct row denominators, signed
+    entries and zeros (so zero pivots, swaps and the fallback all occur):
+    the kernel's determinant equals Bareiss over Z on the scaled rows."""
+    m = _symmetric_rational(*data)
+    assert rational_determinant([row[:] for row in m]) == \
+        _unreduced_determinant(m)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +642,20 @@ def _bareiss_z(m):
     return sign * m[n - 1][n - 1]
 
 
-# the entry point, which picks a method by size, and both methods directly
-DETERMINANTS = (modular.integer_determinant, modular.bareiss_determinant,
-                modular.multimodular_determinant)
+def _symmetric_kernel(m):
+    """The symmetric kernel with unit ratios; None unless m is symmetric."""
+    if all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i)):
+        return modular.symmetric_determinant(m, [1] * len(m))
+    return None
+
+
+# both integer methods, each on the matrices it takes
+DETERMINANTS = (_symmetric_kernel, modular.multimodular_determinant)
 
 
 def _det(m):
     """The determinant every method gives; they must all agree."""
-    values = {f(m) for f in DETERMINANTS}
+    values = {f(m) for f in DETERMINANTS} - {None}
     assert len(values) == 1, (m, values)
     return values.pop()
 
@@ -584,11 +670,16 @@ def _random_integer_matrix(rng, n):
              for _ in range(n)] for _ in range(n)]
 
 
+def _symmetrized(m):
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
+
+
 def test_integer_determinant_random_matrices():
     rng = random.Random(5)
     for _ in range(150):
-        _check_integer_determinant(_random_integer_matrix(
-            rng, rng.randint(1, 12)))
+        m = _random_integer_matrix(rng, rng.randint(1, 12))
+        _check_integer_determinant(m)
+        _check_integer_determinant(_symmetrized(m))
 
 
 def test_determinant_methods_against_cofactor_expansion():
@@ -599,13 +690,18 @@ def test_determinant_methods_against_cofactor_expansion():
             assert _det(m) == _cofactor_det(m), m
 
 
-@pytest.mark.parametrize("n", [modular.BAREISS_MAX_N,
-                               modular.BAREISS_MAX_N + 1])
+@pytest.mark.parametrize("n", [modular.SYMMETRIC_MAX_N,
+                               modular.SYMMETRIC_MAX_N + 1])
 def test_determinant_methods_at_the_size_rule(n):
+    """Symmetric matrices on both sides of SYMMETRIC_MAX_N: the two methods
+    agree (Bareiss over Z takes seconds at this size)."""
     rng = random.Random(n)
-    _check_integer_determinant(_random_integer_matrix(rng, n))
-    singular = _random_integer_matrix(rng, n)
+    assert _det(_symmetrized(_random_integer_matrix(rng, n))) != 0
+    singular = _symmetrized(_random_integer_matrix(rng, n))
     singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[1])]
+    for row in singular:
+        row[-1] = 2 * row[0] - row[1]
+    assert _symmetric_kernel(singular) is not None
     assert _det(singular) == 0
     # a zero pivot at every step: the anti-diagonal permutation
     flip = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
@@ -653,6 +749,57 @@ def test_integer_determinant_cases():
     _check_integer_determinant(m)
 
 
+def test_symmetric_determinant_cases(monkeypatch):
+    calls = _methods_called(monkeypatch)
+
+    def det(m, ratios=None, fallback=False):
+        calls.clear()
+        d = modular.symmetric_determinant(m, ratios or [1] * len(m))
+        assert calls == (["symmetric_determinant"]
+                         + ["multimodular_determinant"] * fallback), m
+        return d
+
+    # 0 x 0 and 1 x 1
+    assert det([]) == 1
+    assert det([[-7]]) == -7
+    assert det([[0]]) == 0
+    # a negative determinant
+    assert det([[2, 3], [3, 1]]) == -7
+    # zero leading minors: a symmetric swap at the first and second step
+    assert det([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) == -1
+    assert det([[1, 1, 2], [1, 1, 3], [2, 3, 5]]) == -1
+    # singular, with no numpy: a repeated row and column, a zero row and
+    # column, and a rank-1 matrix whose trailing block is all zero
+    assert det([[1, 2, 1], [2, 5, 2], [1, 2, 1]]) == 0
+    assert det([[0, 0, 0], [0, 2, 1], [0, 1, 3]]) == 0
+    assert det([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
+    # no nonzero diagonal entry left: the multi-modular fallback
+    assert det([[0, 1], [1, 0]], fallback=True) == -1
+    assert det([[1, 1, 2], [1, 1, 3], [2, 3, 4]], fallback=True) == -1
+    hollow = [[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]]
+    assert det(hollow, fallback=True) == _cofactor_det(hollow)
+    # a swap with scales that differ: m = R G C for G = [[0, 1, 2], [1, 0,
+    # 1], [2, 1, 1]], R = diag(1, 6, 5), C = diag(3, 2, 7): m[j][i] =
+    # m[i][j] * ratios[j] / ratios[i] with ratios = R / C = (1/3, 3, 5/7)
+    g = [[0, 1, 2], [1, 0, 1], [2, 1, 1]]
+    r, c = [1, 6, 5], [3, 2, 7]
+    m = [[r[i] * g[i][j] * c[j] for j in range(3)] for i in range(3)]
+    ratios = [Fraction(x, y) for x, y in zip(r, c)]
+    assert det(m, ratios) == _cofactor_det(m) == 3 * (1 * 6 * 5) * (3 * 2 * 7)
+    # a rational Gram-like matrix whose second pivot vanishes after step 1
+    calls.clear()
+    q = [[Fraction(1, 2), Fraction(1, 6), Fraction(2, 7)],
+         [Fraction(1, 6), Fraction(1, 18), Fraction(3, 5)],
+         [Fraction(2, 7), Fraction(3, 5), Fraction(-4, 11)]]
+    assert rational_determinant(q) == _cofactor_det(q)
+    assert calls == ["symmetric_determinant"]
+    # a non-symmetric input goes to the multi-modular method
+    calls.clear()
+    assert rational_determinant([[Fraction(1), Fraction(2)],
+                                 [Fraction(3), Fraction(4)]]) == -2
+    assert calls == ["multimodular_determinant"]
+
+
 def test_primes_are_distinct_primes_below_2_24():
     primes = modular.primes(3000).tolist()
     assert len(set(primes)) == 3000
@@ -666,13 +813,26 @@ def test_rational_determinant_of_point_grams_matches_bareiss():
     for pt in POINTS:
         for n in (3, 5):
             rows = gram_matrix(n, ring=point_ring(*pt)).entries
-            scaled, scale = [], 1
-            for row in rows:
-                s = math.lcm(*(x.denominator for x in row))
-                scaled.append([int(x * s) for x in row])
-                scale *= s
-            assert rational_determinant(rows) == Fraction(
-                _bareiss_z(scaled), scale)
+            assert rational_determinant(rows) == _unreduced_determinant(rows)
+
+
+def test_point_grams_take_the_symmetric_kernel(monkeypatch):
+    """At levels 1-6 (at most SYMMETRIC_MAX_N rows) the point Gram's
+    determinant comes from the symmetric kernel alone and equals the
+    multi-modular determinant of its scaled rows."""
+    multimodular = modular.multimodular_determinant
+    calls = _methods_called(monkeypatch)
+    for pt in POINTS:
+        for n in range(1, 7):
+            rows = gram_matrix(n, ring=point_ring(*pt)).entries
+            assert len(rows) <= modular.SYMMETRIC_MAX_N
+            calls.clear()
+            det = rational_determinant(rows)
+            assert calls == ["symmetric_determinant"], (pt, n)
+            scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+            assert det == Fraction(multimodular(
+                [[int(x * s) for x in row] for row, s in zip(rows, scales)]),
+                math.prod(scales))
 
 
 def test_gram_matrix_builds_any_level():
