@@ -5,13 +5,13 @@ content (each column's gcd, then each row's, multiplied back exactly), so
 the integer matrix it takes the determinant of has content 1.  A symmetric
 matrix of up to ``SYMMETRIC_MAX_N`` rows stays symmetric up to those row
 and column scales, and its determinant is taken by symmetric fraction-free
-(Bareiss) elimination over Z in pure Python, which eliminates only the
-upper triangle, so these determinants load no numpy.  Any other is taken
-modulo many primes below 2^24, each by Gaussian elimination in numpy int64
-with the primes side by side, and rebuilt by the Chinese remainder
-theorem; Hadamard's bound fixes how many primes are needed, so that result
-is exact and deterministic too.  numpy is imported only on the
-multi-modular path.
+(Bareiss) elimination over Z in pure Python, over the upper triangle
+only.  Any other, and one whose elimination meets a hollow trailing block
+of 3 or more rows, is taken modulo many primes below 2^24, each by
+Gaussian elimination in numpy int64 with the primes side by side, and
+rebuilt by the Chinese remainder theorem; Hadamard's bound fixes how many
+primes are needed, so that result is exact and deterministic too.  numpy
+is imported only on this multi-modular path.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import List
 # and about 15 MB of peak memory.  On the leading blocks of the level-7
 # Gram the two paths break even, import included, near n = 75 (0.21 vs
 # 0.14 s there, 0.15 vs 0.12 s at n = 70, 0.29 vs 0.17 s at n = 80).  The
-# Gram dimensions jump from 65 (level 6) to 110 (level 7), so the Grams of
-# levels 1-6 load no numpy.
+# Gram dimensions jump from 65 (level 6) to 110 (level 7), so no Gram of
+# levels 1-6 goes to numpy by its size.
 SYMMETRIC_MAX_N = 65
 
 # Primes for the multi-modular determinant lie in (2^23, 2^24): each carries
@@ -122,16 +122,15 @@ def det_mod(limbs: "np.ndarray", neg: "np.ndarray", moduli: "np.ndarray"
 def rational_determinant(rows: List[List[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix.
 
-    Each row is scaled to integers by the lcm of its denominators.  Then
-    the content is divided out: each column's gcd, then each row's gcd, so
-    that det = (product of the gcds) x det of the reduced matrix, whose
-    entries are smaller; a zero row or column (gcd 0) gives 0.  A symmetric
-    matrix of at most ``SYMMETRIC_MAX_N`` rows has its reduced determinant
-    taken by ``symmetric_determinant``, any other by
-    ``multimodular_determinant``; it is multiplied back by the gcds and
-    divided by the product of the scales.  At a level-5 point Gram the
-    content reduction takes the integer determinant from about 1,960 to
-    1,340 bits.
+    Each row is scaled to integers by the lcm of its denominators.  Then the
+    content is divided out: each column's gcd, then each row's gcd, so that
+    det = (product of the gcds) x det of the reduced matrix, whose entries
+    are smaller; a zero row or column (gcd 0) gives 0.  A symmetric matrix
+    of at most ``SYMMETRIC_MAX_N`` rows has its reduced determinant taken by
+    ``symmetric_determinant``, any other by ``multimodular_determinant``; it
+    is multiplied back by the gcds and divided by the product of the scales.
+    At a level-5 point Gram the content reduction takes the integer
+    determinant from about 1,960 to 1,340 bits.
     """
     ints, scales = [], []
     for row in rows:
@@ -169,13 +168,14 @@ def symmetric_determinant(m: List[List[int]],
     is exact.  The minors of m = R G C, G symmetric and R, C diagonal, keep
     its symmetry up to the same scales, so only the upper triangle is
     eliminated; the one lower entry a row needs per step, its multiplier,
-    is the upper one times ratios[i] / ratios[k].  A zero pivot is replaced
-    symmetrically: row and column k trade places with those of a later
+    is the upper one times ratios[i] / ratios[k].  A pivot divides only in
+    the step after its own, so the last one, at step n - 2, may be 0.  An
+    earlier zero pivot is replaced: a zero row k of the trailing block
+    gives 0; otherwise row and column k trade places with those of a later
     nonzero diagonal entry, and so do their ratios, which leaves the
     determinant unchanged, as does taking the rows and columns in order of
-    their largest entry first.  With no nonzero diagonal entry left, a
-    zero trailing block gives 0 and any other goes to
-    ``multimodular_determinant``.
+    their largest entry first; with none left, a hollow trailing block of
+    3 or more rows, ``multimodular_determinant`` takes m.
     """
     n = len(m)
     # smallest rows first: the leading minors, and so every entry of the
@@ -190,12 +190,12 @@ def symmetric_determinant(m: List[List[int]],
 
     prev = 1
     for k in range(n - 1):
-        if not a[k][k]:
+        if not a[k][k] and k < n - 2:
+            if not any(a[k][k:]):  # so is column k, up to the ratios
+                return 0
             swap = next((i for i in range(k + 1, n) if a[i][i]), None)
             if swap is None:
-                if any(any(a[i][i:]) for i in range(k, n)):
-                    return multimodular_determinant(m)
-                return 0
+                return multimodular_determinant(m)
             # the lower triangle of the trailing block, for the full swap
             for i in range(k + 1, n):
                 for j in range(k, i):

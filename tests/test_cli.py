@@ -210,6 +210,21 @@ def test_gram_unwritable_cache_still_answers(runner, tmp_path, monkeypatch):
     assert blocker.read_text() == ""
 
 
+def test_gram_cache_path_taken_by_a_directory(runner, tmp_path):
+    """The cache file cannot replace a directory: the Gram is printed all
+    the same, and the temporary file written beside it is removed."""
+    args = ["gram", "--level", "2", "--symbolic"]
+    expected = runner(args).stdout
+    cli._cache_path(2).unlink()
+    cli._cache_path(2).mkdir()
+    res = runner(args)
+    assert res.exit_code == 0
+    assert res.stdout == expected
+    assert cli._cache_path(2).is_dir()
+    assert [p.name for p in cli._cache_path(2).parent.iterdir()] == \
+        ["gram-2-symbolic.json"]
+
+
 def test_exit_codes_name_the_library_exceptions():
     # the table is keyed by class name; a renamed class would otherwise
     # turn its exit code into a traceback
@@ -988,6 +1003,16 @@ def test_non_finite_fock_inputs_rejected(runner, args):
     assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
+@pytest.mark.parametrize("option", ["--kappa", "--q1", "--eta-im"])
+def test_non_numeric_fock_inputs_rejected(runner, option):
+    res = runner(["fz-check", option, "abc"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "BadArguments",
+        "message": f"argument {option}: 'abc' is not a number"}
+
+
 # Prints, after the command's own output, every module that importing the
 # CLI and running one command loads in this fresh interpreter (what the
 # interpreter's start-up loaded is left out).
@@ -1057,6 +1082,22 @@ def test_exact_commands_start_without_numpy(tmp_path):
                 == set(), args
     assert "numpy" in _modules_loaded_by(
         kac_verify + ["7", "--level-cap", "7"], tmp_path)
+
+
+def test_vacuum_line_commands_start_without_numpy(runner, tmp_path):
+    """On the vacuum line h = 0 the level-1 Gram's last pivot is 0; it
+    divides nothing, so the symmetric kernel keeps it and these commands
+    load no numpy."""
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps([["50", "0", "1"], ["30", "0", "2"]]))
+    gram = ["gram", "--level", "1", "--c", "50", "--h", "0", "--w", "1"]
+    kac_verify = ["kac-verify", "--level", "1", "--samples", str(samples)]
+    assert json.loads(runner(gram).stdout)["determinant"] == "-9"
+    assert json.loads(runner(kac_verify).stdout)["constant"] == "9"
+    for args in (gram, kac_verify):
+        loaded = _modules_loaded_by(args, tmp_path)
+        assert "w3lab.modular" in loaded, args
+        assert _numpy_modules(loaded) == set(), args
 
 
 @pytest.mark.parametrize("args", LIGHT_COMMANDS[1:])

@@ -139,6 +139,21 @@ def test_serialization_round_trip():
     assert str(ONE) == "1"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("c +", "empty term in 'c +'"),
+    ("x", "cannot parse scalar at ...'x'"),
+])
+def test_parse_scalar_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_scalar(text)
+    assert str(err.value) == message
+
+
+def test_negative_denominator_power_is_rejected():
+    with pytest.raises(ValueError, match="denom_power must be nonnegative"):
+        ExactScalar({}, -1)
+
+
 def test_pow():
     assert (C + ONE) ** 3 == (C + ONE) * (C + ONE) * (C + ONE)
     assert (H ** 0) == ONE

@@ -10,6 +10,7 @@ from kac_reference import brute_force_bicolored
 from w3lab import modular, verma
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE, W, ZERO, scalar)
 from w3lab.exact import PoleAtForbiddenCentralCharge
+from w3lab.kac import kac_closed_form_exact
 from w3lab.modular import rational_determinant
 from w3lab.verma import (GramMatrix, ModeWord, OMEGA,
                          determinant, determinant_at, enumerate_basis,
@@ -50,6 +51,11 @@ def test_enumerate_basis_counts_match_p2():
         assert len(enumerate_basis(n)) == brute_force_bicolored(n)
 
 
+def test_enumerate_basis_rejects_a_negative_level():
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        enumerate_basis(-1)
+
+
 def test_mode_word_validation():
     with pytest.raises(ValueError):
         ModeWord((2, 1), ())
@@ -57,6 +63,8 @@ def test_mode_word_validation():
         ModeWord((), (0,))
     assert ModeWord.from_label("L-2 L-1 W-3") == ModeWord((1, 2), (3,))
     assert ModeWord.from_label("1") == OMEGA
+    with pytest.raises(ValueError, match="negative mode index in 'L1'"):
+        ModeWord.from_label("L1")
 
 
 # ---------------------------------------------------------------------------
@@ -765,19 +773,28 @@ def test_symmetric_determinant_cases(monkeypatch):
     assert det([[0]]) == 0
     # a negative determinant
     assert det([[2, 3], [3, 1]]) == -7
-    # zero leading minors: a symmetric swap at the first and second step
+    # a zero leading minor: a symmetric swap at the first step
     assert det([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) == -1
+    # the last pivot (step n - 2) divides nothing, so a zero one is kept:
+    # no swap, and no fallback with no nonzero diagonal entry left
     assert det([[1, 1, 2], [1, 1, 3], [2, 3, 5]]) == -1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 1, 2], [1, 1, 3], [2, 3, 4]]) == -1
     # singular, with no numpy: a repeated row and column, a zero row and
-    # column, and a rank-1 matrix whose trailing block is all zero
+    # column, a rank-1 matrix whose trailing block is all zero, and a zero
+    # row of the trailing block at the second of three steps
     assert det([[1, 2, 1], [2, 5, 2], [1, 2, 1]]) == 0
     assert det([[0, 0, 0], [0, 2, 1], [0, 1, 3]]) == 0
     assert det([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
-    # no nonzero diagonal entry left: the multi-modular fallback
-    assert det([[0, 1], [1, 0]], fallback=True) == -1
-    assert det([[1, 1, 2], [1, 1, 3], [2, 3, 4]], fallback=True) == -1
+    assert det([[1, 2, 3, 4], [2, 4, 6, 8], [3, 6, 10, 1], [4, 8, 1, 7]]) == 0
+    # a zero row k gives 0 before any search, even with a hollow rest
+    assert det([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) == 0
+    # a hollow trailing block of 3 or more rows: the multi-modular
+    # fallback, at the first step and at the second
     hollow = [[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]]
-    assert det(hollow, fallback=True) == _cofactor_det(hollow)
+    assert det(hollow, fallback=True) == _cofactor_det(hollow) == -224
+    hollow = [[1, 1, 2, 3], [1, 1, 5, 6], [2, 5, 4, 7], [3, 6, 7, 9]]
+    assert det(hollow, fallback=True) == _cofactor_det(hollow) == 18
     # a swap with scales that differ: m = R G C for G = [[0, 1, 2], [1, 0,
     # 1], [2, 1, 1]], R = diag(1, 6, 5), C = diag(3, 2, 7): m[j][i] =
     # m[i][j] * ratios[j] / ratios[i] with ratios = R / C = (1/3, 3, 5/7)
@@ -786,7 +803,14 @@ def test_symmetric_determinant_cases(monkeypatch):
     m = [[r[i] * g[i][j] * c[j] for j in range(3)] for i in range(3)]
     ratios = [Fraction(x, y) for x, y in zip(r, c)]
     assert det(m, ratios) == _cofactor_det(m) == 3 * (1 * 6 * 5) * (3 * 2 * 7)
-    # a rational Gram-like matrix whose second pivot vanishes after step 1
+    # the same at the second of three steps: the leading 2 x 2 minor of G
+    # vanishes, and the scales keep the rows in their order
+    g = [[1, 1, 1, 1], [1, 1, 2, 1], [1, 2, 3, 2], [1, 1, 2, 5]]
+    r, c = [1, 2, 3, 4], [2, 1, 1, 3]
+    m = [[r[i] * g[i][j] * c[j] for j in range(4)] for i in range(4)]
+    ratios = [Fraction(x, y) for x, y in zip(r, c)]
+    assert det(m, ratios) == _cofactor_det(m) == -4 * (1 * 2 * 3 * 4) * 6
+    # a rational Gram-like matrix whose second pivot, the last, vanishes
     calls.clear()
     q = [[Fraction(1, 2), Fraction(1, 6), Fraction(2, 7)],
          [Fraction(1, 6), Fraction(1, 18), Fraction(3, 5)],
@@ -798,6 +822,33 @@ def test_symmetric_determinant_cases(monkeypatch):
     assert rational_determinant([[Fraction(1), Fraction(2)],
                                  [Fraction(3), Fraction(4)]]) == -2
     assert calls == ["multimodular_determinant"]
+
+
+# The paper's special points, where Grams have zero pivots: the vacuum
+# line h = 0, minimal-model and Kac-curve central charges, and F4's point
+SPECIAL_POINTS = [(Fraction(c), Fraction(h), Fraction(w))
+                  for c in (50, 2, 0, 98, "353/7", -2, "4/5", 1, "25/3")
+                  for h in (0, "1/3", 1, "23/4") for w in (0, 1, "-2/7")]
+SPECIAL_POINTS.append((Fraction(50), Fraction(23, 4), Fraction(23, 12)))
+
+# det(Gram_N) / closed form at levels 1-4
+KAC_CONSTANTS = {1: 9, 2: 104976, 3: 650717652052224,
+                 4: 1638617745884520252808573732018364350464}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_special_point_grams_need_no_fallback(level, monkeypatch):
+    """At each special point the Gram determinant equals Bareiss over Z on
+    the scaled rows and C_N times the closed form, and the symmetric kernel
+    takes every Gram with no multi-modular fallback (levels 5 and 6 give
+    the same; they take too long for the suite)."""
+    calls = _methods_called(monkeypatch)
+    for pt in SPECIAL_POINTS:
+        g = gram_matrix(level, point_ring(*pt)).entries
+        assert rational_determinant(g) == _unreduced_determinant(g) == \
+            KAC_CONSTANTS[level] * kac_closed_form_exact(level, *pt), pt
+    # a Gram with a zero row (at h = w = 0) is 0 before any kernel is called
+    assert set(calls) == {"symmetric_determinant"}
 
 
 def test_primes_are_distinct_primes_below_2_24():
