@@ -24,9 +24,9 @@ raised before any block is built.  Each command imports what it uses, so
 ``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
 and no third-party package.  As a process (``entry``) a command runs
 without cyclic garbage collection and skips interpreter teardown.  The
-symbolic ``gram`` writes the JSON it prints to a cache file, described at
-``cmd_gram``; no command reads it.  A rational input may have at most
-MAX_DIGITS digits, checked by ``_fraction``.
+symbolic ``gram`` prints ``GramMatrix.to_json()`` and writes the same text
+to a cache file, described at ``cmd_gram``; no command reads it.  A
+rational input may have at most MAX_DIGITS digits, checked by ``_fraction``.
 """
 
 from __future__ import annotations
@@ -228,11 +228,12 @@ def cmd_gram(args):
     Z[1/D] with D the lcm of the point's denominators, those of
     16/(22+5c) and 720, and printed as reduced rationals with its exact
     determinant (modular.rational_determinant).  With none of them the
-    symbolic matrix is built and printed, and its JSON, what --format json
-    prints, is written to gram-N-symbolic.json in $W3LAB_CACHE_DIR (skipped
-    when that fails); no command reads it.
-    Some but not all of the three, a point with --symbolic, and a point
-    with --format pretty are BadArguments.
+    symbolic matrix is built, and its one text, ``GramMatrix.to_json()``
+    and a newline, is printed and written to gram-N-symbolic.json in
+    $W3LAB_CACHE_DIR (skipped when that fails): the text
+    ``GramMatrix.from_json`` reads.  No command reads the file.
+    Some but not all of the three, and a point with --symbolic, are
+    BadArguments.
     """
     from . import modular, verma
     level, point = args.level, (args.c, args.h, args.w)
@@ -241,21 +242,14 @@ def cmd_gram(args):
         _fail(1, "BadArguments", "--c/--h/--w must be given together")
     if given and args.symbolic:
         _fail(1, "BadArguments", "--symbolic takes no --c/--h/--w")
-    if given and args.format != "json":
-        _fail(1, "BadArguments", "a Gram at a point is printed as json only")
     _check_level(args)
     if not given:
-        payload = verma.gram_matrix(level).payload()
-        text = json.dumps(payload, indent=2) + "\n"
+        text = verma.gram_matrix(level).to_json() + "\n"
         try:
             _atomic_write(_cache_path(level), text)
         except OSError:
             pass  # the answer does not depend on the file
-        if args.format == "json":
-            sys.stdout.write(text)
-        else:
-            for label, row in zip(payload["basis"], payload["entries"]):
-                print(f"{label:16s} " + "  ".join(row))
+        sys.stdout.write(text)
         return
     g = verma.gram_matrix(level, verma.point_ring(*point))
     payload = {
@@ -482,9 +476,8 @@ def build_parser() -> _Parser:
     for name in ("--c", "--h", "--w"):
         p.add_argument(name, type=_rational)
     p.add_argument("--symbolic", action="store_true",
-                   help="print symbolic entries")
+                   help="the symbolic Gram, the default without --c/--h/--w")
     p.add_argument("--level-cap", type=NONNEGATIVE, default=LEVEL_CAP)
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
 
     p = command("kac-verify", cmd_kac_verify)
     p.add_argument("--level", type=NONNEGATIVE, required=True)

@@ -466,9 +466,6 @@ class Realization:
         stored = self._blocks[key]
         return None if stored is None else stored.dense()
 
-    def _then(self, spec: Tuple, blk: Optional[Block]) -> Optional[Block]:
-        return _FOCK.compose(lambda u: self._block(spec, u), blk)
-
     def _assemble(self, n: int, rows: List[Row], level: int
                   ) -> Optional[_Sparse]:
         """Mode n of sum over rows c * F1 F2 on V_level.
@@ -564,7 +561,7 @@ def _field(real: Realization, kind: str, idx: int, lev: int
     for q, modes in lambda_terms(idx, lev):
         blk = real._block(("L", modes[-1]), lev)
         for k in reversed(modes[:-1]):
-            blk = real._then(("L", k), blk)
+            blk = _FOCK.compose(partial(real._block, ("L", k)), blk)
         terms.append((float(q), blk))
     return _FOCK.combine(terms)
 
@@ -618,9 +615,10 @@ def check_w3_relations(variant: str, params: RealizationParams,
                     # once, in the half worstCase.pair has always printed
                     if x == y and (m > n if x == "L" else m < n):
                         continue
-                    xy = real._then((x, m), field(y, n)[0])
-                    yx = (xy if (x, m) == (y, n) else
-                          real._then((y, n), field(x, m)[0]))
+                    xy = _FOCK.compose(partial(real._block, (x, m)),
+                                       field(y, n)[0])
+                    yx = (xy if (x, m) == (y, n) else _FOCK.compose(
+                        partial(real._block, (y, n)), field(x, m)[0]))
                     rhs = [(-coef, *field(kind, idx))
                            for coef, kind, idx in bracket(x, m, y, n, ring)]
                     scale = max(scale, _max_abs(xy), _max_abs(yx),
@@ -632,8 +630,10 @@ def check_w3_relations(variant: str, params: RealizationParams,
 
     # central charge extraction from <O, [L2, L-2] O> = 4h + c/2
     comm = _FOCK.combine(
-        [(1, real._then(("L", 2), real._block(("L", -2), 0))),
-         (-1, real._then(("L", -2), real._block(("L", 2), 0)))])
+        [(1, _FOCK.compose(partial(real._block, ("L", 2)),
+                           real._block(("L", -2), 0))),
+         (-1, _FOCK.compose(partial(real._block, ("L", -2)),
+                            real._block(("L", 2), 0)))])
     def vev(blk):  # <O, X O> from the block of X on level 0
         return complex(blk[2][0, 0]) if blk and blk[0] == 0 else 0j
 
@@ -817,7 +817,8 @@ def cyclic_gram(variant: str, params: RealizationParams,
     vecs[0, 0] = 1.0  # the empty word
     for (gen, n, top), pairs in groups.items():  # by word level
         cols, srcs = map(list, zip(*pairs))
-        blk = real._then((gen, n), (0, top, vecs[:_FOCK.cum(top + 1), srcs]))
+        blk = _FOCK.compose(partial(real._block, (gen, n)),
+                            (0, top, vecs[:_FOCK.cum(top + 1), srcs]))
         if blk is not None:  # None: null vectors such as L_-1 Omega
             lo, hi, m = blk
             vecs[_FOCK.cum(lo):_FOCK.cum(hi + 1), cols] = m

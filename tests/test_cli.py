@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,13 +58,6 @@ def test_gram_point_takes_no_symbolic_or_pretty_output(runner, extra):
     assert res.exit_code == 1
     assert res.stdout == ""
     assert json.loads(res.stderr)["error"] == "BadArguments"
-
-
-def test_gram_pretty_format(runner):
-    res = runner(["gram", "--level", "1", "--symbolic",
-                  "--format", "pretty"])
-    assert res.exit_code == 0
-    assert "L-1" in res.stdout and "3*w" in res.stdout
 
 
 def test_kac_verify_requires_point_source(runner):
@@ -134,11 +129,13 @@ def test_gram_cached_level_above_cap_is_refused(runner):
 def test_gram_cache_file_holds_the_printed_json(runner):
     printed = runner(["gram", "--level", "1"]).stdout
     assert cli._cache_path(1).read_text() == printed
-    # the pretty format prints a table, and the file still holds the JSON
-    cli._cache_path(1).unlink()
+    # one text: GramMatrix.to_json, which from_json reads back
+    assert printed == verma.gram_matrix(1).to_json() + "\n"
+    assert verma.GramMatrix.from_json(printed).to_json() + "\n" == printed
+    # there is no other format
     res = runner(["gram", "--level", "1", "--format", "pretty"])
-    assert res.exit_code == 0 and res.stdout != printed
-    assert cli._cache_path(1).read_text() == printed
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
 def test_gram_cache_rehashed_edited_entries_never_reach_the_output(runner):
@@ -231,6 +228,19 @@ def test_exit_codes_name_the_library_exceptions():
     assert set(cli.EXIT_CODES) == {
         exact.PoleAtForbiddenCentralCharge.__name__,
         kac.DegenerateSample.__name__, fock.CutoffExceeded.__name__}
+
+
+def test_exceptions_outside_the_table_propagate(monkeypatch):
+    """An exception that EXIT_CODES does not name is a fault, not a
+    verdict: main re-raises it and writes no JSON error."""
+    def broken(*args):
+        raise RuntimeError("not a library error")
+    monkeypatch.setattr(cli, "run_classify", broken)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(RuntimeError, match="not a library error"):
+        cli.main(["classify", "--c", "50", "--h", "0", "--w", "1"])
+    assert out.getvalue() == err.getvalue() == ""
 
 
 def test_point_commands_leave_the_cache_alone(runner, tmp_path):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from w3lab.exact import (B_SQUARED, C, ExactScalar, H, ONE,
-                         PoleAtForbiddenCentralCharge, W, ZERO, parse_scalar,
-                         scalar)
+                         PoleAtForbiddenCentralCharge, W, ZERO,
+                         parse_rational, parse_scalar, scalar)
 
 DEN = ExactScalar({(1, 0, 0): Fraction(5), (0, 0, 0): Fraction(22)})
 
@@ -147,6 +147,18 @@ def test_parse_scalar_rejects_malformed_text(text, message):
     with pytest.raises(ValueError) as err:
         parse_scalar(text)
     assert str(err.value) == message
+
+
+def test_parse_rational_strips_blanks():
+    assert parse_rational(" 3/4 ") == Fraction(3, 4)
+
+
+def test_repr_and_foreign_operands():
+    assert repr(ONE) == "ExactScalar(1)"
+    for op in (lambda x: ONE + x, lambda x: ONE - x, lambda x: ONE * x):
+        with pytest.raises(TypeError):
+            op("x")
+    assert (ONE == "x") is False
 
 
 def test_negative_denominator_power_is_rejected():

@@ -2,6 +2,7 @@ import collections
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -397,8 +398,10 @@ def test_swapped_pair_residual_is_the_exact_negative(variant):
     ring = verma.Ring(1.0, 0.0, p.central_charge, 0.0, 0.0, p.b ** 2, float)
 
     def residual(x, m, n, lev):
-        terms = [(1, real._then((x, m), fock._field(real, x, n, lev))),
-                 (-1, real._then((x, n), fock._field(real, x, m, lev)))]
+        terms = [(1, fock._FOCK.compose(partial(real._block, (x, m)),
+                                        fock._field(real, x, n, lev))),
+                 (-1, fock._FOCK.compose(partial(real._block, (x, n)),
+                                         fock._field(real, x, m, lev)))]
         terms += [(-c, fock._field(real, kind, idx, lev))
                   for c, kind, idx in verma.bracket(x, m, x, n, ring)]
         return fock._FOCK.combine(terms)

@@ -125,8 +125,9 @@ def test_removed_members_are_gone():
     assert "margin" not in inspect.signature(fock.cyclic_gram).parameters
     # callers write a block at its own levels and cut rows themselves
     assert not hasattr(fock._Graded, "rows_upto")
-    # _normal_product composes with the current's blocks directly
+    # blocks are composed by _Graded.compose directly, with no wrapper
     assert not hasattr(fock._Current, "_then")
+    assert not hasattr(fock.Realization, "_then")
     from w3lab import kac
     assert "level_cap" not in inspect.signature(verma.gram_matrix).parameters
     assert "level_cap" not in inspect.signature(

@@ -860,6 +860,13 @@ def test_primes_are_distinct_primes_below_2_24():
         assert all(r % d for d in range(2, int(r ** 0.5) + 1))
 
 
+def test_primes_end_at_2_23():
+    """Block 127 is the last whose primes lie above 2^23."""
+    assert modular._prime_block(127).min() > 2 ** 23
+    with pytest.raises(OverflowError, match="ran out of primes"):
+        modular._prime_block(128)
+
+
 def test_rational_determinant_of_point_grams_matches_bareiss():
     for pt in POINTS:
         for n in (3, 5):
