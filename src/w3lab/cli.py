@@ -120,7 +120,8 @@ def _atomic_write(path, text: str) -> None:
 def _fraction(text: str) -> Fraction:
     """Fraction(text), refused with an ArgumentTypeError before any integer
     is formed when the digits of the text plus its decimal exponent number
-    more than MAX_DIGITS, so that no input runs for minutes."""
+    more than MAX_DIGITS.  That bounds the text of an input, not the work
+    it causes: the entries of a point Gram grow like h^N."""
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     digits = sum(map(str.isdecimal, mantissa))
@@ -310,7 +311,9 @@ def cmd_kac_verify(args):
     Z[1/D], D the lcm of the point's denominators, those of 16/(22+5c) and
     720, and its exact determinant taken (modular.rational_determinant).
     The verdict is ok iff the ratio det / product is the same positive
-    rational at every point.  --seed (default 0) goes with --random only.
+    rational at every point.  ``constantIsProduct`` says whether every ratio
+    equals kac.kac_constant(N); the verdict does not read it.  --seed
+    (default 0) goes with --random only.
     """
     from . import kac
     if args.samples:

@@ -7,12 +7,10 @@ constant, as
 
 where P2 is the bicolored partition counting function and f_mn is built from
 alpha_pm^2 = (50 - c +- sqrt((2-c)(98-c))) / 192.  For m != n the two factors
-f_mn, f_nm are algebraic conjugates; their sum and product are rational, so
-the paired products are evaluated exactly in the quadratic extension
-Q(sqrt(D)) with D = (2-c)(98-c)/96^2.  Every quantity here is exact: the same
-code runs with Fraction coefficients (numeric points) and ExactScalar
-coefficients (fully symbolic).  The float route through complex alpha_pm^2
-is kept only as the tests' independent reference (tests/kac_reference.py).
+f_mn, f_nm are algebraic conjugates; their sum and product are rational.
+``_kac_factor`` writes each factor, paired or diagonal, in integers; the
+symbolic product runs the same code on ExactScalars.  The tests' independent
+references are in tests/kac_reference.py.
 
 Two normalization conventions for the first-level factor circulate,
 differing by a factor 2; the exact level-1 Gram determinant equals
@@ -24,8 +22,9 @@ only the former is the true vanishing locus of the determinant.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Any, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import modular, verma
 from .classify import _check_pole
@@ -37,27 +36,38 @@ class DegenerateSample(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# f_mn in the quadratic extension
+# one Kac factor in integers
 # ---------------------------------------------------------------------------
 
-def _f_mn_ext(m: int, n: int, h, c) -> Tuple[Any, Any, Any]:
-    """(x, y, D) with (5c+22) f_mn = x + y sqrt(D), exact over Q or the
-    symbolic ring.
+def _kac_factor(m: int, n: int, a, b, hn, hd, wn, wd):
+    """(num, den, k) with the factor of (m, n), m <= n, equal to
+    num / (den g^k), where c = a/b, h = hn/hd, w^2 = wn/wd and g = 22b + 5a.
 
-    With s = (50-c)/192 and alpha_pm^2 = s +- sqrt(D)/2, the two factors of
-    (5c+22) f_mn = (64/9) A B^2 are
-    A = h + (mn-4)/2 + (8-m^2-n^2) s + (m^2-n^2)/2 sqrt(D) and
-    B = h + 2(mn-1) - 4(m^2+n^2-2) s + 2(m^2-n^2) sqrt(D).
+    With r = (2b-a)(98b-a), so that sqrt((2-c)(98-c)) = sqrt(r)/b, the two
+    pieces of (5c+22) f_mn = (64/9) A B^2 are A = (ax + e sqrt(r))/(192 b hd)
+    and B = (bx + e sqrt(r))/(48 b hd) with e = (m^2-n^2) hd, so
+    f_mn = P / (L g) with P = (ax + e sqrt(r))(bx + e sqrt(r))^2 and
+    L = 62208 b^2 hd^3.  The conjugate f_nm takes -sqrt(r).  On the diagonal
+    the factor is f_mm - w^2; for m < n it is the pair product
+    f_mn f_nm - w^2 (f_mn + f_nm) + w^4, whose terms are rational: P times
+    its conjugate is the norm (ax^2 - e^2 r)(bx^2 - e^2 r)^2, and their sum
+    is twice the rational part px.  The arguments are ints, or ExactScalars
+    with b = hd = wd = 1.
     """
-    s = (50 - c) * Fraction(1, 192)
-    # D = (2-c)(98-c)/9216, so sqrt(D) = sqrt((2-c)(98-c))/96
-    D = (2 - c) * (98 - c) * Fraction(1, 9216)
-    q, d = m * m + n * n, m * m - n * n
-    ax = Fraction(64, 9) * (h + Fraction(m * n - 4, 2) + (8 - q) * s)
-    ay = Fraction(32 * d, 9)  # (64/9) A = ax + ay sqrt(D)
-    bx = h + 2 * (m * n - 1) - 4 * (q - 2) * s  # B = bx + 2d sqrt(D)
-    b2x, b2y = bx * bx + 4 * d * d * D, 4 * d * bx  # B^2
-    return ax * b2x + ay * b2y * D, ax * b2y + ay * b2x, D
+    q, e = m * m + n * n, (m * m - n * n) * hd
+    s = (50 * b - a) * hd  # 192 b hd (50-c)/192
+    ax = 192 * b * hn + 96 * (m * n - 4) * b * hd + (8 - q) * s
+    bx = 48 * b * hn + 96 * (m * n - 1) * b * hd - (q - 2) * s
+    er = e * e * (2 * b - a) * (98 * b - a)
+    px = ax * bx * bx + er * (ax + 2 * bx)
+    big_l = 62208 * b * b * hd * hd * hd
+    u = wn * big_l * (22 * b + 5 * a)  # w^2 L g, over wd
+    if m == n:
+        return px * wd - u, big_l * wd, 1
+    nb = bx * bx - er
+    norm = (ax * ax - er) * nb * nb
+    return (norm * wd * wd - 2 * px * wd * u + u * u,
+            big_l * big_l * wd * wd, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -72,45 +82,45 @@ def kac_factors(level: int) -> Tuple[Tuple[int, int, int], ...]:
                  for m in range(1, k + 1) if k % m == 0)
 
 
+def kac_constant(level: int) -> int:
+    """C_N = prod (3mn)^(2e) over ``kac_factors(N)``, the constant the exact
+    ratio det(Gram_N) / closed form takes at levels 1-8."""
+    return math.prod((3 * m * n) ** (2 * e) for m, n, e in kac_factors(level))
+
+
 def kac_closed_form_exact(level: int, c, h, w) -> Fraction:
     """Exact rational closed-form product at a rational (c, h, w) point.
 
-    Raises PoleAtForbiddenCentralCharge at c = -22/5.  It runs over reduced
-    Fractions, not the engine's point ring, because ``_f_mn_ext`` mixes in
-    constants such as 1/192 whose denominators that ring need not hold.
+    Raises PoleAtForbiddenCentralCharge at c = -22/5.  Each factor comes
+    from ``_kac_factor`` in integers; its numerator and denominator lose
+    their gcd, are raised and multiplied as ints, and one Fraction is
+    formed at the end.
     """
     c, h, w = map(Fraction, (c, h, w))
     _check_pole(c, "b^2 = 16/(22+5c) has its pole")
-    return _closed_form(level, Fraction(1), c, h, w, 1 / (22 + 5 * c))
-
-
-def kac_closed_form_symbolic(level: int) -> ExactScalar:
-    """The closed-form product as an ExactScalar in (c, h, w)."""
-    return _closed_form(level, ONE, C, H, W, B_SQUARED * Fraction(1, 16))
-
-
-def _closed_form(level: int, one, c, h, w, inv_den):
-    """The closed-form product from the values ``one``, c, h, w and
-    ``inv_den`` = 1/(22+5c), all Fractions or all ExactScalars.
-
-    Each f_mn carries 1/(22+5c).  An m != n factor is paired with its
-    conjugate f_nm: with (5c+22) f_mn = x + y sqrt(D), f_mn f_nm =
-    (x^2 - y^2 D)/(22+5c)^2 and f_mn + f_nm = 2x/(22+5c), so the pair's
-    factor f_mn f_nm - w^2 (f_mn + f_nm) + w^4 is rational in c, h, w.  On
-    the diagonal m = n, y = 0.
-    """
-    w2 = w * w
-    acc = one
+    a, b, w2 = c.numerator, c.denominator, w * w
+    num, den, k_total = 1, 1, 0
     for m, n, e in kac_factors(level):
         if m > n:
             continue
-        x, y, D = _f_mn_ext(m, n, h, c)
-        if m == n:
-            fac = x * inv_den - w2
-        else:
-            fac = (((x * x - y * y * D) * inv_den - 2 * w2 * x) * inv_den
-                   + w2 * w2)
-        acc = acc * fac ** e
+        fn, fd, k = _kac_factor(m, n, a, b, h.numerator, h.denominator,
+                                w2.numerator, w2.denominator)
+        g = math.gcd(fn, fd)
+        num *= (fn // g) ** e
+        den *= (fd // g) ** e
+        k_total += k * e
+    return Fraction(num, den * (22 * b + 5 * a) ** k_total)
+
+
+def kac_closed_form_symbolic(level: int) -> ExactScalar:
+    """The closed-form product as an ExactScalar in (c, h, w), from the same
+    ``_kac_factor`` with 1/g = b^2/16."""
+    inv_g = B_SQUARED * Fraction(1, 16)
+    acc = ONE
+    for m, n, e in kac_factors(level):
+        if m <= n:
+            fn, fd, k = _kac_factor(m, n, C, 1, H, 1, W * W, 1)
+            acc = acc * (fn * Fraction(1, fd) * inv_g ** k) ** e
     return acc
 
 
@@ -126,11 +136,13 @@ class ComparisonReport(NamedTuple):
     verdict: str
 
     def to_json(self) -> str:
+        product = kac_constant(self.level)
         return json.dumps({
             "level": self.level,
             "points": [[str(x) for x in p] for p in self.points],
             "ratios": [str(r) for r in self.ratios],
             "constant": str(self.constant),
+            "constantIsProduct": all(r == product for r in self.ratios),
             "verdict": self.verdict,
             "method": "evaluated",
         }, indent=2)

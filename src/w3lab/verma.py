@@ -110,8 +110,7 @@ class Ring(NamedTuple):
     ``c``, ``h``, ``w`` and ``b2`` = 16/(22+5c) are the ring's values of the
     central charge, the two lowest weights and the [W, W] composite
     coefficient; ``lift`` maps an int or Fraction into the ring, and
-    ``export`` maps a ring value to what ``gram_matrix`` and
-    ``Engine.inner_product`` return.
+    ``export`` maps a ring value to what ``gram_matrix`` returns.
     """
 
     one: Any
@@ -331,21 +330,6 @@ class Engine:
             _combine(out, self._apply_word(gen, n, word), coef)
         return out
 
-    def inner_product(self, u: ModeWord, v: ModeWord):
-        """<u Omega, v Omega> for the canonical form with <Omega, Omega> = 1.
-
-        The left word is adjoined onto the right: its modes act with
-        reversed order and negated indices, and the Omega-coefficient of the
-        fully reduced vector is the value of the form, given as the ring's
-        ``export`` of it.
-        """
-        ring = self.ring
-        vec: VermaVector = {v: ring.one}
-        for gen, modes in (("L", u.lpart), ("W", u.wpart)):
-            for m in modes:
-                vec = self.apply_mode(gen, m, vec)
-        return ring.export(vec.get(OMEGA, ring.zero))
-
 
 def clear_cache() -> None:
     """Reset the rewriting memo.
@@ -458,8 +442,8 @@ def gram_matrix(level: int, ring: Ring = SYMBOLIC) -> GramMatrix:
     lower ones through the adjoint of the leading mode: for u = X_{-m} u',
     <u, v> = <u', X_m v> = sum_w (X_m v)[w] <u', w>, with X_m v one memoised
     rewrite and <u', w> an entry of the level-(N-m) Gram.  Entries are
-    computed for j <= i and mirrored.  ``Engine.inner_product`` computes the
-    same entries pairwise.
+    computed for j <= i and mirrored.  The tests check them against the
+    pairwise inner products <u Omega, v Omega> (tests/test_verma.py).
     """
     engine = Engine(ring)
     zero = ring.zero

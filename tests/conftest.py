@@ -31,7 +31,7 @@ def canonical_pairs(cg, c, h, w):
     """(Fock entry, canonical entry) for every entry of every level block of
     the Fock cyclic Gram ``cg``: blocks[N] against ``verma.gram_matrix(N)``
     at (c, h, w) as floats, whose entries are those of
-    ``Engine.inner_product`` (tests/test_verma.py)."""
+    ``inner_product`` in tests/test_verma.py."""
     start = 0
     for level, block in enumerate(cg.blocks):
         gram = _canonical_gram(level)

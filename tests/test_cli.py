@@ -464,6 +464,7 @@ def test_kac_verify_constants_levels_4_and_5(runner, tmp_path, level):
     assert payload["verdict"] == "ok"
     assert payload["ratios"] == [str(constant)] * 2
     assert payload["constant"] == str(constant)
+    assert payload["constantIsProduct"] is True
 
 
 def test_kac_verify_level_cap(runner):

@@ -1,17 +1,30 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kac_reference as ref
 from w3lab import kac, verma
 from w3lab.classify import f11
-from w3lab.exact import PoleAtForbiddenCentralCharge, scalar
+from w3lab.exact import (B_SQUARED, C, H, ONE, W,
+                         PoleAtForbiddenCentralCharge, scalar)
 from w3lab.kac import (ComparisonReport, DegenerateSample, compare_with_gram,
                        kac_closed_form_exact, kac_closed_form_symbolic,
-                       kac_factors)
-from w3lab.kac import _f_mn_ext
+                       kac_constant, kac_factors)
+from w3lab.kac import _kac_factor
+
+
+def _factor_at(m, n, h, c, w2=0):
+    """The Kac factor of (m, n), m <= n, at a rational point, from
+    _kac_factor: f_mm - w^2 on the diagonal, the pair factor otherwise."""
+    h, c, w2 = Fraction(h), Fraction(c), Fraction(w2)
+    num, den, k = _kac_factor(m, n, c.numerator, c.denominator, h.numerator,
+                              h.denominator, w2.numerator, w2.denominator)
+    return Fraction(num, den * (22 * c.denominator + 5 * c.numerator) ** k)
 
 
 def test_p2_against_brute_force():
@@ -48,9 +61,10 @@ def test_f_mm_display_equals_general_formula():
             continue
         h = Fraction(rng.randint(-10, 10), rng.randint(1, 7))
         for m in (1, 2, 3):
-            x, y, _ = _f_mn_ext(m, m, h, c)
+            x, y, _ = ref.f_mn_quadratic(m, m, h, c)
             assert y == 0
             assert x / (5 * c + 22) == ref.f_mm(m, h, c)
+            assert _factor_at(m, m, h, c) == ref.f_mm(m, h, c)
         assert f11(h, c) == ref.f_mm(1, h, c)
 
 
@@ -67,9 +81,12 @@ def test_f11_normalizations_differ_by_two():
 
 
 def _pair_product(m, n, h, c):
-    """Exact f_mn * f_nm: f_nm is the conjugate x - y sqrt(D) of f_mn."""
-    x, y, D = _f_mn_ext(m, n, h, c)
-    return (x * x - y * y * D) / (5 * c + 22) ** 2
+    """Exact f_mn * f_nm, the pair factor at w = 0, by both exact routes:
+    _kac_factor and the conjugate x - y sqrt(D) of the reference's f_mn."""
+    x, y, D = ref.f_mn_quadratic(m, n, h, c)
+    pair = _factor_at(m, n, h, c)
+    assert pair == (x * x - y * y * D) / (5 * c + 22) ** 2
+    return pair
 
 
 def test_paired_product_matches_complex_arithmetic():
@@ -98,14 +115,18 @@ def test_closed_form_reality_sweep():
 
 def test_f_mn_real_on_diagonal():
     h, c = Fraction(7, 10), Fraction(10)
-    x, y, _ = _f_mn_ext(2, 2, h, c)
+    x, y, _ = ref.f_mn_quadratic(2, 2, h, c)
     assert y == 0
     assert abs(ref.f_mn(2, 2, 0.7, 10.0) - float(x / (5 * c + 22))) < 1e-12
+    assert _factor_at(2, 2, h, c) == x / (5 * c + 22)
 
 
 def test_f_mn_pole():
     with pytest.raises(PoleAtForbiddenCentralCharge):
         f11(1, Fraction(-22, 5))
+    for level in (0, 1, 4):
+        with pytest.raises(PoleAtForbiddenCentralCharge):
+            kac_closed_form_exact(level, Fraction(-22, 5), 1, 1)
 
 
 def test_kac_factors_cover_divisor_pairs():
@@ -135,6 +156,70 @@ def test_closed_form_exact_vs_float():
                 fl *= (ref.f_mn(m, n, float(h), float(c)) - float(w) ** 2) ** e
             assert abs(fl.imag) <= 1e-10 * (1 + abs(fl.real))
             assert abs(fl.real - float(ex)) <= 1e-9 * (1 + abs(float(ex)))
+
+
+# the grid of special values: branch points c = 2, 98, c = 0, negative c,
+# a zero and a negative h, w = 0
+GRID = [(c, h, w)
+        for c in (2, 98, -5, -2, 0, Fraction(4, 5), Fraction(353, 7), 150)
+        for h in (0, Fraction(1, 3), Fraction(-7, 4), Fraction(23, 4))
+        for w in (0, 1, Fraction(-2, 7))]
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-10 ** 5, 10 ** 5),
+                    rng.randint(1, 10 ** rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_closed_form_matches_reference_on_grid(level):
+    for pt in GRID:
+        assert kac_closed_form_exact(level, *pt) == \
+            ref.closed_form_exact(level, *pt), (level, pt)
+
+
+def test_closed_form_matches_reference_at_seeded_points():
+    """1,000 seeded rational points, each at one of the levels 0-8."""
+    rng = random.Random(36)
+    checked = 0
+    while checked < 1000:
+        pt = (_rational(rng), _rational(rng), _rational(rng))
+        if 22 + 5 * pt[0] == 0:
+            continue
+        level = checked % 9
+        assert kac_closed_form_exact(level, *pt) == \
+            ref.closed_form_exact(level, *pt), (level, pt)
+        checked += 1
+
+
+_RATIONALS = st.fractions(max_denominator=10 ** 4).filter(
+    lambda x: abs(x) < 10 ** 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), _RATIONALS.filter(lambda c: 22 + 5 * c != 0),
+       _RATIONALS, _RATIONALS)
+def test_closed_form_equals_reference_route(level, c, h, w):
+    assert kac_closed_form_exact(level, c, h, w) == \
+        ref.closed_form_exact(level, c, h, w)
+
+
+def test_closed_form_vanishes_on_the_first_locus():
+    # w^2 = f11 kills the (1, 1) factor at every level from 1 up
+    c, t = Fraction(4), Fraction(1, 2)
+    h = (c - 2 + 18 * (5 * c + 22) * t * t) / 32
+    w = 2 * h * t
+    assert f11(h, c) == w * w
+    for level in range(1, 9):
+        assert kac_closed_form_exact(level, c, h, w) == 0
+    assert kac_closed_form_exact(0, c, h, w) == 1
+
+
+def test_symbolic_closed_form_matches_reference_route():
+    inv_den = B_SQUARED * Fraction(1, 16)
+    for level in range(4):
+        assert kac_closed_form_symbolic(level) == \
+            ref.closed_form(level, ONE, C, H, W, inv_den), level
 
 
 def test_closed_form_positive_at_region_point():
@@ -180,15 +265,34 @@ def test_compare_with_gram_constant_ratio(level, grams):
             pts.append((c, h, w))
     rep = compare_with_gram(level, pts, gram=grams[level])
     assert rep.verdict == "ok"
-    assert rep.constant == _product_constant(level)
+    assert rep.constant == kac_constant(level)
     assert all(r == rep.constant for r in rep.ratios)
 
 
-def _product_constant(level):
-    """C_N = prod (3mn)^(2 P2(N-mn)): each Kac factor carries its own
-    9m^2n^2."""
-    return math.prod((3 * m * n) ** (2 * e)
-                     for m, n, e in kac_factors(level))
+# C_7 as the README writes it; C_8 as `kac-verify --level 8 --level-cap 8
+# --random 2 --seed 1` printed it (verdict ok), factored
+C_7 = 2 ** 280 * 3 ** 550 * 5 ** 20 * 7 ** 4
+C_8 = 2 ** 564 * 3 ** 1024 * 5 ** 40 * 7 ** 8
+
+
+def test_kac_constant_literals():
+    assert [kac_constant(n) for n in range(4)] == [
+        1, 9, 104976, 650717652052224]
+    assert kac_constant(7) == C_7
+    assert kac_constant(8) == C_8
+
+
+def test_kac_constant_rejects_a_mutated_rule():
+    """Each mutated product misses the computed ratio at some level <= 4."""
+    pts = [(Fraction(10), Fraction(2), Fraction(1, 7)),
+           (Fraction(50), Fraction(5), Fraction(1, 3))]
+    ratios = [compare_with_gram(level, pts).constant for level in range(5)]
+    assert ratios == [kac_constant(level) for level in range(5)]
+    for mutant in (lambda m, n, e: (m * n) ** (2 * e),
+                   lambda m, n, e: (3 * m * n) ** e,
+                   lambda m, n, e: (9 * m * n) ** e):
+        assert any(math.prod(mutant(*f) for f in kac_factors(level)) != r
+                   for level, r in enumerate(ratios))
 
 
 def test_compare_rejects_degenerate_sample(grams):
@@ -221,6 +325,9 @@ def test_compare_verdict_is_exact(grams, monkeypatch):
     monkeypatch.setattr(kac, "kac_closed_form_exact", nudged)
     rep = compare_with_gram(1, pts, gram=grams[1])
     assert rep.verdict == "fail"
+    # the first ratio is still C_1 = 9, the second is not
+    assert rep.constant == kac_constant(1)
+    assert json.loads(rep.to_json())["constantIsProduct"] is False
     monkeypatch.setattr(kac, "kac_closed_form_exact", shrunk_at_3)
     rep = compare_with_gram(1, pts, gram=grams[1])
     assert rep.ratios == [9, 9 * 10 ** 400]
@@ -248,17 +355,17 @@ def test_compare_with_gram_levels_4_and_5():
     for level in (4, 5):
         rep = compare_with_gram(level, pts)
         assert rep.verdict == "ok"
-        assert rep.constant == _product_constant(level)
+        assert rep.constant == kac_constant(level)
 
 
 def test_compare_with_gram_levels_6_and_7():
-    """ROADMAP F1's product form of the constant, pinned at levels 6 and 7."""
+    """The product form of the constant, kac_constant, at levels 6 and 7."""
     pts = [(Fraction(10), Fraction(2), Fraction(1, 7)),
            (Fraction(50), Fraction(5), Fraction(1, 3))]
     for level in (6, 7):
         rep = compare_with_gram(level, pts)
         assert rep.verdict == "ok"
-        assert rep.constant == _product_constant(level)
+        assert rep.constant == kac_constant(level)
 
 
 def test_symbolic_closed_form_identity(grams):
@@ -279,8 +386,10 @@ def test_symbolic_closed_form_matches_exact_at_level_3():
 def test_comparison_report_json(grams):
     rep = compare_with_gram(1, [(10, 2, 0), (3, Fraction(1, 24), 0)],
                             gram=grams[1])
-    import json
     payload = json.loads(rep.to_json())
+    assert list(payload) == ["level", "points", "ratios", "constant",
+                             "constantIsProduct", "verdict", "method"]
     assert payload["level"] == 1
     assert payload["verdict"] == "ok"
     assert payload["constant"] == "9"
+    assert payload["constantIsProduct"] is True

@@ -106,6 +106,8 @@ def test_removed_members_are_gone():
     assert not hasattr(verma.ModeWord, "grade")
     # Lambda_s is a mode of the engine: apply_mode("Lambda", s, v)
     assert not hasattr(verma.Engine, "apply_lambda")
+    # the pairwise inner product is the tests' cross-check of gram_matrix
+    assert not hasattr(verma.Engine, "inner_product")
     assert not hasattr(fock.CyclicGram, "to_csv")
     # the cyclic Gram comes by level blocks, not as one matrix
     for name in ("variant", "level", "gram"):
