@@ -93,8 +93,9 @@ class ModeWord(namedtuple("ModeWord", ("lpart", "wpart"))):
         lpart, wpart = [], []
         for tok in text.split():
             gen, idx = tok[0], int(tok[1:])
-            if idx >= 0:
-                raise ValueError(f"expected negative mode index in {tok!r}")
+            if gen not in "LW" or idx >= 0:
+                raise ValueError("expected L or W with a negative mode "
+                                 f"index in {tok!r}")
             (lpart if gen == "L" else wpart).append(-idx)
         return ModeWord(tuple(sorted(lpart)), tuple(sorted(wpart)))
 

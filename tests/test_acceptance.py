@@ -43,9 +43,9 @@ def test_criterion_1_kac_determinant_agreement(grams):
     ok = True
     for level in (1, 2, 3):
         rep = kac.compare_with_gram(level, pts, gram=grams[level])
-        constants[level] = rep.constant
-        ok &= rep.verdict == "ok" and rep.constant > 0
-        ok &= all(r == rep.constant for r in rep.ratios)
+        constants[level] = rep.ratios[0]
+        ok &= rep.verdict == "ok" and rep.ratios[0] > 0
+        ok &= all(r == rep.ratios[0] for r in rep.ratios)
     report(1, ok, f"Kac agreement at 6 points, constants C_N = "
                   f"{ {k: str(v) for k, v in constants.items()} }")
 

@@ -256,7 +256,7 @@ def test_point_commands_leave_the_cache_alone(runner, tmp_path):
 @pytest.mark.parametrize("args", [
     ["gram", "--level", "-1"],
     ["kac-verify", "--level", "-1", "--random", "3"],
-    ["kac-verify", "--level", "1", "--random", "1"],
+    ["kac-verify", "--level", "1", "--random", "0"],
     ["classify", "--c", "nan", "--h", "0", "--w", "0"],
     ["classify", "--c", "inf", "--h", "0", "--w", "0"],
     ["classify", "--c", "1/0", "--h", "0", "--w", "0"],
@@ -354,9 +354,6 @@ def test_random_region_points_are_distinct(monkeypatch):
     {"345": 1, "678": 2},
     [["10", "2", True], ["3", "1/24", "0"]],
     [["10", "2", "1/7"], "3,1/24,0"],
-    # one point written twice, in either spelling, would agree vacuously
-    [["50", "5", "1/3"], ["50", "5", "1/3"]],
-    [["50", "5", "1/3"], ["100/2", "10/2", "2/6"]],
 ])
 def test_kac_verify_rejects_a_malformed_samples_file(runner, tmp_path, rows):
     f = tmp_path / "pts.json"
@@ -364,6 +361,88 @@ def test_kac_verify_rejects_a_malformed_samples_file(runner, tmp_path, rows):
     res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
     assert res.exit_code == 1
     assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+def test_kac_verify_refuses_an_empty_samples_file(runner, tmp_path):
+    """No run passes vacuously."""
+    f = tmp_path / "pts.json"
+    f.write_text("[]")
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "BadArguments"
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_kac_verify_one_point_is_a_complete_check(shared_runner, tmp_path,
+                                                  level):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([["10", "2", "1/7"]]))
+    res = shared_runner(["kac-verify", "--level", str(level),
+                         "--samples", str(f)])
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "ok"
+    assert payload["ratios"] == [str(kac.kac_constant(level))]
+
+
+@pytest.mark.parametrize("rows", [
+    [["50", "5", "1/3"], ["50", "5", "1/3"]],
+    [["50", "5", "1/3"], ["100/2", "10/2", "2/6"]],
+], ids=["same", "respelled"])
+def test_kac_verify_takes_one_point_written_twice(runner, tmp_path, rows):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps(rows))
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert payload["points"] == [["50", "5", "1/3"]] * 2
+    assert payload["ratios"] == ["9", "9"]
+    assert payload["verdict"] == "ok"
+
+
+def test_kac_verify_fails_a_doubled_closed_form(runner, tmp_path,
+                                                monkeypatch):
+    """Twice the closed form at every point gives equal ratios C_N / 2:
+    verdict fail and exit 4."""
+    real = kac.kac_closed_form_exact
+    monkeypatch.setattr(kac, "kac_closed_form_exact",
+                        lambda *args: 2 * real(*args))
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([["10", "2", "1/7"], ["50", "5", "1/3"]]))
+    res = runner(["kac-verify", "--level", "2", "--samples", str(f)])
+    assert res.exit_code == 4
+    payload = json.loads(res.stdout)
+    assert payload["ratios"] == ["52488"] * 2
+    assert payload["constant"] == "104976"
+    assert payload["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("30.000000000000000001", Fraction(30) + Fraction(1, 10 ** 18)),
+    ("1e400", Fraction(10 ** 400)),
+], ids=["long-decimal", "beyond-float"])
+def test_a_samples_file_decimal_is_read_exactly(runner, tmp_path, text,
+                                                value):
+    """A JSON number is read from its text, not through a float, which
+    would give c = 30 and 0.1 = 3602879701896397/2^55, or refuse 1e400
+    as infinite."""
+    f = tmp_path / "pts.json"
+    f.write_text("[[%s, 5, 0.1]]" % text)
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["points"] == [[str(value), "5", "1/10"]]
+    assert payload["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_a_samples_file_refuses_non_finite_numbers(runner, tmp_path, text):
+    f = tmp_path / "pts.json"
+    f.write_text("[[%s, 5, 0]]" % text)
+    res = runner(["kac-verify", "--level", "1", "--samples", str(f)])
+    assert res.exit_code == 1
     assert json.loads(res.stderr)["error"] == "BadArguments"
 
 
@@ -464,7 +543,6 @@ def test_kac_verify_constants_levels_4_and_5(runner, tmp_path, level):
     assert payload["verdict"] == "ok"
     assert payload["ratios"] == [str(constant)] * 2
     assert payload["constant"] == str(constant)
-    assert payload["constantIsProduct"] is True
 
 
 def test_kac_verify_level_cap(runner):

@@ -265,8 +265,7 @@ def test_compare_with_gram_constant_ratio(level, grams):
             pts.append((c, h, w))
     rep = compare_with_gram(level, pts, gram=grams[level])
     assert rep.verdict == "ok"
-    assert rep.constant == kac_constant(level)
-    assert all(r == rep.constant for r in rep.ratios)
+    assert rep.ratios == [kac_constant(level)] * len(pts)
 
 
 # C_7 as the README writes it; C_8 as `kac-verify --level 8 --level-cap 8
@@ -286,7 +285,7 @@ def test_kac_constant_rejects_a_mutated_rule():
     """Each mutated product misses the computed ratio at some level <= 4."""
     pts = [(Fraction(10), Fraction(2), Fraction(1, 7)),
            (Fraction(50), Fraction(5), Fraction(1, 3))]
-    ratios = [compare_with_gram(level, pts).constant for level in range(5)]
+    ratios = [compare_with_gram(level, pts).ratios[0] for level in range(5)]
     assert ratios == [kac_constant(level) for level in range(5)]
     for mutant in (lambda m, n, e: (m * n) ** (2 * e),
                    lambda m, n, e: (3 * m * n) ** e,
@@ -309,7 +308,7 @@ def test_compare_rejects_degenerate_sample(grams):
 
 def test_compare_verdict_is_exact(grams, monkeypatch):
     """Ratios 1e-12 apart fail; ratios 10^400 apart, beyond any float,
-    fail too; a negative constant fails."""
+    fail too; a negative ratio fails."""
     pts = [(Fraction(10), Fraction(2), Fraction(0)),
            (Fraction(3), Fraction(1, 24), Fraction(0))]
     real = kac.kac_closed_form_exact
@@ -326,8 +325,8 @@ def test_compare_verdict_is_exact(grams, monkeypatch):
     rep = compare_with_gram(1, pts, gram=grams[1])
     assert rep.verdict == "fail"
     # the first ratio is still C_1 = 9, the second is not
-    assert rep.constant == kac_constant(1)
-    assert json.loads(rep.to_json())["constantIsProduct"] is False
+    assert rep.ratios[0] == kac_constant(1)
+    assert rep.ratios[1] != kac_constant(1)
     monkeypatch.setattr(kac, "kac_closed_form_exact", shrunk_at_3)
     rep = compare_with_gram(1, pts, gram=grams[1])
     assert rep.ratios == [9, 9 * 10 ** 400]
@@ -335,16 +334,37 @@ def test_compare_verdict_is_exact(grams, monkeypatch):
     monkeypatch.setattr(kac, "kac_closed_form_exact",
                         lambda *args: -real(*args))
     rep = compare_with_gram(1, pts, gram=grams[1])
-    assert rep.constant == -9
+    assert rep.ratios == [-9, -9]
     assert rep.verdict == "fail"
 
 
-def test_compare_needs_two_points(grams):
-    # one point written twice, in either spelling, would agree with itself
+@pytest.mark.parametrize("level", [1, 4])
+def test_compare_fails_a_doubled_closed_form(level, monkeypatch):
+    """Twice the closed form at every point gives one ratio everywhere,
+    C_N / 2, which is not C_N."""
+    real = kac.kac_closed_form_exact
+    monkeypatch.setattr(kac, "kac_closed_form_exact",
+                        lambda *args: 2 * real(*args))
+    pts = [(Fraction(10), Fraction(2), Fraction(1, 7)),
+           (Fraction(50), Fraction(5), Fraction(1, 3))]
+    rep = compare_with_gram(level, pts)
+    assert rep.ratios == [Fraction(kac_constant(level), 2)] * 2
+    assert rep.verdict == "fail"
+
+
+def test_compare_needs_a_point(grams):
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        compare_with_gram(1, [], gram=grams[1])
+
+
+def test_compare_takes_one_point(grams):
+    """One point is a complete check, and a point written twice, in either
+    spelling, gives two equal ratios."""
     for pts in ([(10, 2, 0)], [(50, 5, Fraction(1, 3))] * 2,
                 [(50, 5, Fraction(1, 3)), ("100/2", "10/2", "2/6")]):
-        with pytest.raises(ValueError):
-            compare_with_gram(1, pts, gram=grams[1])
+        rep = compare_with_gram(1, pts, gram=grams[1])
+        assert rep.ratios == [9] * len(pts)
+        assert rep.verdict == "ok"
 
 
 def test_compare_with_gram_levels_4_and_5():
@@ -355,7 +375,7 @@ def test_compare_with_gram_levels_4_and_5():
     for level in (4, 5):
         rep = compare_with_gram(level, pts)
         assert rep.verdict == "ok"
-        assert rep.constant == kac_constant(level)
+        assert rep.ratios == [kac_constant(level)] * len(pts)
 
 
 def test_compare_with_gram_levels_6_and_7():
@@ -365,7 +385,7 @@ def test_compare_with_gram_levels_6_and_7():
     for level in (6, 7):
         rep = compare_with_gram(level, pts)
         assert rep.verdict == "ok"
-        assert rep.constant == kac_constant(level)
+        assert rep.ratios == [kac_constant(level)] * len(pts)
 
 
 def test_symbolic_closed_form_identity(grams):
@@ -388,8 +408,8 @@ def test_comparison_report_json(grams):
                             gram=grams[1])
     payload = json.loads(rep.to_json())
     assert list(payload) == ["level", "points", "ratios", "constant",
-                             "constantIsProduct", "verdict", "method"]
+                             "verdict", "method"]
     assert payload["level"] == 1
     assert payload["verdict"] == "ok"
     assert payload["constant"] == "9"
-    assert payload["constantIsProduct"] is True
+    assert payload["ratios"] == ["9", "9"]

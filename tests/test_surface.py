@@ -134,8 +134,9 @@ def test_removed_members_are_gone():
     assert "level_cap" not in inspect.signature(verma.gram_matrix).parameters
     assert "level_cap" not in inspect.signature(
         kac.compare_with_gram).parameters
-    # the report is its exact ratios: no float spread, no constant method
-    for name in ("max_rel_deviation", "method"):
+    # the report is its exact ratios: no float spread, no constant method,
+    # no measured constant (the verdict reads kac_constant)
+    for name in ("max_rel_deviation", "method", "constant"):
         assert name not in kac.ComparisonReport._fields, name
 
 

@@ -65,6 +65,8 @@ def test_mode_word_validation():
     assert ModeWord.from_label("1") == OMEGA
     with pytest.raises(ValueError, match="negative mode index in 'L1'"):
         ModeWord.from_label("L1")
+    with pytest.raises(ValueError, match="expected L or W with a negative mode index in 'Q-2'"):
+        ModeWord.from_label("Q-2")
 
 
 # ---------------------------------------------------------------------------
