@@ -24,9 +24,10 @@ raised before any block is built.  Each command imports what it uses, so
 ``classify`` and ``region`` load none of the Verma, Kac or Fock machinery
 and no third-party package.  As a process (``entry``) a command runs
 without cyclic garbage collection and skips interpreter teardown.  The
-symbolic ``gram`` prints ``GramMatrix.to_json()`` and writes the same text
-to a cache file, described at ``cmd_gram``; no command reads it.  A
-rational input may have at most MAX_DIGITS digits, checked by ``_fraction``.
+symbolic ``gram`` prints ``GramMatrix.to_json()``, and writes the same
+text to a file when $W3LAB_CACHE_DIR names a directory (``cmd_gram``); no
+command reads it.  A rational input may have at most MAX_DIGITS digits,
+checked by ``_fraction``.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ def _fail(code: int, kind: str, message: str):
     sys.exit(code)
 
 
-def _print_json(payload) -> None:
-    """Print a Fock payload as RFC 8259 JSON: each non-finite float, a
-    NaN or an infinity that its checks have already failed, prints as null,
-    as JSON.stringify writes it; finite floats keep their repr."""
-    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    print(json.dumps(strict, indent=2, allow_nan=False))
-
-
 def _bound(scale: float) -> float:
     """fz-check's pass bound on a float residual whose roundoff grows with
     ``scale``; a NaN residual fails, as no comparison with a NaN holds."""
@@ -92,11 +85,10 @@ def _bound(scale: float) -> float:
 
 def _cache_path(level: int):
     """Where the symbolic ``gram`` writes its JSON: gram-{level}-symbolic.json
-    in $W3LAB_CACHE_DIR, by default ~/.cache/w3lab."""
+    in $W3LAB_CACHE_DIR, or None when that is unset and no file is wanted."""
     from pathlib import Path
-    default = os.path.join(os.path.expanduser("~"), ".cache", "w3lab")
-    return Path(os.environ.get("W3LAB_CACHE_DIR", default),
-                f"gram-{level}-symbolic.json")
+    folder = os.environ.get("W3LAB_CACHE_DIR")
+    return Path(folder, f"gram-{level}-symbolic.json") if folder else None
 
 
 def _atomic_write(path, text: str) -> None:
@@ -230,9 +222,9 @@ def cmd_gram(args):
     16/(22+5c) and 720, and printed as reduced rationals with its exact
     determinant (modular.rational_determinant).  With none of them the
     symbolic matrix is built, and its one text, ``GramMatrix.to_json()``
-    and a newline, is printed and written to gram-N-symbolic.json in
-    $W3LAB_CACHE_DIR (skipped when that fails): the text
-    ``GramMatrix.from_json`` reads.  No command reads the file.
+    and a newline, is printed; when $W3LAB_CACHE_DIR is set it is also
+    written to gram-N-symbolic.json there (skipped when that fails): the
+    text ``GramMatrix.from_json`` reads.  No command reads the file.
     Some but not all of the three, and a point with --symbolic, are
     BadArguments.
     """
@@ -247,7 +239,8 @@ def cmd_gram(args):
     if not given:
         text = verma.gram_matrix(level).to_json() + "\n"
         try:
-            _atomic_write(_cache_path(level), text)
+            if path := _cache_path(level):
+                _atomic_write(path, text)
         except OSError:
             pass  # the answer does not depend on the file
         sys.stdout.write(text)
@@ -356,19 +349,26 @@ def cmd_region(args):
 VARIANTS = ("raw", "vacuumModified", "unitaryFamily")
 
 
-def _quiet_overflow(run):
-    """A Fock command under one numpy errstate: an overflow shows as the
-    NaN or inf its checks fail, not as warning text on stderr.  numpy comes
-    by way of fock, in the command's import order, which keeps peak RSS."""
+def _fock_command(run):
+    """A Fock command, which returns (payload, failed), run under one numpy
+    errstate: an overflow shows as the NaN or inf its checks fail, not as
+    warning text on stderr.  numpy comes by way of fock, in the command's
+    import order, which keeps peak RSS.  The payload prints as RFC 8259
+    JSON: each non-finite float prints as null, as JSON.stringify writes
+    it, and finite floats keep their repr.  A failed command exits 5."""
     @functools.wraps(run)
-    def quiet(args):
+    def command(args):
         from .fock import np
         with np.errstate(over="ignore", invalid="ignore"):
-            run(args)
-    return quiet
+            payload, failed = run(args)
+        strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        print(json.dumps(strict, indent=2, allow_nan=False))
+        if failed:
+            sys.exit(EXIT_RESIDUAL)
+    return command
 
 
-@_quiet_overflow
+@_fock_command
 def cmd_fz_check(args):
     """Residual report for the chosen realization: each float residual
     passes iff it is at most ``_bound`` of the scale its check reports.
@@ -413,16 +413,14 @@ def cmd_fz_check(args):
             passed["zeroVectors"] = all(zv[k] <= _bound(s)
                                         for k, s in zv["scale"].items())
     failures = report["failures"] = [k for k, ok in passed.items() if not ok]
-    _print_json(report)
-    if failures:
-        sys.exit(EXIT_RESIDUAL)
+    return report, failures
 
 
 # ---------------------------------------------------------------------------
 # vacuum-spectrum
 # ---------------------------------------------------------------------------
 
-@_quiet_overflow
+@_fock_command
 def cmd_vacuum_spectrum(args):
     """Eigenvalues of the vacuum cyclic-subspace Gram (vacuumModified).
 
@@ -448,9 +446,7 @@ def cmd_vacuum_spectrum(args):
         "eigenvalues": eigs,
         "minEigenvalue": eigs[0],
     }
-    _print_json(payload)
-    if not all(map(math.isfinite, eigs)):
-        sys.exit(EXIT_RESIDUAL)
+    return payload, not all(map(math.isfinite, eigs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ two different denominators takes one gcd, of the denominators.  Nothing
 divides one scalar by another either: the symbolic determinant
 (``verma.determinant``) is an expansion in minors.
 
-Equality cross-multiplies and ``hash`` reads the form over the least
-denominator, so a scalar is one value whatever its denominator.
+Equality and ``hash`` both read the form over the least denominator
+(``_reduced``), so a scalar is one value whatever its denominator.
 
 The c-form, a numerator in ``(c, h, w)`` with reduced Fraction coefficients
 over the least power of ``22+5c``, exists only at the edges: the
@@ -235,22 +235,21 @@ class ExactScalar:
     def __bool__(self):
         return bool(self._n)
 
+    def _reduced(self):
+        """(numerators, den) over the least denominator, which equal
+        scalars share."""
+        g = math.gcd(self._den, *self._n.values())
+        return {m: x // g for m, x in self._n.items()}, self._den // g
+
     def __eq__(self, other):
         other = ExactScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._n, other._n
-        da, db = self._den, other._den
-        if da == db:
-            return a == b
-        return a.keys() == b.keys() and all(x * db == b[m] * da
-                                            for m, x in a.items())
+        return self._reduced() == other._reduced()
 
     def __hash__(self):
-        # of the form over the least denominator, which equal scalars share
-        g = math.gcd(self._den, *self._n.values())
-        return hash((frozenset((m, x // g) for m, x in self._n.items()),
-                     self._den // g))
+        nums, den = self._reduced()
+        return hash((frozenset(nums.items()), den))
 
     # -- evaluation ------------------------------------------------------
 

@@ -599,14 +599,10 @@ def check_w3_relations(variant: str, params: RealizationParams,
     scale = 0.0
     rng = range(-max_mode_index, max_mode_index + 1)
     for lev in range(max_level + 1):
-        # (kind, index) -> (block on V_lev, its largest entry)
-        fields: Dict[Tuple[str, int], Tuple[Optional[Block], float]] = {}
-
-        def field(kind, idx):
-            if (kind, idx) not in fields:
-                blk = _field(real, kind, idx, lev)
-                fields[kind, idx] = blk, _max_abs(blk)
-            return fields[kind, idx]
+        @lru_cache(maxsize=None)
+        def field(kind, idx):  # the block on V_lev and its largest entry
+            blk = _field(real, kind, idx, lev)
+            return blk, _max_abs(blk)
 
         for m in rng:
             for n in rng:

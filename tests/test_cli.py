@@ -126,6 +126,22 @@ def test_gram_cached_level_above_cap_is_refused(runner):
     assert res.stderr == _level_error(7, 6)
 
 
+def test_gram_without_a_cache_dir_writes_no_file(runner, tmp_path,
+                                                 monkeypatch):
+    """With $W3LAB_CACHE_DIR unset the symbolic Gram prints the same text
+    and writes no file: not under $HOME, not in the working directory."""
+    cached = runner(["gram", "--level", "1", "--symbolic"])
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.delenv("W3LAB_CACHE_DIR")
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(home)
+    assert cli._cache_path(1) is None
+    res = runner(["gram", "--level", "1", "--symbolic"])
+    assert (res.exit_code, res.stdout, res.stderr) == (0, cached.stdout, "")
+    assert list(home.rglob("*")) == []
+
+
 def test_gram_cache_file_holds_the_printed_json(runner):
     printed = runner(["gram", "--level", "1"]).stdout
     assert cli._cache_path(1).read_text() == printed

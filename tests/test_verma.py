@@ -691,6 +691,16 @@ def _check_integer_determinant(m):
     assert _det(m) == _bareiss_z(m), m
 
 
+def test_multimodular_determinant_refuses_more_than_2_15_rows(monkeypatch):
+    """Above 2^15 rows the int64 elimination could overflow: the matrix is
+    refused before any prime is drawn or any limb is built."""
+    def never(*args):
+        raise AssertionError("built before the row check")
+    monkeypatch.setattr(modular, "primes", never)
+    with pytest.raises(ValueError, match="at most 2\\^15 rows"):
+        modular.multimodular_determinant([[]] * (2 ** 15 + 1))
+
+
 def _random_integer_matrix(rng, n):
     bound = rng.choice([1, 3, 2 ** 31, 2 ** 100, 2 ** 600])
     return [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0
